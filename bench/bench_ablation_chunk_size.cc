@@ -76,8 +76,10 @@ int main() {
       }
       (void)lake->Flush();
     }
-    auto s3 = std::make_shared<sim::SimulatedObjectStore>(
-        base, sim::NetworkModel::S3SameRegion());
+    auto s3 = std::make_shared<storage::InstrumentedStore>(
+        std::make_shared<sim::SimulatedObjectStore>(
+            base, sim::NetworkModel::S3SameRegion()),
+        "s3-" + std::to_string(kb) + "kb");
     uint64_t chunks = 0;
     {
       auto ds = tsf::Dataset::Open(base).MoveValue();
@@ -88,7 +90,7 @@ int main() {
     double shuffled = Epoch(s3, /*shuffle=*/true);
     table.AddRow({std::to_string(kb) + " KB", std::to_string(chunks),
                   Secs(scan), Secs(shuffled),
-                  std::to_string(s3->stats().get_requests.load())});
+                  std::to_string(s3->gets())});
   }
   table.Print();
   if (dl::Status report_st = dl::bench::WriteJsonReport("ablation_chunk_size", table);

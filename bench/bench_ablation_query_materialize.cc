@@ -26,15 +26,17 @@ int main() {
   sim::WorkloadGenerator gen(sim::WorkloadGenerator::SmallJpeg(), 91);
   if (!BuildTsfDataset(base, gen, kImages, "jpeg").ok()) return 1;
 
-  auto s3 = std::make_shared<sim::SimulatedObjectStore>(
-      base, sim::NetworkModel::S3SameRegion());
+  auto s3 = std::make_shared<storage::InstrumentedStore>(
+      std::make_shared<sim::SimulatedObjectStore>(
+          base, sim::NetworkModel::S3SameRegion()),
+      "s3");
   auto ds = tsf::Dataset::Open(s3).MoveValue();
 
   auto stream_view = [&](std::shared_ptr<tsf::Dataset> dataset,
                          const tql::DatasetView* view,
-                         storage::StorageProvider* counted)
+                         storage::InstrumentedStore* counted)
       -> std::pair<double, uint64_t> {
-    counted->stats().Reset();
+    uint64_t bytes_before = counted->bytes_read();
     stream::DataloaderOptions opts;
     opts.batch_size = 32;
     opts.num_workers = 6;
@@ -52,8 +54,7 @@ int main() {
       auto more = loader->Next(&batch);
       if (!more.ok() || !*more) break;
     }
-    return {sw.ElapsedSeconds(),
-            counted->stats().bytes_read.load()};
+    return {sw.ElapsedSeconds(), counted->bytes_read() - bytes_before};
   };
 
   Table table({"access", "rows", "epoch", "bytes fetched"});
@@ -81,8 +82,10 @@ int main() {
     std::printf("materialize failed: %s\n", mat.status().ToString().c_str());
     return 1;
   }
-  auto mat_s3 = std::make_shared<sim::SimulatedObjectStore>(
-      mat_base, sim::NetworkModel::S3SameRegion());
+  auto mat_s3 = std::make_shared<storage::InstrumentedStore>(
+      std::make_shared<sim::SimulatedObjectStore>(
+          mat_base, sim::NetworkModel::S3SameRegion()),
+      "s3-materialized");
   auto mat_ds = tsf::Dataset::Open(mat_s3).MoveValue();
   auto [dense_secs, dense_bytes] = stream_view(mat_ds, nullptr, mat_s3.get());
   table.AddRow({"materialized view", std::to_string((*mat)->NumRows()),

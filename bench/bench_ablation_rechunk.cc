@@ -44,8 +44,11 @@ int main() {
   }
 
   auto scan = [&]() -> std::pair<double, uint64_t> {
-    auto s3 = std::make_shared<sim::SimulatedObjectStore>(
-        base, sim::NetworkModel::S3SameRegion());
+    auto s3 = std::make_shared<storage::InstrumentedStore>(
+        std::make_shared<sim::SimulatedObjectStore>(
+            base, sim::NetworkModel::S3SameRegion()),
+        "s3");
+    uint64_t requests_before = s3->gets() + s3->get_ranges();
     auto ds = tsf::Dataset::Open(s3).MoveValue();
     stream::DataloaderOptions opts;
     opts.batch_size = 32;
@@ -59,8 +62,8 @@ int main() {
       auto more = loader.Next(&batch);
       if (!more.ok() || !*more) break;
     }
-    return {sw.ElapsedSeconds(), s3->stats().get_requests.load() +
-                                     s3->stats().get_range_requests.load()};
+    return {sw.ElapsedSeconds(),
+            s3->gets() + s3->get_ranges() - requests_before};
   };
 
   Table table({"layout", "chunks", "scan epoch", "storage requests"});

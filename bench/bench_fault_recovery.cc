@@ -59,7 +59,7 @@ EpochResult RunEpoch(storage::StoragePtr mem, uint64_t fail_every,
   }
   r.seconds = sw.ElapsedSeconds();
   r.completed = r.rows == static_cast<uint64_t>(kImages);
-  if (retry) r.retries = retry->stats().retries_attempted.load();
+  if (retry) r.retries = retry->retries_attempted();
   return r;
 }
 

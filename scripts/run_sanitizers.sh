@@ -40,7 +40,7 @@ run_mode() {
   cmake --build "$repo_root/$dir" -j --target $targets dllint >/dev/null
   echo "=== [$sanitize] running tier-1 + stress suite ==="
   # halt_on_error: the run fails loudly at the first report. check_* script
-  # tests (bench smoke checks, legacy lint wrappers) are excluded — they
+  # tests (bench smoke checks, lint scripts) are excluded — they
   # need bench binaries and gate the plain build, not the sanitized one.
   # check_dllint is the exception: the analyzer itself runs sanitized, so
   # lexer/index bugs surface here too.
@@ -48,7 +48,7 @@ run_mode() {
   ASAN_OPTIONS="detect_leaks=0" \
   UBSAN_OPTIONS="print_stacktrace=1" \
     ctest --test-dir "$repo_root/$dir" --output-on-failure \
-          -E '^check_(source|clang_tidy|flamegraph|bench_json|prom_text|baseline_shrink)' \
+          -E '^check_(clang_tidy|flamegraph|bench_json|prom_text|baseline_shrink)' \
           "$@"
   echo "=== [$sanitize] PASS ==="
 }

@@ -289,17 +289,6 @@ Status DeepLake::StopDebugServer() {
 Json DeepLake::MetricsSnapshot() const {
   Json doc = Json::MakeObject();
   doc.Set("registry", obs::MetricsRegistry::Global().SnapshotJson());
-  const storage::StorageStats& s = base_->stats();
-  Json st = Json::MakeObject();
-  st.Set("provider", base_->name());
-  st.Set("get_requests", s.get_requests.load());
-  st.Set("get_range_requests", s.get_range_requests.load());
-  st.Set("put_requests", s.put_requests.load());
-  st.Set("bytes_read", s.bytes_read.load());
-  st.Set("bytes_written", s.bytes_written.load());
-  st.Set("retries_attempted", s.retries_attempted.load());
-  st.Set("retries_exhausted", s.retries_exhausted.load());
-  doc.Set("storage", std::move(st));
   return doc;
 }
 

@@ -167,8 +167,9 @@ class DeepLake {
 
   /// One JSON document describing everything measured so far: the global
   /// obs::MetricsRegistry snapshot (counters/gauges/latency histograms from
-  /// storage, loader, TQL, ingest and sim) plus this lake's base-storage
-  /// request/byte counters. The payload benches embed in BENCH_*.json.
+  /// storage, loader, TQL, ingest and sim). Storage request and byte counts
+  /// appear there when the chain holds an InstrumentedStore. The payload
+  /// benches embed in BENCH_*.json.
   Json MetricsSnapshot() const;
 
   /// Starts a flight recorder (DESIGN.md §7) over the global registry,

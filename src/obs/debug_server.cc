@@ -1,6 +1,6 @@
 // DebugServer: embedded live-telemetry HTTP endpoint (DESIGN.md §7). This
 // file is the one sanctioned home for raw socket calls in the repo —
-// scripts/check_source.py enforces that everything else (tools, tests,
+// dllint rule `raw-socket` enforces that everything else (tools, tests,
 // benches) goes through HttpGet/HttpRawRequest below.
 
 #include "obs/debug_server.h"

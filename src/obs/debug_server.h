@@ -27,8 +27,8 @@ struct HttpResponse {
 
 /// Minimal blocking HTTP/1.1 GET client for loopback scrapes: `dlstat`,
 /// `check_prom_text.sh --live` and the tests use it so nothing outside
-/// src/obs/debug_server.cc touches raw sockets (check_source `raw-socket`
-/// rule). `timeout_ms` bounds connect, send and the full body read.
+/// src/obs/debug_server.cc touches raw sockets (dllint rule `raw-socket`).
+/// `timeout_ms` bounds connect, send and the full body read.
 Result<HttpResponse> HttpGet(const std::string& host, int port,
                              const std::string& path,
                              int64_t timeout_ms = 2000);

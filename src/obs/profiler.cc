@@ -1,5 +1,5 @@
 // Sampling CPU profiler. This file is the only place in the tree allowed
-// to touch sigaction / setitimer / backtrace (check_source.py rule
+// to touch sigaction / setitimer / backtrace (dllint rule
 // `profiler-syscall`), for the same reason raw sockets are confined to
 // debug_server.cc: signal plumbing is easy to get subtly wrong, so every
 // use lives behind one audited implementation.

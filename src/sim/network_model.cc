@@ -52,29 +52,14 @@ NetworkModel NetworkModel::MinioLan() {
 
 SimulatedObjectStore::SimulatedObjectStore(storage::StoragePtr base,
                                            NetworkModel model)
-    : base_(std::move(base)),
+    : ForwardingStore(std::move(base)),
       model_(std::move(model)),
-      slots_(model_.max_concurrent_requests),
-      fault_rng_(model_.failure_seed) {
+      slots_(model_.max_concurrent_requests) {
   auto& registry = obs::MetricsRegistry::Global();
   obs::Labels labels = {{"net", model_.label}};
   inflight_gauge_ = registry.GetGauge("sim.net.inflight", labels);
   queue_hist_ = registry.GetHistogram("sim.net.queue_us", labels);
   transfer_hist_ = registry.GetHistogram("sim.net.transfer_us", labels);
-}
-
-Status SimulatedObjectStore::MaybeInjectTransientFault() {
-  if (model_.transient_failure_rate <= 0.0) return Status::OK();
-  bool fail;
-  {
-    MutexLock lock(fault_mu_);
-    fail = fault_rng_.NextBool(model_.transient_failure_rate);
-  }
-  if (!fail) return Status::OK();
-  // The failed request still costs a round trip before the error lands.
-  SimulateTransfer(0);
-  return Status::Transient("sim: transient " + model_.label +
-                           " fault (injected)");
 }
 
 void SimulatedObjectStore::SimulateTransfer(uint64_t bytes,
@@ -94,62 +79,37 @@ void SimulatedObjectStore::SimulateTransfer(uint64_t bytes,
   slots_.Release();
 }
 
+Status SimulatedObjectStore::Admit(storage::FaultOp op) {
+  if ((op & (storage::kFaultExists | storage::kFaultSizeOf |
+             storage::kFaultList)) != 0) {
+    SimulateTransfer(0);
+  }
+  return Status::OK();
+}
+
 Result<Slice> SimulatedObjectStore::Get(std::string_view key) {
-  DL_RETURN_IF_ERROR(MaybeInjectTransientFault());
   DL_ASSIGN_OR_RETURN(Slice buf, base_->Get(key));
   SimulateTransfer(buf.size());
-  stats_.get_requests++;
-  stats_.bytes_read += buf.size();
   return buf;
 }
 
 Result<Slice> SimulatedObjectStore::GetRange(std::string_view key,
                                                   uint64_t offset,
                                                   uint64_t length) {
-  DL_RETURN_IF_ERROR(MaybeInjectTransientFault());
   DL_ASSIGN_OR_RETURN(Slice buf, base_->GetRange(key, offset, length));
   SimulateTransfer(buf.size());
-  stats_.get_range_requests++;
-  stats_.bytes_read += buf.size();
   return buf;
 }
 
 Status SimulatedObjectStore::Put(std::string_view key, ByteView value) {
-  DL_RETURN_IF_ERROR(MaybeInjectTransientFault());
   SimulateTransfer(value.size(), model_.put_overhead_us);
-  stats_.put_requests++;
-  stats_.bytes_written += value.size();
   return base_->Put(key, value);
 }
 
 Status SimulatedObjectStore::PutDurable(std::string_view key,
                                         ByteView value) {
-  DL_RETURN_IF_ERROR(MaybeInjectTransientFault());
   SimulateTransfer(value.size(), model_.put_overhead_us);
-  stats_.put_requests++;
-  stats_.bytes_written += value.size();
   return base_->PutDurable(key, value);
-}
-
-Status SimulatedObjectStore::Delete(std::string_view key) {
-  return base_->Delete(key);
-}
-
-Result<bool> SimulatedObjectStore::Exists(std::string_view key) {
-  // Metadata round-trip: latency only.
-  SimulateTransfer(0);
-  return base_->Exists(key);
-}
-
-Result<uint64_t> SimulatedObjectStore::SizeOf(std::string_view key) {
-  SimulateTransfer(0);
-  return base_->SizeOf(key);
-}
-
-Result<std::vector<std::string>> SimulatedObjectStore::ListPrefix(
-    std::string_view prefix) {
-  SimulateTransfer(0);
-  return base_->ListPrefix(prefix);
 }
 
 }  // namespace dl::sim

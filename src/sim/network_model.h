@@ -5,8 +5,6 @@
 #include <string>
 
 #include "storage/storage.h"
-#include "util/rng.h"
-#include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 
 namespace dl::sim {
@@ -27,14 +25,6 @@ struct NetworkModel {
   int64_t put_overhead_us = 0;
   /// Divide all sleeps by this to speed up benches while preserving ratios.
   double time_scale = 1.0;
-  /// Probability in [0, 1] that a Get/GetRange/Put fails with
-  /// Status::Transient after paying one TTFB round trip — models the
-  /// 5xx/timeout churn real object stores emit under load. 0 (the default
-  /// in every named profile) keeps existing benches deterministic; raise it
-  /// (and chain a storage::RetryingStore) to study fault recovery.
-  double transient_failure_rate = 0.0;
-  /// Seed for the failure draw, so injected fault sequences reproduce.
-  uint64_t failure_seed = 0x5eed;
 
   int64_t TransferMicros(uint64_t bytes) const {
     double us = first_byte_latency_us +
@@ -58,8 +48,10 @@ struct NetworkModel {
   static NetworkModel MinioLan();
 };
 
-/// Wraps any provider and injects the model's delays on every operation.
-class SimulatedObjectStore : public storage::StorageProvider {
+/// Wraps any provider and injects the model's delays: data operations pay
+/// a transfer, metadata operations (Exists/SizeOf/ListPrefix) one
+/// zero-byte round trip, and Delete is free.
+class SimulatedObjectStore : public storage::ForwardingStore {
  public:
   SimulatedObjectStore(storage::StoragePtr base, NetworkModel model);
 
@@ -68,15 +60,6 @@ class SimulatedObjectStore : public storage::StorageProvider {
                               uint64_t length) override;
   Status Put(std::string_view key, ByteView value) override;
   Status PutDurable(std::string_view key, ByteView value) override;
-  bool atomic_durable_puts() const override {
-    return base_->atomic_durable_puts();
-  }
-  void Invalidate(std::string_view key) override { base_->Invalidate(key); }
-  Status Delete(std::string_view key) override;
-  Result<bool> Exists(std::string_view key) override;
-  Result<uint64_t> SizeOf(std::string_view key) override;
-  Result<std::vector<std::string>> ListPrefix(
-      std::string_view prefix) override;
   std::string name() const override {
     return "sim:" + model_.label + "(" + base_->name() + ")";
   }
@@ -84,21 +67,15 @@ class SimulatedObjectStore : public storage::StorageProvider {
   const NetworkModel& model() const { return model_; }
 
  private:
+  /// Metadata round trip: latency only.
+  Status Admit(storage::FaultOp op) override;
+
   /// Sleeps for the modeled duration of a `bytes`-sized transfer while
   /// holding a concurrency slot.
   void SimulateTransfer(uint64_t bytes, int64_t extra_us = 0);
 
-  /// Draws against the model's transient_failure_rate; a failed draw costs
-  /// one zero-byte round trip (the wasted request) and returns
-  /// Status::Transient.
-  Status MaybeInjectTransientFault();
-
-  storage::StoragePtr base_;
   NetworkModel model_;
   Semaphore slots_;
-  // Leaf lock: guards only the failure-draw Rng, never held across sleeps.
-  Mutex fault_mu_{"sim.network_model.fault_mu"};
-  Rng fault_rng_ DL_GUARDED_BY(fault_mu_);
   // Registry instruments (family `sim.net.*`, labeled {net=<label>}):
   // connection-pool queueing and service time, the knobs Fig. 8 varies.
   obs::Gauge* inflight_gauge_;

@@ -32,8 +32,8 @@ const char* CrashScopeName(CrashScope scope) {
 
 CrashPointStore::CrashPointStore(StoragePtr base, uint64_t crash_at_write,
                                  CrashMode mode, CrashScope scope)
-    : base_(std::move(base)), crash_at_write_(crash_at_write), mode_(mode),
-      scope_(scope) {}
+    : ForwardingStore(std::move(base)), crash_at_write_(crash_at_write),
+      mode_(mode), scope_(scope) {}
 
 Status CrashPointStore::Dead() const {
   return Status::IOError("crash: store is dead (crashed at write " +
@@ -47,6 +47,11 @@ bool CrashPointStore::IsDead() const {
   if (scope_ == CrashScope::kProcess) return true;
   MutexLock lock(mu_);
   return dead_thread_ == std::this_thread::get_id();
+}
+
+Status CrashPointStore::Admit(FaultOp op) {
+  (void)op;
+  return IsDead() ? Dead() : Status::OK();
 }
 
 Status CrashPointStore::OnWrite(std::string_view key, ByteView value,
@@ -92,18 +97,6 @@ Status CrashPointStore::OnWrite(std::string_view key, ByteView value,
   return Dead();
 }
 
-Result<Slice> CrashPointStore::Get(std::string_view key) {
-  if (IsDead()) return Dead();
-  return base_->Get(key);
-}
-
-Result<Slice> CrashPointStore::GetRange(std::string_view key,
-                                             uint64_t offset,
-                                             uint64_t length) {
-  if (IsDead()) return Dead();
-  return base_->GetRange(key, offset, length);
-}
-
 Status CrashPointStore::Put(std::string_view key, ByteView value) {
   bool handled = false;
   Status s = OnWrite(key, value, /*durable=*/false, &handled);
@@ -116,27 +109,6 @@ Status CrashPointStore::PutDurable(std::string_view key, ByteView value) {
   Status s = OnWrite(key, value, /*durable=*/true, &handled);
   if (handled) return s;
   return base_->PutDurable(key, value);
-}
-
-Status CrashPointStore::Delete(std::string_view key) {
-  if (IsDead()) return Dead();
-  return base_->Delete(key);
-}
-
-Result<bool> CrashPointStore::Exists(std::string_view key) {
-  if (IsDead()) return Dead();
-  return base_->Exists(key);
-}
-
-Result<uint64_t> CrashPointStore::SizeOf(std::string_view key) {
-  if (IsDead()) return Dead();
-  return base_->SizeOf(key);
-}
-
-Result<std::vector<std::string>> CrashPointStore::ListPrefix(
-    std::string_view prefix) {
-  if (IsDead()) return Dead();
-  return base_->ListPrefix(prefix);
 }
 
 }  // namespace dl::storage

@@ -23,7 +23,7 @@ void ChargeContextBytesRead(uint64_t n) {
 }  // namespace
 
 InstrumentedStore::InstrumentedStore(StoragePtr base, std::string layer)
-    : base_(std::move(base)), layer_(std::move(layer)) {
+    : ForwardingStore(std::move(base)), layer_(std::move(layer)) {
   if (layer_.empty()) layer_ = base_->name();
   get_ = MakeOp("get");
   get_range_ = MakeOp("get_range");
@@ -49,16 +49,6 @@ InstrumentedStore::OpInstruments InstrumentedStore::MakeOp(
   };
 }
 
-namespace {
-
-inline const Status& StatusOf(const Status& s) { return s; }
-template <typename T>
-inline Status StatusOf(const Result<T>& r) {
-  return r.status();
-}
-
-}  // namespace
-
 // Times `expr` into `ins`, spans it, and leaves its value in `result`.
 // A macro (not a template) so Status- and Result<T>-returning operations
 // share one definition without wrapping ops in lambdas at every site.
@@ -76,8 +66,6 @@ Result<Slice> InstrumentedStore::Get(std::string_view key) {
     uint64_t n = result.value().size();
     bytes_read_->Add(n);
     ChargeContextBytesRead(n);
-    stats_.get_requests++;
-    stats_.bytes_read += n;
   }
   return result;
 }
@@ -91,30 +79,20 @@ Result<Slice> InstrumentedStore::GetRange(std::string_view key,
     uint64_t n = result.value().size();
     bytes_read_->Add(n);
     ChargeContextBytesRead(n);
-    stats_.get_range_requests++;
-    stats_.bytes_read += n;
   }
   return result;
 }
 
 Status InstrumentedStore::Put(std::string_view key, ByteView value) {
   DL_INSTRUMENTED_OP(put_, "storage.put", base_->Put(key, value));
-  if (result.ok()) {
-    bytes_written_->Add(value.size());
-    stats_.put_requests++;
-    stats_.bytes_written += value.size();
-  }
+  if (result.ok()) bytes_written_->Add(value.size());
   return result;
 }
 
 Status InstrumentedStore::PutDurable(std::string_view key, ByteView value) {
   DL_INSTRUMENTED_OP(put_, "storage.put_durable",
                      base_->PutDurable(key, value));
-  if (result.ok()) {
-    bytes_written_->Add(value.size());
-    stats_.put_requests++;
-    stats_.bytes_written += value.size();
-  }
+  if (result.ok()) bytes_written_->Add(value.size());
   return result;
 }
 

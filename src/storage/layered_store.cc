@@ -1,6 +1,6 @@
-// PrefixStore, LruCacheStore and FaultInjectionStore: providers that wrap
-// other providers (paper §3.6 "constructs memory caching by chaining various
-// storage providers together").
+// ForwardingStore and the decorators built on it here: PrefixStore,
+// LruCacheStore and FaultInjectionStore (paper §3.6 "constructs memory
+// caching by chaining various storage providers together").
 
 #include <algorithm>
 
@@ -12,11 +12,57 @@
 namespace dl::storage {
 
 // ---------------------------------------------------------------------------
+// ForwardingStore
+// ---------------------------------------------------------------------------
+
+Result<Slice> ForwardingStore::Get(std::string_view key) {
+  DL_RETURN_IF_ERROR(Admit(kFaultGet));
+  return base_->Get(key);
+}
+
+Result<Slice> ForwardingStore::GetRange(std::string_view key, uint64_t offset,
+                                        uint64_t length) {
+  DL_RETURN_IF_ERROR(Admit(kFaultGetRange));
+  return base_->GetRange(key, offset, length);
+}
+
+Status ForwardingStore::Put(std::string_view key, ByteView value) {
+  DL_RETURN_IF_ERROR(Admit(kFaultPut));
+  return base_->Put(key, value);
+}
+
+Status ForwardingStore::PutDurable(std::string_view key, ByteView value) {
+  DL_RETURN_IF_ERROR(Admit(kFaultPut));
+  return base_->PutDurable(key, value);
+}
+
+Status ForwardingStore::Delete(std::string_view key) {
+  DL_RETURN_IF_ERROR(Admit(kFaultDelete));
+  return base_->Delete(key);
+}
+
+Result<bool> ForwardingStore::Exists(std::string_view key) {
+  DL_RETURN_IF_ERROR(Admit(kFaultExists));
+  return base_->Exists(key);
+}
+
+Result<uint64_t> ForwardingStore::SizeOf(std::string_view key) {
+  DL_RETURN_IF_ERROR(Admit(kFaultSizeOf));
+  return base_->SizeOf(key);
+}
+
+Result<std::vector<std::string>> ForwardingStore::ListPrefix(
+    std::string_view prefix) {
+  DL_RETURN_IF_ERROR(Admit(kFaultList));
+  return base_->ListPrefix(prefix);
+}
+
+// ---------------------------------------------------------------------------
 // PrefixStore
 // ---------------------------------------------------------------------------
 
 PrefixStore::PrefixStore(StoragePtr base, std::string prefix)
-    : base_(std::move(base)), prefix_(std::move(prefix)) {}
+    : ForwardingStore(std::move(base)), prefix_(std::move(prefix)) {}
 
 std::string PrefixStore::Full(std::string_view key) const {
   return PathJoin(prefix_, key);
@@ -75,7 +121,7 @@ Result<std::vector<std::string>> PrefixStore::ListPrefix(
 // ---------------------------------------------------------------------------
 
 LruCacheStore::LruCacheStore(StoragePtr base, uint64_t capacity_bytes)
-    : base_(std::move(base)), capacity_bytes_(capacity_bytes) {
+    : ForwardingStore(std::move(base)), capacity_bytes_(capacity_bytes) {
   // Per-instance label: counters are registry-global and live forever, so
   // sharing one label across caches (or across tests in one binary) would
   // silently aggregate counts the accessors promise are per-cache.
@@ -201,31 +247,23 @@ Status LruCacheStore::PutDurable(std::string_view key, ByteView value) {
   return Status::OK();
 }
 
+void LruCacheStore::Erase(std::string_view key) {
+  MutexLock lock(mu_);
+  auto it = entries_.find(key);
+  if (it == entries_.end()) return;
+  current_bytes_ -= it->second.value->size();
+  lru_.erase(it->second.lru_it);
+  entries_.erase(it);
+  bytes_gauge_->Set(static_cast<double>(current_bytes_));
+}
+
 void LruCacheStore::Invalidate(std::string_view key) {
-  {
-    MutexLock lock(mu_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      current_bytes_ -= it->second.value->size();
-      lru_.erase(it->second.lru_it);
-      entries_.erase(it);
-      bytes_gauge_->Set(static_cast<double>(current_bytes_));
-    }
-  }
+  Erase(key);
   base_->Invalidate(key);
 }
 
 Status LruCacheStore::Delete(std::string_view key) {
-  {
-    MutexLock lock(mu_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      current_bytes_ -= it->second.value->size();
-      lru_.erase(it->second.lru_it);
-      entries_.erase(it);
-      bytes_gauge_->Set(static_cast<double>(current_bytes_));
-    }
-  }
+  Erase(key);
   return base_->Delete(key);
 }
 
@@ -248,11 +286,6 @@ Result<uint64_t> LruCacheStore::SizeOf(std::string_view key) {
   return base_->SizeOf(key);
 }
 
-Result<std::vector<std::string>> LruCacheStore::ListPrefix(
-    std::string_view prefix) {
-  return base_->ListPrefix(prefix);
-}
-
 uint64_t LruCacheStore::cached_bytes() const {
   MutexLock lock(mu_);
   return current_bytes_;
@@ -264,11 +297,11 @@ uint64_t LruCacheStore::cached_bytes() const {
 
 FaultInjectionStore::FaultInjectionStore(StoragePtr base, uint64_t fail_every,
                                          uint32_t op_mask)
-    : base_(std::move(base)),
+    : ForwardingStore(std::move(base)),
       fail_every_(fail_every == 0 ? 1 : fail_every),
       op_mask_(op_mask) {}
 
-Status FaultInjectionStore::MaybeFail(FaultOp op) {
+Status FaultInjectionStore::Admit(FaultOp op) {
   if ((op_mask_ & op) == 0) return Status::OK();
   uint64_t n = ++op_count_;
   if (n % fail_every_ == 0) {
@@ -276,49 +309,6 @@ Status FaultInjectionStore::MaybeFail(FaultOp op) {
                            std::to_string(n));
   }
   return Status::OK();
-}
-
-Result<Slice> FaultInjectionStore::Get(std::string_view key) {
-  DL_RETURN_IF_ERROR(MaybeFail(kFaultGet));
-  return base_->Get(key);
-}
-
-Result<Slice> FaultInjectionStore::GetRange(std::string_view key,
-                                            uint64_t offset,
-                                            uint64_t length) {
-  DL_RETURN_IF_ERROR(MaybeFail(kFaultGetRange));
-  return base_->GetRange(key, offset, length);
-}
-
-Status FaultInjectionStore::Put(std::string_view key, ByteView value) {
-  DL_RETURN_IF_ERROR(MaybeFail(kFaultPut));
-  return base_->Put(key, value);
-}
-
-Status FaultInjectionStore::PutDurable(std::string_view key, ByteView value) {
-  DL_RETURN_IF_ERROR(MaybeFail(kFaultPut));
-  return base_->PutDurable(key, value);
-}
-
-Status FaultInjectionStore::Delete(std::string_view key) {
-  DL_RETURN_IF_ERROR(MaybeFail(kFaultDelete));
-  return base_->Delete(key);
-}
-
-Result<bool> FaultInjectionStore::Exists(std::string_view key) {
-  DL_RETURN_IF_ERROR(MaybeFail(kFaultExists));
-  return base_->Exists(key);
-}
-
-Result<uint64_t> FaultInjectionStore::SizeOf(std::string_view key) {
-  DL_RETURN_IF_ERROR(MaybeFail(kFaultSizeOf));
-  return base_->SizeOf(key);
-}
-
-Result<std::vector<std::string>> FaultInjectionStore::ListPrefix(
-    std::string_view prefix) {
-  DL_RETURN_IF_ERROR(MaybeFail(kFaultList));
-  return base_->ListPrefix(prefix);
 }
 
 // ---------------------------------------------------------------------------

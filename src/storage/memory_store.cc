@@ -10,8 +10,6 @@ Result<Slice> MemoryStore::Get(std::string_view key) {
   if (it == objects_.end()) {
     return Status::NotFound("memory: no object '" + std::string(key) + "'");
   }
-  stats_.get_requests++;
-  stats_.bytes_read += it->second->size();
   return Slice(it->second);  // refcount bump, no byte copy
 }
 
@@ -25,16 +23,11 @@ Result<Slice> MemoryStore::GetRange(std::string_view key, uint64_t offset,
   if (offset > it->second->size()) {
     return Status::OutOfRange("memory: range start past object end");
   }
-  Slice range = Slice(it->second).subslice(offset, length);
-  stats_.get_range_requests++;
-  stats_.bytes_read += range.size();
-  return range;
+  return Slice(it->second).subslice(offset, length);
 }
 
 Status MemoryStore::Put(std::string_view key, ByteView value) {
   MutexLock lock(mu_);
-  stats_.put_requests++;
-  stats_.bytes_written += value.size();
   // dllint-ok(hot-path-copy): fresh buffer per Put — replacing a key must
   // not mutate bytes
   // that outstanding slices of the old value still view, and the caller's

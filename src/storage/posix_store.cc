@@ -97,8 +97,6 @@ Result<Slice> PosixStore::Get(std::string_view key) {
   if (n != buf.size()) {
     return Status::IOError("posix: short read on '" + path + "'");
   }
-  stats_.get_requests++;
-  stats_.bytes_read += buf.size();
   return Slice(std::move(buf));  // adopts the allocation, no copy
 }
 
@@ -132,8 +130,6 @@ Result<Slice> PosixStore::GetRange(std::string_view key, uint64_t offset,
   if (n != buf.size()) {
     return Status::IOError("posix: short range read on '" + path + "'");
   }
-  stats_.get_range_requests++;
-  stats_.bytes_read += buf.size();
   return Slice(std::move(buf));
 }
 
@@ -172,8 +168,6 @@ Status PosixStore::WriteAtomic(std::string_view key, ByteView value,
                            "': " + std::strerror(err));
   }
   if (sync) SyncParentDir(path);
-  stats_.put_requests++;
-  stats_.bytes_written += value.size();
   return Status::OK();
 }
 

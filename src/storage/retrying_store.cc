@@ -11,25 +11,23 @@
 
 namespace dl::storage {
 
-namespace {
-
-// Uniform status extraction so one retry loop serves both Status-returning
-// and Result<T>-returning operations.
-inline Status StatusOf(const Status& s) { return s; }
-template <typename T>
-inline Status StatusOf(const Result<T>& r) {
-  return r.status();
-}
-
-}  // namespace
-
 RetryingStore::RetryingStore(StoragePtr base, RetryPolicy policy,
                              SleepFn sleep)
-    : base_(std::move(base)),
+    : ForwardingStore(std::move(base)),
       policy_(policy),
       sleep_(sleep ? std::move(sleep) : [](int64_t us) { SleepMicros(us); }),
       rng_(policy.seed) {
   if (policy_.max_attempts < 1) policy_.max_attempts = 1;
+  // Per-instance label, as LruCacheStore does: registry counters live
+  // forever, so a shared label would aggregate across stores.
+  static std::atomic<uint64_t> next_id{0};
+  obs::Labels labels = {{"store", "retry#" + std::to_string(next_id++) +
+                                      "(" + base_->name() + ")"}};
+  auto& registry = obs::MetricsRegistry::Global();
+  retries_attempted_ =
+      registry.GetCounter("storage.retries_attempted", labels);
+  retries_exhausted_ =
+      registry.GetCounter("storage.retries_exhausted", labels);
 }
 
 int64_t RetryingStore::NextBackoffMicros(int retry) {
@@ -53,7 +51,7 @@ auto RetryingStore::WithRetry(const char* op_name, std::string_view key,
   int attempt = 1;
   while (!StatusOf(result).ok() && StatusOf(result).IsRetryable()) {
     if (attempt >= policy_.max_attempts) {
-      stats_.retries_exhausted++;
+      retries_exhausted_->Increment();
       // The retry budget ran dry on a retryable fault: that is an
       // operational event, not just a counter tick. Label it with the op
       // and key so /tracez and EventsJsonl name the failing object.
@@ -64,7 +62,7 @@ auto RetryingStore::WithRetry(const char* op_name, std::string_view key,
               StatusOf(result).ToString());
       break;
     }
-    stats_.retries_attempted++;
+    retries_attempted_->Increment();
     sleep_(NextBackoffMicros(attempt));
     result = op();
     ++attempt;

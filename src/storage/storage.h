@@ -21,31 +21,6 @@
 
 namespace dl::storage {
 
-/// Counters every provider maintains; the benchmarks read these to report
-/// request counts and transferred bytes alongside wall time.
-struct StorageStats {
-  std::atomic<uint64_t> get_requests{0};
-  std::atomic<uint64_t> get_range_requests{0};
-  std::atomic<uint64_t> put_requests{0};
-  std::atomic<uint64_t> bytes_read{0};
-  std::atomic<uint64_t> bytes_written{0};
-  /// Extra attempts issued by a RetryingStore after a retryable failure.
-  std::atomic<uint64_t> retries_attempted{0};
-  /// Operations a RetryingStore gave up on: every attempt failed with a
-  /// retryable error and the per-op attempt budget ran out.
-  std::atomic<uint64_t> retries_exhausted{0};
-
-  void Reset() {
-    get_requests = 0;
-    get_range_requests = 0;
-    put_requests = 0;
-    bytes_read = 0;
-    bytes_written = 0;
-    retries_attempted = 0;
-    retries_exhausted = 0;
-  }
-};
-
 /// Abstract key/value object store (paper §3.6: "Deep Lake can be plugged
 /// into any storage provider"). Keys are '/'-separated paths; values are
 /// immutable blobs (chunks, metadata files).
@@ -109,11 +84,6 @@ class StorageProvider {
 
   /// Human-readable backend name for logs and bench tables.
   virtual std::string name() const = 0;
-
-  StorageStats& stats() { return stats_; }
-
- protected:
-  StorageStats stats_;
 };
 
 using StoragePtr = std::shared_ptr<StorageProvider>;
@@ -171,11 +141,35 @@ class PosixStore : public StorageProvider {
   std::string root_;
 };
 
-/// Namespaces all keys under `prefix` inside an underlying provider. Version
-/// control uses this to give each commit its own sub-directory (§4.2).
-class PrefixStore : public StorageProvider {
+/// Names a StorageProvider operation. FaultInjectionStore's op mask and
+/// ForwardingStore::Admit both use these bits; PutDurable counts as
+/// kFaultPut. Combine as a bitmask.
+enum FaultOp : uint32_t {
+  kFaultGet = 1u << 0,
+  kFaultGetRange = 1u << 1,
+  kFaultPut = 1u << 2,
+  kFaultDelete = 1u << 3,
+  kFaultExists = 1u << 4,
+  kFaultSizeOf = 1u << 5,
+  kFaultList = 1u << 6,
+};
+inline constexpr uint32_t kFaultReads = kFaultGet | kFaultGetRange;
+inline constexpr uint32_t kFaultWrites = kFaultPut | kFaultDelete;
+inline constexpr uint32_t kFaultAllOps =
+    kFaultReads | kFaultWrites | kFaultExists | kFaultSizeOf | kFaultList;
+
+/// Base of every storage decorator (paper §3.6: providers chain, e.g. an
+/// LRU cache in front of S3). Holds the wrapped provider and forwards every
+/// virtual to it, so a decorator overrides only what it changes.
+///
+/// Each forwarded operation first calls Admit(op); a non-OK status is
+/// returned without calling the base. atomic_durable_puts() and
+/// Invalidate() always pass straight through: capability and cache
+/// invalidation must reach the bottom of the chain even through a faulty
+/// or crashed layer.
+class ForwardingStore : public StorageProvider {
  public:
-  PrefixStore(StoragePtr base, std::string prefix);
+  explicit ForwardingStore(StoragePtr base) : base_(std::move(base)) {}
 
   Result<Slice> Get(std::string_view key) override;
   Result<Slice> GetRange(std::string_view key, uint64_t offset,
@@ -185,6 +179,33 @@ class PrefixStore : public StorageProvider {
   bool atomic_durable_puts() const override {
     return base_->atomic_durable_puts();
   }
+  void Invalidate(std::string_view key) override { base_->Invalidate(key); }
+  Status Delete(std::string_view key) override;
+  Result<bool> Exists(std::string_view key) override;
+  Result<uint64_t> SizeOf(std::string_view key) override;
+  Result<std::vector<std::string>> ListPrefix(
+      std::string_view prefix) override;
+
+ protected:
+  /// Gate run by each default forward before it calls the base.
+  virtual Status Admit(FaultOp op) {
+    (void)op;
+    return Status::OK();
+  }
+
+  const StoragePtr base_;
+};
+
+/// Namespaces all keys under `prefix` inside an underlying provider.
+class PrefixStore : public ForwardingStore {
+ public:
+  PrefixStore(StoragePtr base, std::string prefix);
+
+  Result<Slice> Get(std::string_view key) override;
+  Result<Slice> GetRange(std::string_view key, uint64_t offset,
+                         uint64_t length) override;
+  Status Put(std::string_view key, ByteView value) override;
+  Status PutDurable(std::string_view key, ByteView value) override;
   void Invalidate(std::string_view key) override;
   Status Delete(std::string_view key) override;
   Result<bool> Exists(std::string_view key) override;
@@ -198,14 +219,13 @@ class PrefixStore : public StorageProvider {
  private:
   std::string Full(std::string_view key) const;
 
-  StoragePtr base_;
   std::string prefix_;
 };
 
 /// LRU read-through cache chained in front of a slower provider
 /// (paper §3.6: "LRU cache of remote S3 storage with local in-memory
 /// data"). Writes go through to the base and populate the cache.
-class LruCacheStore : public StorageProvider {
+class LruCacheStore : public ForwardingStore {
  public:
   LruCacheStore(StoragePtr base, uint64_t capacity_bytes);
 
@@ -214,9 +234,6 @@ class LruCacheStore : public StorageProvider {
                          uint64_t length) override;
   Status Put(std::string_view key, ByteView value) override;
   Status PutDurable(std::string_view key, ByteView value) override;
-  bool atomic_durable_puts() const override {
-    return base_->atomic_durable_puts();
-  }
   /// Evicts `key` from this cache, then forwards down the chain. The evict
   /// path for entries that fail integrity verification downstream — without
   /// it a corrupt cached object would be served forever.
@@ -224,8 +241,6 @@ class LruCacheStore : public StorageProvider {
   Status Delete(std::string_view key) override;
   Result<bool> Exists(std::string_view key) override;
   Result<uint64_t> SizeOf(std::string_view key) override;
-  Result<std::vector<std::string>> ListPrefix(
-      std::string_view prefix) override;
   std::string name() const override { return "lru(" + base_->name() + ")"; }
 
   // Hit/miss/bypass counts live in the obs::MetricsRegistry (family
@@ -252,8 +267,9 @@ class LruCacheStore : public StorageProvider {
   void Touch(const std::string& key) DL_REQUIRES(mu_);
   void Insert(const std::string& key, SharedBuffer value) DL_REQUIRES(mu_);
   void EvictIfNeeded() DL_REQUIRES(mu_);
+  /// Drops `key`'s entry if cached (Invalidate and Delete).
+  void Erase(std::string_view key);
 
-  StoragePtr base_;
   uint64_t capacity_bytes_;
   // Leaf lock by policy: every method releases mu_ before calling into
   // base_ (cache lookups must not serialize behind slow base reads, and
@@ -271,22 +287,6 @@ class LruCacheStore : public StorageProvider {
   obs::Gauge* bytes_gauge_;
 };
 
-/// Which operations a FaultInjectionStore injects faults into. Combine as
-/// a bitmask.
-enum FaultOp : uint32_t {
-  kFaultGet = 1u << 0,
-  kFaultGetRange = 1u << 1,
-  kFaultPut = 1u << 2,
-  kFaultDelete = 1u << 3,
-  kFaultExists = 1u << 4,
-  kFaultSizeOf = 1u << 5,
-  kFaultList = 1u << 6,
-};
-inline constexpr uint32_t kFaultReads = kFaultGet | kFaultGetRange;
-inline constexpr uint32_t kFaultWrites = kFaultPut | kFaultDelete;
-inline constexpr uint32_t kFaultAllOps =
-    kFaultReads | kFaultWrites | kFaultExists | kFaultSizeOf | kFaultList;
-
 /// Wraps a provider and injects failures for robustness tests: every
 /// `fail_every`-th operation covered by `op_mask` fails with IOError
 /// (a retryable error, see Status::IsRetryable). Operations outside the
@@ -295,7 +295,7 @@ inline constexpr uint32_t kFaultAllOps =
 /// The default mask covers reads and Put — the data-path operations a
 /// flaky object store fails in practice. Pass an explicit mask to target
 /// metadata ops (Exists/SizeOf/ListPrefix) or Delete as well.
-class FaultInjectionStore : public StorageProvider {
+class FaultInjectionStore : public ForwardingStore {
  public:
   FaultInjectionStore(StoragePtr base, uint64_t fail_every,
                       uint32_t op_mask = kFaultReads | kFaultPut);
@@ -307,28 +307,13 @@ class FaultInjectionStore : public StorageProvider {
     fail_every_ = fail_every == 0 ? 1 : fail_every;
   }
 
-  Result<Slice> Get(std::string_view key) override;
-  Result<Slice> GetRange(std::string_view key, uint64_t offset,
-                         uint64_t length) override;
-  Status Put(std::string_view key, ByteView value) override;
-  Status PutDurable(std::string_view key, ByteView value) override;
-  bool atomic_durable_puts() const override {
-    return base_->atomic_durable_puts();
-  }
-  void Invalidate(std::string_view key) override { base_->Invalidate(key); }
-  Status Delete(std::string_view key) override;
-  Result<bool> Exists(std::string_view key) override;
-  Result<uint64_t> SizeOf(std::string_view key) override;
-  Result<std::vector<std::string>> ListPrefix(
-      std::string_view prefix) override;
   std::string name() const override {
     return "faulty(" + base_->name() + ")";
   }
 
  private:
-  Status MaybeFail(FaultOp op);
+  Status Admit(FaultOp op) override;
 
-  StoragePtr base_;
   std::atomic<uint64_t> fail_every_;
   uint32_t op_mask_;
   std::atomic<uint64_t> op_count_{0};
@@ -365,8 +350,9 @@ struct RetryPolicy {
 ///
 /// Chain it *under* any cache (cache → retry → base): retrying above the
 /// cache would re-count hits and re-fetch objects the cache already holds.
-/// Counters land in stats(): retries_attempted / retries_exhausted.
-class RetryingStore : public StorageProvider {
+/// Counters live in the obs::MetricsRegistry as `storage.retries_attempted`
+/// and `storage.retries_exhausted`, labeled {store=retry#<n>(<base>)}.
+class RetryingStore : public ForwardingStore {
  public:
   /// Injectable sleep for tests (runs instantly with a recording lambda);
   /// defaults to a real SleepMicros.
@@ -380,10 +366,6 @@ class RetryingStore : public StorageProvider {
                          uint64_t length) override;
   Status Put(std::string_view key, ByteView value) override;
   Status PutDurable(std::string_view key, ByteView value) override;
-  bool atomic_durable_puts() const override {
-    return base_->atomic_durable_puts();
-  }
-  void Invalidate(std::string_view key) override { base_->Invalidate(key); }
   Status Delete(std::string_view key) override;
   Result<bool> Exists(std::string_view key) override;
   Result<uint64_t> SizeOf(std::string_view key) override;
@@ -392,6 +374,12 @@ class RetryingStore : public StorageProvider {
   std::string name() const override { return "retry(" + base_->name() + ")"; }
 
   const RetryPolicy& policy() const { return policy_; }
+
+  /// Extra attempts issued after a retryable failure.
+  uint64_t retries_attempted() const { return retries_attempted_->Value(); }
+  /// Operations given up on: every attempt failed with a retryable error
+  /// and the per-op attempt budget ran out.
+  uint64_t retries_exhausted() const { return retries_exhausted_->Value(); }
 
   /// The jittered backoff (µs) for retry number `retry` (1-based). Consumes
   /// one draw from the seeded Rng; exposed so tests can derive the expected
@@ -405,18 +393,20 @@ class RetryingStore : public StorageProvider {
   auto WithRetry(const char* op_name, std::string_view key, Op&& op)
       -> decltype(op());
 
-  StoragePtr base_;
   RetryPolicy policy_;
   SleepFn sleep_;
   // Leaf lock: guards only the backoff Rng draw, never held across I/O.
   Mutex rng_mu_{"storage.retrying_store.rng_mu"};
   Rng rng_ DL_GUARDED_BY(rng_mu_);
+  obs::Counter* retries_attempted_;
+  obs::Counter* retries_exhausted_;
 };
 
 /// Decorator that publishes per-operation latency histograms, request/byte
 /// counters and error counters into the obs::MetricsRegistry, and emits
 /// `storage.*` trace spans when tracing is enabled — the measurement layer
-/// behind the paper's Fig. 7/8 request-count plots.
+/// behind the paper's Fig. 7/8 request-count plots, and the one place
+/// storage ops and bytes are counted.
 ///
 /// Chain it *outermost* (instrumented → cache → retry → base): the numbers
 /// then describe exactly what the caller experiences — cache hits show up
@@ -428,7 +418,8 @@ class RetryingStore : public StorageProvider {
 ///   storage.op_us{op=get|get_range|put|delete|exists|size_of|list}
 ///   storage.ops{op=...}   storage.errors{op=...}
 ///   storage.bytes_read    storage.bytes_written
-class InstrumentedStore : public StorageProvider {
+/// Two stores with the same `layer` share these counters.
+class InstrumentedStore : public ForwardingStore {
  public:
   /// `layer` names the metrics label; empty uses base->name().
   explicit InstrumentedStore(StoragePtr base, std::string layer = "");
@@ -438,10 +429,6 @@ class InstrumentedStore : public StorageProvider {
                          uint64_t length) override;
   Status Put(std::string_view key, ByteView value) override;
   Status PutDurable(std::string_view key, ByteView value) override;
-  bool atomic_durable_puts() const override {
-    return base_->atomic_durable_puts();
-  }
-  void Invalidate(std::string_view key) override { base_->Invalidate(key); }
   Status Delete(std::string_view key) override;
   Result<bool> Exists(std::string_view key) override;
   Result<uint64_t> SizeOf(std::string_view key) override;
@@ -450,6 +437,14 @@ class InstrumentedStore : public StorageProvider {
   std::string name() const override { return "obs(" + base_->name() + ")"; }
 
   const std::string& layer() const { return layer_; }
+
+  // Thin readers over this layer's registry counters. Operation counts
+  // include failed attempts (`storage.ops`); bytes_read covers successful
+  // reads only. PutDurable counts as a put.
+  uint64_t gets() const { return get_.ops->Value(); }
+  uint64_t get_ranges() const { return get_range_.ops->Value(); }
+  uint64_t puts() const { return put_.ops->Value(); }
+  uint64_t bytes_read() const { return bytes_read_->Value(); }
 
  private:
   struct OpInstruments {
@@ -460,7 +455,6 @@ class InstrumentedStore : public StorageProvider {
 
   OpInstruments MakeOp(const char* op) const;
 
-  StoragePtr base_;
   std::string layer_;
   OpInstruments get_, get_range_, put_, delete_, exists_, size_of_, list_;
   obs::Counter* bytes_read_;
@@ -509,25 +503,13 @@ const char* CrashScopeName(CrashScope scope);
 ///
 /// Deletes are not counted as crash points but are suppressed after the
 /// crash like everything else (within the crashed scope).
-class CrashPointStore : public StorageProvider {
+class CrashPointStore : public ForwardingStore {
  public:
   CrashPointStore(StoragePtr base, uint64_t crash_at_write, CrashMode mode,
                   CrashScope scope = CrashScope::kProcess);
 
-  Result<Slice> Get(std::string_view key) override;
-  Result<Slice> GetRange(std::string_view key, uint64_t offset,
-                         uint64_t length) override;
   Status Put(std::string_view key, ByteView value) override;
   Status PutDurable(std::string_view key, ByteView value) override;
-  bool atomic_durable_puts() const override {
-    return base_->atomic_durable_puts();
-  }
-  void Invalidate(std::string_view key) override { base_->Invalidate(key); }
-  Status Delete(std::string_view key) override;
-  Result<bool> Exists(std::string_view key) override;
-  Result<uint64_t> SizeOf(std::string_view key) override;
-  Result<std::vector<std::string>> ListPrefix(
-      std::string_view prefix) override;
   std::string name() const override {
     return "crash(" + base_->name() + ")";
   }
@@ -549,8 +531,9 @@ class CrashPointStore : public StorageProvider {
   Status Dead() const;
   /// True when the calling thread belongs to the crashed scope.
   bool IsDead() const;
+  /// Every operation fails once the calling scope is dead.
+  Status Admit(FaultOp op) override;
 
-  StoragePtr base_;
   const uint64_t crash_at_write_;  // 0 = never crash (pure counter mode)
   const CrashMode mode_;
   const CrashScope scope_;

@@ -1,8 +1,6 @@
 #include "stream/dataloader.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "obs/export.h"
@@ -409,12 +407,6 @@ Result<bool> Dataloader::Next(Batch* out) {
       if (next_seq_ >= units_.size()) break;  // drained
     }
     stalled = true;
-    if (getenv("DL_DEBUG_LOADER") != nullptr) {
-      fprintf(stderr, "[loader] waiting: next_seq=%llu units=%zu done=%zu completed={",
-              (unsigned long long)next_seq_, units_.size(), units_done_);
-      for (auto& [k, v] : completed_) fprintf(stderr, "%llu,", (unsigned long long)k);
-      fprintf(stderr, "} pending=%zu\n", pending_rows_.size());
-    }
     ready_cv_.Wait(mu_);
   }
   if (stalled) {

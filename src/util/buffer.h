@@ -155,7 +155,8 @@ class Slice {
   const SharedBuffer& owner() const { return buffer_; }
 
   /// Deep copies — counted in TotalBytesCopied(). Hot paths should pass the
-  /// Slice along instead (scripts/check_source.py flags these in hot dirs).
+  /// Slice along instead (dllint rule `hot-path-copy` flags these in hot
+  /// dirs).
   ByteBuffer ToBuffer() const {
     internal::AddBytesCopied(size_);
     return ByteBuffer(data_, data_ + size_);

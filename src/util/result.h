@@ -87,6 +87,14 @@ class [[nodiscard]] Result {
   std::variant<T, Status> repr_;
 };
 
+/// The status of a Status- or Result<T>-returning call, so one generic
+/// wrapper (a retry loop, a timing decorator) serves both kinds.
+inline const Status& StatusOf(const Status& s) { return s; }
+template <typename T>
+Status StatusOf(const Result<T>& r) {
+  return r.status();
+}
+
 }  // namespace dl
 
 #endif  // DEEPLAKE_UTIL_RESULT_H_

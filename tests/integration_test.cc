@@ -243,7 +243,8 @@ TEST(IntegrationTest, StreamingThroughLruCachedSimulatedS3) {
   }
   sim::NetworkModel model = sim::NetworkModel::S3SameRegion();
   model.time_scale = 50;  // fast test
-  auto s3 = std::make_shared<sim::SimulatedObjectStore>(base, model);
+  auto s3 = std::make_shared<storage::InstrumentedStore>(
+      std::make_shared<sim::SimulatedObjectStore>(base, model), "s3-reads");
   auto cached = std::make_shared<storage::LruCacheStore>(s3, 64 << 20);
   auto ds = tsf::Dataset::Open(cached);
   ASSERT_TRUE(ds.ok()) << ds.status();
@@ -259,9 +260,9 @@ TEST(IntegrationTest, StreamingThroughLruCachedSimulatedS3) {
     return n;
   };
   EXPECT_EQ(epoch(), 30u);
-  uint64_t s3_reads_after_first = s3->stats().get_requests.load();
+  uint64_t s3_reads_after_first = s3->gets();
   EXPECT_EQ(epoch(), 30u);
-  EXPECT_EQ(s3->stats().get_requests.load(), s3_reads_after_first);
+  EXPECT_EQ(s3->gets(), s3_reads_after_first);
   EXPECT_GT(cached->hits(), 0u);
 }
 

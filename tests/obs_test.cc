@@ -513,10 +513,10 @@ TEST(InstrumentedStoreTest, CountsOpsBytesAndErrors) {
       reg.GetCounter("storage.bytes_read", {{"store", "test-layer"}})->Value(),
       read0 + payload.size());
   EXPECT_GE(reg.GetHistogram("storage.op_us", get_labels)->Count(), 2u);
-  // The decorator also feeds the classic StorageStats block, which counts
-  // *successful* requests (registry `storage.ops` counts attempts).
-  EXPECT_EQ(store.stats().get_requests.load(), 1u);
-  EXPECT_EQ(store.stats().bytes_read.load(), payload.size());
+  // The accessors read the same registry counters.
+  EXPECT_EQ(store.gets(), get0 + 2);
+  EXPECT_EQ(store.puts(), 1u);
+  EXPECT_EQ(store.bytes_read(), read0 + payload.size());
 }
 
 TEST(InstrumentedStoreTest, LruCacheReportsThroughRegistry) {

@@ -257,8 +257,8 @@ TEST(ResourceMeterTest, TwoJobsSplitBytesAndCpuByLabel) {
   EXPECT_GE(ctx_a.meter->cpu_micros(), 18'000u);
   EXPECT_GE(ctx_b.meter->cpu_micros(), 18'000u);
   // A meter never charges more reads than its store served.
-  EXPECT_LE(ctx_a.meter->bytes_read(), a->store->stats().bytes_read);
-  EXPECT_LE(ctx_b.meter->bytes_read(), b->store->stats().bytes_read);
+  EXPECT_LE(ctx_a.meter->bytes_read(), a->store->bytes_read());
+  EXPECT_LE(ctx_b.meter->bytes_read(), b->store->bytes_read());
 
   // The charges land on {job, tenant}-labeled counters in the global
   // registry — the rows /resourcez groups.

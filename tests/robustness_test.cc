@@ -1,7 +1,7 @@
 // Transient-fault resilience suite (`ctest -L robustness`): RetryingStore
 // backoff/jitter determinism and exhaustion, fault-injection op masks,
-// posix errno classification, LRU bypass accounting, simulated transient
-// faults, and full dataloader epochs surviving an unreliable store.
+// posix errno classification, LRU bypass accounting, and full dataloader
+// epochs surviving an unreliable store.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/deeplake.h"
-#include "sim/network_model.h"
 #include "storage/storage.h"
 #include "stream/dataloader.h"
 #include "tsf/dataset.h"
@@ -83,9 +82,9 @@ TEST(RetryingStoreTest, RecoversPeriodicFaults) {
     auto got = retry->Get("k");
     ASSERT_TRUE(got.ok()) << got.status();
   }
-  EXPECT_GT(retry->stats().retries_attempted.load(), 0u);
-  EXPECT_EQ(retry->stats().retries_exhausted.load(), 0u);
-  EXPECT_EQ(sleeps.size(), retry->stats().retries_attempted.load());
+  EXPECT_GT(retry->retries_attempted(), 0u);
+  EXPECT_EQ(retry->retries_exhausted(), 0u);
+  EXPECT_EQ(sleeps.size(), retry->retries_attempted());
 }
 
 TEST(RetryingStoreTest, BackoffSequenceIsDeterministicAndJittered) {
@@ -125,8 +124,8 @@ TEST(RetryingStoreTest, ExhaustionSurfacesOriginalError) {
   ASSERT_FALSE(got.ok());
   EXPECT_TRUE(got.status().IsIOError());
   EXPECT_NE(got.status().message().find("injected fault"), std::string::npos);
-  EXPECT_EQ(retry->stats().retries_attempted.load(), 2u);
-  EXPECT_EQ(retry->stats().retries_exhausted.load(), 1u);
+  EXPECT_EQ(retry->retries_attempted(), 2u);
+  EXPECT_EQ(retry->retries_exhausted(), 1u);
 }
 
 TEST(RetryingStoreTest, PermanentErrorsAreNotRetried) {
@@ -135,8 +134,8 @@ TEST(RetryingStoreTest, PermanentErrorsAreNotRetried) {
   auto retry = MakeRecordingRetry(base, FastPolicy(), &sleeps);
   EXPECT_TRUE(retry->Get("missing").status().IsNotFound());
   EXPECT_TRUE(sleeps.empty());
-  EXPECT_EQ(retry->stats().retries_attempted.load(), 0u);
-  EXPECT_EQ(retry->stats().retries_exhausted.load(), 0u);
+  EXPECT_EQ(retry->retries_attempted(), 0u);
+  EXPECT_EQ(retry->retries_exhausted(), 0u);
 }
 
 TEST(RetryingStoreTest, RetriesWritesAndMetadataOps) {
@@ -153,8 +152,8 @@ TEST(RetryingStoreTest, RetriesWritesAndMetadataOps) {
   }
   ASSERT_TRUE(retry->ListPrefix("").ok());
   ASSERT_TRUE(retry->Delete("k0").ok());
-  EXPECT_GT(retry->stats().retries_attempted.load(), 0u);
-  EXPECT_EQ(retry->stats().retries_exhausted.load(), 0u);
+  EXPECT_GT(retry->retries_attempted(), 0u);
+  EXPECT_EQ(retry->retries_exhausted(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -289,36 +288,6 @@ TEST(LruCacheStoreTest, PersistentCorruptionStaysCorruption) {
 }
 
 // ---------------------------------------------------------------------------
-// Simulated transient faults
-// ---------------------------------------------------------------------------
-
-TEST(SimTransientFaultTest, InjectsRetryableFaultsAtConfiguredRate) {
-  auto base = std::make_shared<MemoryStore>();
-  ASSERT_TRUE(base->Put("k", ByteView(std::string_view("v"))).ok());
-  sim::NetworkModel model;  // zero-latency; only the fault path matters
-  model.bandwidth_bytes_per_sec = 1e12;
-  model.transient_failure_rate = 0.5;
-  model.failure_seed = 99;
-  auto sim_store = std::make_shared<sim::SimulatedObjectStore>(base, model);
-  int failures = 0;
-  for (int i = 0; i < 100; ++i) {
-    auto got = sim_store->Get("k");
-    if (!got.ok()) {
-      EXPECT_TRUE(got.status().IsTransient());
-      EXPECT_TRUE(got.status().IsRetryable());
-      ++failures;
-    }
-  }
-  EXPECT_GT(failures, 25);
-  EXPECT_LT(failures, 75);
-  // A RetryingStore on top absorbs them completely.
-  std::vector<int64_t> sleeps;
-  auto retry = MakeRecordingRetry(sim_store, FastPolicy(6), &sleeps);
-  for (int i = 0; i < 50; ++i) ASSERT_TRUE(retry->Get("k").ok());
-  EXPECT_GT(retry->stats().retries_attempted.load(), 0u);
-}
-
-// ---------------------------------------------------------------------------
 // Dataloader epochs over an unreliable store
 // ---------------------------------------------------------------------------
 
@@ -402,8 +371,8 @@ TEST_P(EpochUnderFaultsTest, RetryingStoreDeliversEveryRowExactlyOnce) {
   auto labels = Drain(loader);
   ASSERT_TRUE(labels.ok()) << labels.status();
   ExpectExactlyOnce(*labels, kRows);
-  EXPECT_GT(retry->stats().retries_attempted.load(), 0u);
-  EXPECT_EQ(retry->stats().retries_exhausted.load(), 0u);
+  EXPECT_GT(retry->retries_attempted(), 0u);
+  EXPECT_EQ(retry->retries_exhausted(), 0u);
 }
 
 TEST_P(EpochUnderFaultsTest, LoaderLevelRetriesRecoverWithoutRetryingStore) {

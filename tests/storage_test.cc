@@ -1,6 +1,6 @@
-// Tests for storage providers: Memory, Posix, Prefix, LRU cache, fault
-// injection. The same behavioural suite runs against every provider via a
-// parameterized fixture (paper §3.6: format is provider-agnostic).
+// Tests for storage providers: Memory, Posix and every decorator. The same
+// behavioural suite runs against every provider via a parameterized fixture
+// (paper §3.6: format is provider-agnostic).
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <memory>
 #include <thread>
 
+#include "sim/network_model.h"
 #include "storage/storage.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -151,8 +152,120 @@ INSTANTIATE_TEST_SUITE_P(
                      [] {
                        return std::make_shared<LruCacheStore>(
                            std::make_shared<MemoryStore>(), 64 << 20);
+                     }},
+        ProviderCase{"retry",
+                     [] {
+                       return std::make_shared<RetryingStore>(
+                           std::make_shared<MemoryStore>());
+                     }},
+        ProviderCase{"instrumented",
+                     [] {
+                       return std::make_shared<InstrumentedStore>(
+                           std::make_shared<MemoryStore>(), "conformance");
+                     }},
+        ProviderCase{"faulty",
+                     [] {
+                       return std::make_shared<FaultInjectionStore>(
+                           std::make_shared<MemoryStore>(), uint64_t{1} << 62,
+                           kFaultAllOps);
+                     }},
+        ProviderCase{"crash",
+                     [] {
+                       return std::make_shared<CrashPointStore>(
+                           std::make_shared<MemoryStore>(), 0,
+                           CrashMode::kMissing);
+                     }},
+        ProviderCase{"sim",
+                     [] {
+                       sim::NetworkModel zero_latency;
+                       zero_latency.bandwidth_bytes_per_sec = 1e15;
+                       return std::make_shared<sim::SimulatedObjectStore>(
+                           std::make_shared<MemoryStore>(), zero_latency);
                      }}),
     [](const ::testing::TestParamInfo<ProviderCase>& info) {
+      return info.param.label;
+    });
+
+// ---------------------------------------------------------------------------
+// ForwardingStore: what every decorator must pass down the chain
+// ---------------------------------------------------------------------------
+
+/// MemoryStore that records which durability and cache calls reached it.
+class ProbeStore : public MemoryStore {
+ public:
+  explicit ProbeStore(bool atomic) : atomic_(atomic) {}
+  Status PutDurable(std::string_view key, ByteView value) override {
+    ++durable_puts;
+    return Put(key, value);
+  }
+  bool atomic_durable_puts() const override { return atomic_; }
+  void Invalidate(std::string_view) override { ++invalidations; }
+
+  std::atomic<int> durable_puts{0};
+  std::atomic<int> invalidations{0};
+
+ private:
+  const bool atomic_;
+};
+
+struct DecoratorCase {
+  std::string label;
+  std::function<StoragePtr(StoragePtr)> wrap;
+};
+
+class DecoratorForwardingTest : public ::testing::TestWithParam<DecoratorCase> {
+};
+
+TEST_P(DecoratorForwardingTest, DurabilityAndInvalidationReachTheBase) {
+  for (bool atomic : {true, false}) {
+    auto probe = std::make_shared<ProbeStore>(atomic);
+    StoragePtr store = GetParam().wrap(probe);
+    EXPECT_EQ(store->atomic_durable_puts(), atomic);
+    ASSERT_TRUE(store->PutDurable("k", ByteView(std::string_view("v"))).ok());
+    EXPECT_EQ(probe->durable_puts.load(), 1);
+    store->Invalidate("k");
+    EXPECT_EQ(probe->invalidations.load(), 1);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Decorators, DecoratorForwardingTest,
+    ::testing::Values(
+        DecoratorCase{"prefix",
+                      [](StoragePtr b) {
+                        return std::make_shared<PrefixStore>(b, "ns");
+                      }},
+        DecoratorCase{"lru",
+                      [](StoragePtr b) {
+                        return std::make_shared<LruCacheStore>(b, 1 << 20);
+                      }},
+        DecoratorCase{"faulty",
+                      [](StoragePtr b) {
+                        return std::make_shared<FaultInjectionStore>(
+                            b, uint64_t{1} << 62, kFaultAllOps);
+                      }},
+        DecoratorCase{"retry",
+                      [](StoragePtr b) {
+                        return std::make_shared<RetryingStore>(b);
+                      }},
+        DecoratorCase{"instrumented",
+                      [](StoragePtr b) {
+                        return std::make_shared<InstrumentedStore>(
+                            b, "conformance");
+                      }},
+        DecoratorCase{"crash",
+                      [](StoragePtr b) {
+                        return std::make_shared<CrashPointStore>(
+                            b, 0, CrashMode::kMissing);
+                      }},
+        DecoratorCase{"sim",
+                      [](StoragePtr b) {
+                        sim::NetworkModel zero_latency;
+                        zero_latency.bandwidth_bytes_per_sec = 1e15;
+                        return std::make_shared<sim::SimulatedObjectStore>(
+                            b, zero_latency);
+                      }}),
+    [](const ::testing::TestParamInfo<DecoratorCase>& info) {
       return info.param.label;
     });
 
@@ -161,12 +274,13 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 
 TEST(LruCacheStoreTest, ServesHitsWithoutBase) {
-  auto base = std::make_shared<MemoryStore>();
+  auto base = std::make_shared<InstrumentedStore>(
+      std::make_shared<MemoryStore>(), "lru-test-base");
   LruCacheStore cache(base, 1 << 20);
   ASSERT_TRUE(cache.Put("k", ByteView(std::string_view("v"))).ok());
-  uint64_t base_gets_before = base->stats().get_requests.load();
+  uint64_t base_gets_before = base->gets();
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(cache.Get("k").ok());
-  EXPECT_EQ(base->stats().get_requests.load(), base_gets_before);
+  EXPECT_EQ(base->gets(), base_gets_before);
   EXPECT_GE(cache.hits(), 5u);
 }
 
@@ -190,14 +304,15 @@ TEST(LruCacheStoreTest, CachedRangeReadTouchesNoBackend) {
   // Regression: GetRange on a cached key used to bypass the cache and hit
   // the base store even though every requested byte was already resident.
   // It must now be served as a zero-copy slice of the cached entry.
-  auto base = std::make_shared<MemoryStore>();
+  auto base = std::make_shared<InstrumentedStore>(
+      std::make_shared<MemoryStore>(), "lru-test-base");
   LruCacheStore cache(base, 1 << 20);
   ByteBuffer blob(1000);
   for (size_t i = 0; i < blob.size(); ++i) blob[i] = static_cast<uint8_t>(i);
   ASSERT_TRUE(cache.Put("k", ByteView(blob)).ok());
 
-  uint64_t base_gets = base->stats().get_requests.load();
-  uint64_t base_ranges = base->stats().get_range_requests.load();
+  uint64_t base_gets = base->gets();
+  uint64_t base_ranges = base->get_ranges();
   uint64_t bypasses = cache.range_bypasses();
   uint64_t hits = cache.hits();
 
@@ -208,8 +323,8 @@ TEST(LruCacheStoreTest, CachedRangeReadTouchesNoBackend) {
     EXPECT_EQ((*r)[i], static_cast<uint8_t>(100 + i));
   }
   // Zero backend I/O: neither a Get nor a GetRange reached the base store.
-  EXPECT_EQ(base->stats().get_requests.load(), base_gets);
-  EXPECT_EQ(base->stats().get_range_requests.load(), base_ranges);
+  EXPECT_EQ(base->gets(), base_gets);
+  EXPECT_EQ(base->get_ranges(), base_ranges);
   EXPECT_EQ(cache.range_bypasses(), bypasses);  // not counted as a bypass
   EXPECT_EQ(cache.hits(), hits + 1);            // counted as a hit
   // The slice aliases the cached entry's buffer rather than copying it.
@@ -303,12 +418,10 @@ TEST(PosixStoreTest, AdvertisesAtomicDurablePuts) {
   // posix path is rename-atomic, the plain memory store is not.
   EXPECT_TRUE(MakePosix()->atomic_durable_puts());
   EXPECT_FALSE(std::make_shared<MemoryStore>()->atomic_durable_puts());
-  // Decorators must forward the capability of whatever they wrap.
+  // Decorators forward the capability of whatever they wrap
+  // (DecoratorForwardingTest checks every one).
   EXPECT_TRUE(std::make_shared<PrefixStore>(MakePosix(), "ns")
                   ->atomic_durable_puts());
-  EXPECT_FALSE(std::make_shared<LruCacheStore>(
-                   std::make_shared<MemoryStore>(), 1 << 20)
-                   ->atomic_durable_puts());
 }
 
 TEST(PosixStoreTest, DeleteMissingIsIdempotentButRealErrorsSurface) {

@@ -166,7 +166,7 @@ TEST(TensorTest, OversizedSampleIsTiled) {
 }
 
 TEST(TensorTest, ReadRegionOnTiledSampleFetchesSubset) {
-  auto store = Mem();
+  auto store = std::make_shared<storage::InstrumentedStore>(Mem(), "tiles");
   TensorOptions opts;
   opts.sample_compression = "none";
   opts.max_chunk_bytes = 32 * 1024;
@@ -176,7 +176,7 @@ TEST(TensorTest, ReadRegionOnTiledSampleFetchesSubset) {
   ASSERT_TRUE((*tensor)->Append(big).ok());
   ASSERT_TRUE((*tensor)->Flush().ok());
 
-  uint64_t gets_before = store->stats().get_requests.load();
+  uint64_t gets_before = store->gets();
   auto region = (*tensor)->ReadRegion(0, {10, 20, 0}, {30, 40, 3});
   ASSERT_TRUE(region.ok()) << region.status();
   EXPECT_EQ(region->shape, (TensorShape{30, 40, 3}));
@@ -191,7 +191,7 @@ TEST(TensorTest, ReadRegionOnTiledSampleFetchesSubset) {
   }
   // Only a subset of tile chunks was fetched (tiles are ~100x100; the
   // region touches at most 1 tile + neighbors, not the full grid).
-  uint64_t gets = store->stats().get_requests.load() - gets_before;
+  uint64_t gets = store->gets() - gets_before;
   TileLayout layout = ComputeTileLayout(big.shape, 1, 32 * 1024);
   EXPECT_LT(gets, layout.num_tiles());
 }
@@ -241,7 +241,8 @@ TEST(TensorTest, UpdateRewritesSampleInPlace) {
 }
 
 TEST(TensorTest, UpdateContiguousRewritesEachChunkOnce) {
-  auto store = Mem();
+  auto store =
+      std::make_shared<storage::InstrumentedStore>(Mem(), "contiguous");
   TensorOptions opts;
   opts.dtype = "int64";
   opts.sample_compression = "none";
@@ -259,9 +260,9 @@ TEST(TensorTest, UpdateContiguousRewritesEachChunkOnce) {
   for (int64_t i = 0; i < 200; ++i) {
     batch.push_back(Sample::Scalar(int64_t{1000 + i}, DType::kInt64));
   }
-  uint64_t puts_before = store->stats().put_requests.load();
+  uint64_t puts_before = store->puts();
   ASSERT_TRUE((*tensor)->UpdateContiguous(60, batch).ok());
-  uint64_t puts = store->stats().put_requests.load() - puts_before;
+  uint64_t puts = store->puts() - puts_before;
   // One rebuild per affected chunk (3) + encoder/meta persistence — far
   // from the ~200 chunk rewrites the per-sample path would issue.
   EXPECT_LE(puts, 10u);

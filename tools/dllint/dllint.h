@@ -13,8 +13,8 @@
 //     members, deep copies on the read hot path),
 //   * blocking work under non-leaf locks,
 //   * async-signal-safety of everything reachable from the SIGPROF handler,
-//   * plus every legacy scripts/check_source.py rule (which now execs this
-//     binary).
+//   * plus the token rules: naked-mutex, using-ns-header, raw-new-delete,
+//     todo-owner, unjournaled-manifest-write, raw-socket, profiler-syscall.
 //
 // Findings are suppressed per-site with a dllint-ok annotation — rule name
 // in parens, then a mandatory reason — or parked in a baseline file that

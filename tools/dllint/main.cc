@@ -1,6 +1,5 @@
 // dllint CLI. Exit codes: 0 clean, 1 findings, 2 environment error —
-// scripts/check_source.py execs this binary and ctest registers it as
-// `check_dllint` (label `lint`).
+// ctest registers it as `check_dllint` (label `lint`).
 
 #include <cstdio>
 #include <cstring>

@@ -337,7 +337,9 @@ void CheckSignalSafety(const RuleContext& ctx, std::vector<Finding>& out) {
 }
 
 // ---------------------------------------------------------------------------
-// Ported scripts/check_source.py rules (token-exact, string/comment-proof)
+// Token rules: naked-mutex, using-ns-header, raw-new-delete, todo-owner,
+// unjournaled-manifest-write, raw-socket, profiler-syscall (token-exact,
+// string/comment-proof)
 // ---------------------------------------------------------------------------
 
 void CheckNakedMutex(const RuleContext& ctx, std::vector<Finding>& out) {

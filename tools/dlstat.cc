@@ -14,7 +14,7 @@
 //                                     # scripts/check_prom_text.sh --live)
 //
 // All HTTP goes through obs::HttpGet/HttpRawRequest — this binary contains
-// no raw socket calls (check_source `raw-socket` rule). Rates and
+// no raw socket calls (dllint rule `raw-socket`). Rates and
 // percentiles are *deltas between consecutive polls*, so the view shows
 // what the process is doing now, not since boot: p50/p99 come from the
 // per-interval change of the cumulative loader.fetch_us buckets.
