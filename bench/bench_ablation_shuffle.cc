@@ -53,7 +53,9 @@ int main() {
                         size_t{1024}}) {
     stream::DataloaderOptions opts;
     opts.batch_size = 64;
-    opts.num_workers = 1;  // one worker isolates the buffer effect
+    // The order is the same for any worker count; one worker keeps the
+    // rows/s column a single-thread figure across buffer sizes.
+    opts.num_workers = 1;
     opts.shuffle = true;
     opts.shuffle_buffer_rows = buffer;
     opts.seed = 5;

@@ -87,7 +87,6 @@ Dataloader::~Dataloader() {
     MutexLock lock(mu_);
     abort_ = true;
   }
-  reservoir_cv_.NotifyAll();
   gate_cv_.NotifyAll();
   ready_cv_.NotifyAll();
   pool_.reset();  // joins workers
@@ -167,9 +166,8 @@ void Dataloader::Start() {
     for (size_t i = visit.size(); i > 1; --i) {
       std::swap(visit[i - 1], visit[rng.Uniform(i)]);
     }
-    // Re-number sequence keys to the visit order so sequential consumption
-    // logic can be reused for bookkeeping.
     for (size_t k = 0; k < visit.size(); ++k) units_[visit[k]].seq = k;
+    reservoir_cap_ = std::max<size_t>(1, options_.shuffle_buffer_rows);
   }
   start_allowance_ = std::max<size_t>(1, options_.prefetch_units);
   pool_ = std::make_unique<ThreadPool>(options_.num_workers);
@@ -181,11 +179,7 @@ void Dataloader::Start() {
         while (!(abort_ || !first_error_.ok() || pos < start_allowance_)) {
           gate_cv_.Wait(mu_);
         }
-        if (abort_ || !first_error_.ok()) {
-          ++units_done_;
-          ready_cv_.NotifyAll();
-          return;
-        }
+        if (abort_ || !first_error_.ok()) return;
       }
       ProcessUnit(*unit);
     });
@@ -197,7 +191,6 @@ void Dataloader::ProcessUnit(const Unit& unit) {
   // every span below (loader.fetch → storage.op) inherits its trace id.
   obs::ContextScope context_scope(options_.context);
   Status status;
-  size_t cap = std::max<size_t>(1, options_.shuffle_buffer_rows);
   // Per-stage timing, accumulated locally and merged into stats_ once at
   // unit end (workers never contend on the mutex per sample). Each op also
   // lands in a registry histogram and, when tracing is on, a span.
@@ -212,48 +205,24 @@ void Dataloader::ProcessUnit(const Unit& unit) {
     hist->Observe(static_cast<double>(dt));
     return r;
   };
-  // Publishes one decoded row immediately (shuffle: into the reservoir,
-  // honoring its capacity; sequential: into the unit's progress entry), so
+  // Publishes one decoded row into the unit's progress entry at once, so
   // consumption overlaps decoding from the first sample.
   auto publish = [&](Row row) {
-    if (options_.shuffle) {
-      MutexLock lock(mu_);
-      while (!(abort_ || reservoir_.size() < cap)) {
-        reservoir_cv_.Wait(mu_);
-      }
-      if (abort_) return;
-      reservoir_.push_back(std::move(row));
-    } else {
+    {
       MutexLock lock(mu_);
       completed_[unit.seq].rows.push_back(std::move(row));
     }
     queued_gauge_->Add(1);
     ready_cv_.NotifyAll();
   };
-  // Bounded re-fetch on retryable storage errors: a transient object-store
-  // fault recovers instead of poisoning the whole epoch. Retries are
-  // immediate — backoff belongs to the RetryingStore decorator underneath;
-  // permanent errors (NotFound, Corruption, ...) still fail fast. Every
-  // transient failure lands on the error-event timeline labeled with the
-  // op and key (`describe` is only invoked on failure — the hot path never
-  // builds the label string).
-  auto fetch_with_retry = [&](const char* op, auto&& describe, auto&& fetch) {
-    auto r = fetch();
-    for (int attempt = 0; attempt < options_.max_transient_retries &&
-                          !r.ok() && r.status().IsRetryable();
-         ++attempt) {
-      obs::RecordErrorEvent(
-          obs::TraceRecorder::Global(), "loader.transient_fetch",
-          "op=" + std::string(op) + " key=" + describe() + " attempt=" +
-              std::to_string(attempt + 1) + " " + r.status().ToString());
-      r = fetch();
-      if (r.ok()) {
-        MutexLock lock(mu_);
-        stats_.transient_errors_recovered++;
-      }
-    }
+  // Runs one storage read. A retryable failure that reaches the loader has
+  // outlived any storage::RetryingStore in the chain and poisons the epoch;
+  // it lands on the error-event timeline labeled with the op and key
+  // (`describe` is only invoked on failure — the hot path never builds the
+  // label string).
+  auto fetch = [&](const char* op, auto&& describe, auto&& read) {
+    auto r = timed(fetch_hist_, &fetch_us, "loader.fetch", read);
     if (!r.ok() && r.status().IsRetryable()) {
-      // Out of budget (or none configured): this failure poisons the epoch.
       obs::RecordErrorEvent(
           obs::TraceRecorder::Global(), "loader.fetch_failed",
           "op=" + std::string(op) + " key=" + describe() + " " +
@@ -278,27 +247,14 @@ void Dataloader::ProcessUnit(const Unit& unit) {
         row[name] = tsf::Sample::EmptyOf(t->meta().dtype);
         continue;
       }
-      if (t->tile_encoder().IsTiled(row_idx)) {
-        // Tensor-level reads fetch and decode in one call; the whole cost
-        // is attributed to fetch (see DataloaderStats doc).
-        auto s = timed(fetch_hist_, &fetch_us, "loader.fetch",
-                       [&] { return fetch_with_retry("read", [&] {
-                         return name + "[" + std::to_string(row_idx) + "]";
-                       }, [&] { return t->Read(row_idx); }); });
-        if (!s.ok()) {
-          status = s.status();
-          break;
-        }
-        row[name] = std::move(s).value();
-        continue;
-      }
       auto loc = t->chunk_encoder().Find(row_idx);
-      if (!loc.ok()) {
-        // Buffered (unflushed) tail: serve through the tensor.
-        auto s = timed(fetch_hist_, &fetch_us, "loader.fetch",
-                       [&] { return fetch_with_retry("read", [&] {
-                         return name + "[" + std::to_string(row_idx) + "]";
-                       }, [&] { return t->Read(row_idx); }); });
+      if (t->tile_encoder().IsTiled(row_idx) || !loc.ok()) {
+        // Tiled samples and the buffered (unflushed) tail are served
+        // through the tensor, which fetches and decodes in one call; the
+        // whole cost is attributed to fetch (see DataloaderStats doc).
+        auto s = fetch("read", [&] {
+          return name + "[" + std::to_string(row_idx) + "]";
+        }, [&] { return t->Read(row_idx); });
         if (!s.ok()) {
           status = s.status();
           break;
@@ -309,11 +265,9 @@ void Dataloader::ProcessUnit(const Unit& unit) {
       auto& tensor_cache = cache[name];
       auto it = tensor_cache.find(loc->chunk_id);
       if (it == tensor_cache.end()) {
-        auto bytes = timed(fetch_hist_, &fetch_us, "loader.fetch",
-                           [&] { return fetch_with_retry("chunk_get", [&] {
-                             return t->ChunkKey(loc->chunk_id);
-                           }, [&] { return t->store()->Get(
-                                 t->ChunkKey(loc->chunk_id)); }); });
+        auto bytes = fetch("chunk_get", [&] {
+          return t->ChunkKey(loc->chunk_id);
+        }, [&] { return t->store()->Get(t->ChunkKey(loc->chunk_id)); });
         if (!bytes.ok()) {
           status = bytes.status();
           break;
@@ -351,14 +305,11 @@ void Dataloader::ProcessUnit(const Unit& unit) {
   {
     MutexLock lock(mu_);
     if (!status.ok() && first_error_.ok()) first_error_ = status;
-    if (!options_.shuffle) completed_[unit.seq].done = true;
-    units_done_++;
-    if (options_.shuffle) ++start_allowance_;
+    completed_[unit.seq].done = true;
     stats_.fetch_micros += fetch_us;
     stats_.decode_micros += decode_us;
     stats_.transform_micros += transform_us;
   }
-  if (options_.shuffle) gate_cv_.NotifyAll();
   ready_cv_.NotifyAll();
 }
 
@@ -372,40 +323,42 @@ Result<bool> Dataloader::Next(Batch* out) {
   int64_t wait_start = NowMicros();
   bool stalled = false;
 
+  // The one delivery loop. Rows enter the reservoir strictly in visit
+  // order; pick k draws (seeded) from exactly min(cap, k + 1) rows, or from
+  // what is left once every unit is admitted. The delivered order is thus
+  // a function of the seed and the unit plan alone, never of worker
+  // timing. With cap 1 it is plain in-order delivery. The ramp (rather
+  // than waiting for a full reservoir) keeps the first batch as fast as
+  // the first unit.
   MutexLock lock(mu_);
   while (pending_rows_.size() < options_.batch_size) {
     if (!first_error_.ok()) return first_error_;
-    if (options_.shuffle) {
-      if (!reservoir_.empty()) {
-        // Random eviction from the reservoir.
-        size_t pick = shuffle_rng_.Uniform(reservoir_.size());
-        std::swap(reservoir_[pick], reservoir_.back());
-        pending_rows_.push_back(std::move(reservoir_.back()));
-        reservoir_.pop_back();
-        reservoir_cv_.NotifyOne();
+    const size_t target = std::min<uint64_t>(reservoir_cap_, picks_ + 1);
+    while (reservoir_.size() < target && next_seq_ < units_.size()) {
+      auto it = completed_.find(next_seq_);
+      if (it == completed_.end()) break;
+      UnitProgress& p = it->second;
+      if (p.taken < p.rows.size()) {
+        reservoir_.push_back(std::move(p.rows[p.taken++]));
         continue;
       }
-      if (units_done_ == units_.size()) break;  // drained
-    } else {
-      auto it = completed_.find(next_seq_);
-      if (it != completed_.end()) {
-        UnitProgress& p = it->second;
-        bool progressed = p.taken < p.rows.size();
-        while (p.taken < p.rows.size()) {
-          pending_rows_.push_back(std::move(p.rows[p.taken++]));
-        }
-        if (p.done && p.taken == p.rows.size()) {
-          completed_.erase(it);
-          ++next_seq_;
-          ++stats_.units;
-          ++start_allowance_;
-          gate_cv_.NotifyAll();
-          continue;
-        }
-        if (progressed) continue;
-      }
-      if (next_seq_ >= units_.size()) break;  // drained
+      if (!p.done) break;
+      completed_.erase(it);
+      ++next_seq_;
+      ++stats_.units;
+      ++start_allowance_;
+      gate_cv_.NotifyAll();
     }
+    const bool drained = next_seq_ == units_.size();
+    if (!reservoir_.empty() && (reservoir_.size() == target || drained)) {
+      size_t pick = shuffle_rng_.Uniform(reservoir_.size());
+      std::swap(reservoir_[pick], reservoir_.back());
+      pending_rows_.push_back(std::move(reservoir_.back()));
+      reservoir_.pop_back();
+      ++picks_;
+      continue;
+    }
+    if (drained) break;
     stalled = true;
     ready_cv_.Wait(mu_);
   }

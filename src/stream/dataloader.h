@@ -40,7 +40,9 @@ struct DataloaderOptions {
   /// Fetch/decode worker threads.
   size_t num_workers = 4;
   /// Streaming shuffle (paper §3.5): work units are visited in random
-  /// order and decoded rows pass through a reservoir buffer.
+  /// order and decoded rows pass through a reservoir buffer. The delivered
+  /// order is a function of (seed, dataset, view) alone — worker count and
+  /// timing never change it.
   bool shuffle = false;
   /// Rows held in the shuffle reservoir.
   size_t shuffle_buffer_rows = 512;
@@ -52,13 +54,6 @@ struct DataloaderOptions {
   /// Tensors to stream; empty = all visible tensors.
   std::vector<std::string> tensors;
   TransformFn transform;
-  /// Extra fetch attempts per chunk/sample read that fails with a
-  /// retryable status (Status::IsRetryable). 0 (default) preserves
-  /// fail-fast: the first storage error poisons the epoch. Retries are
-  /// immediate — chain a storage::RetryingStore under the dataset for
-  /// backoff between attempts; this knob is the last line of defense when
-  /// even the store-level budget runs out mid-epoch.
-  int max_transient_retries = 0;
   /// Trace context of the owning job (DESIGN.md §7): installed on every
   /// worker while it processes a unit and on the consumer inside Next(),
   /// so loader spans — and the storage spans beneath them — share one
@@ -67,20 +62,10 @@ struct DataloaderOptions {
   obs::Context context;
 };
 
-/// Epoch counters. Thread-safety contract (all fields are also mirrored
-/// into the obs::MetricsRegistry, family `loader.*`):
-///
-///  - *Consumer-thread-only*: `rows_delivered`, `batches_delivered`,
-///    `stall_micros`, `units` are written exclusively inside Next() while
-///    holding the loader mutex. The consumer thread may read them between
-///    Next() calls without synchronization; other threads may not.
-///
-///  - *Mutex-guarded (worker-written)*: `fetch_micros`, `decode_micros`,
-///    `transform_micros`, `transient_errors_recovered` are accumulated by
-///    worker threads under the loader mutex. Read them only after the
-///    epoch has drained (Next() returned false, or the loader was
-///    destroyed) — a mid-epoch read from the consumer thread races with
-///    workers.
+/// Epoch counters, mirrored into the obs::MetricsRegistry (family
+/// `loader.*`). Every field is written under the loader mutex, and
+/// Dataloader::stats() returns a copy taken under it, so any thread may read
+/// them at any time; mid-epoch reads see the epoch so far.
 ///
 /// The per-stage micros sum CPU/IO time *across all workers*: with N
 /// workers their total can legitimately exceed wall time (stages overlap).
@@ -91,9 +76,6 @@ struct DataloaderStats {
   int64_t stall_micros = 0;
   /// Work units (chunk-aligned ranges) processed.
   uint64_t units = 0;
-  /// Fetches that failed with a retryable error but succeeded on a retry
-  /// (max_transient_retries > 0) — the epoch survived these.
-  uint64_t transient_errors_recovered = 0;
   /// Worker time spent in storage reads (chunk Get + tiled/tail reads;
   /// the tiled/tail path folds its decode into this figure).
   int64_t fetch_micros = 0;
@@ -103,9 +85,9 @@ struct DataloaderStats {
   int64_t transform_micros = 0;
   /// Process-wide bytes deep-copied through the Buffer/Slice layer while
   /// this loader ran (delta of dl::TotalBytesCopied(), sampled in Next()).
-  /// Consumer-thread-only, like rows_delivered. The steady-state epoch loop
-  /// over raw/uncompressed htypes should keep this near zero (DESIGN.md
-  /// §10); collation via Batch::Stacked is counted.
+  /// The steady-state epoch loop over raw/uncompressed htypes should keep
+  /// this near zero (DESIGN.md §10); collation via Batch::Stacked is
+  /// counted.
   uint64_t bytes_copied = 0;
 };
 
@@ -137,16 +119,15 @@ class Dataloader {
   /// errors, returns the first error and stops.
   Result<bool> Next(Batch* out) DL_EXCLUDES(mu_);
 
-  /// Unlocked by design — see the DataloaderStats thread-safety contract:
-  /// consumer-thread fields are safe between Next() calls; worker-written
-  /// fields only after the epoch drains.
-  const DataloaderStats& stats() const DL_NO_THREAD_SAFETY_ANALYSIS {
+  /// A snapshot of the epoch counters, taken under the loader mutex.
+  DataloaderStats stats() const DL_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
     return stats_;
   }
 
  private:
   struct Unit {
-    uint64_t seq;                  // completion-order key (sequential mode)
+    uint64_t seq;                  // position in the visit order
     std::vector<uint64_t> rows;    // dataset row indices
   };
 
@@ -164,18 +145,18 @@ class Dataloader {
 
   // Leaf lock (DESIGN.md §8): workers and the consumer never acquire
   // another dl::Mutex while holding it (registry instruments are atomics).
-  Mutex mu_{"stream.dataloader.mu"};
+  mutable Mutex mu_{"stream.dataloader.mu"};
   // Ordered prefetch window: the task at visit position k may start only
   // once k < start_allowance_. Admission strictly by position prevents
   // later units from stealing window slots from the unit the (in-order)
   // consumer is waiting on — a semaphore here can deadlock by priority
-  // inversion.
+  // inversion. Only the consumer advances it, as it finishes a unit.
   size_t start_allowance_ DL_GUARDED_BY(mu_) = 0;
   CondVar gate_cv_;
   CondVar ready_cv_;
-  // Sequential mode: per-unit progress keyed by seq; rows stream in as
-  // they decode (the consumer never waits for a whole unit), and are
-  // consumed strictly in seq order.
+  // Per-unit progress keyed by seq: rows stream in as they decode (the
+  // consumer never waits for a whole unit), and the consumer admits them
+  // to the reservoir strictly in seq order.
   struct UnitProgress {
     std::vector<Row> rows;
     size_t taken = 0;
@@ -183,21 +164,21 @@ class Dataloader {
   };
   std::map<uint64_t, UnitProgress> completed_ DL_GUARDED_BY(mu_);
   uint64_t next_seq_ DL_GUARDED_BY(mu_) = 0;
-  // Shuffle mode: reservoir of decoded rows.
+  // Rows admitted in visit order, awaiting a seeded random pick. Holds at
+  // most reservoir_cap_ rows: shuffle_buffer_rows when shuffling, 1 (plain
+  // in-order delivery) otherwise.
   std::vector<Row> reservoir_ DL_GUARDED_BY(mu_);
-  CondVar reservoir_cv_;
-  size_t units_done_ DL_GUARDED_BY(mu_) = 0;
+  size_t reservoir_cap_ = 1;  // set in Start()
+  uint64_t picks_ DL_GUARDED_BY(mu_) = 0;
+  Rng shuffle_rng_ DL_GUARDED_BY(mu_){42};
   Status first_error_ DL_GUARDED_BY(mu_);
   bool started_ = false;  // ctor-thread only (Start() runs in the ctor)
   bool abort_ DL_GUARDED_BY(mu_) = false;
 
   // Carry-over rows between Next() calls (batch boundary inside a unit).
-  // Touched only by the consumer thread inside Next(), but always under
-  // mu_ anyway (Next() holds it throughout), so the annotation is honest.
   std::vector<Row> pending_rows_ DL_GUARDED_BY(mu_);
-  Rng shuffle_rng_{42};  // consumer-thread only (used inside Next())
 
-  DataloaderStats stats_;  // see stats() for the mixed guarding contract
+  DataloaderStats stats_ DL_GUARDED_BY(mu_);
   // Registry instruments (family `loader.*`), cached once in Start() so
   // the hot path touches only atomics. Workers observe per-op latencies;
   // stats_ aggregates per-stage totals for the epoch summary.

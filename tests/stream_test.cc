@@ -1,11 +1,15 @@
-// Dataloader tests: ordering, completeness, shuffling, view streaming,
-// transforms, collation, prefetch behaviour over slow stores, error
-// propagation.
+// Dataloader tests: ordering, completeness, shuffling and its
+// reproducibility, view streaming, transforms, collation, prefetch
+// behaviour over slow stores, error propagation.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <numeric>
 #include <set>
+#include <string>
+#include <tuple>
 
 #include "sim/network_model.h"
 #include "storage/storage.h"
@@ -125,33 +129,70 @@ TEST(DataloaderTest, ShuffleIsAPermutationAndShuffled) {
   EXPECT_GT(displacement, 10.0);
 }
 
-TEST(DataloaderTest, ShuffleSeedsDiffer) {
-  auto store = std::make_shared<storage::MemoryStore>();
-  auto ds = MakeDataset(100, store, 8 * 1024);
+/// Delays every Get by a pseudo-random 0–1 ms, so work units finish in a
+/// different order on every run.
+class JitterStore : public storage::ForwardingStore {
+ public:
+  using ForwardingStore::ForwardingStore;
+  std::string name() const override { return "jitter(" + base_->name() + ")"; }
+
+ protected:
+  Status Admit(storage::FaultOp op) override {
+    if (op == storage::kFaultGet) {
+      uint64_t n = calls_.fetch_add(1) * 0x9e3779b97f4a7c15ull;
+      SleepMicros(static_cast<int64_t>(n >> 54));
+    }
+    return Status::OK();
+  }
+
+ private:
+  std::atomic<uint64_t> calls_{0};
+};
+
+/// (num_workers, prefetch_units)
+class ShuffleSeedTest
+    : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
+
+TEST_P(ShuffleSeedTest, SameSeedSameOrderOtherSeedOtherOrder) {
+  auto mem = std::make_shared<storage::MemoryStore>();
+  MakeDataset(100, mem, 8 * 1024);
+  auto ds = Dataset::Open(std::make_shared<JitterStore>(mem)).MoveValue();
   auto run = [&](uint64_t seed) {
     DataloaderOptions opts;
     opts.batch_size = 10;
     opts.shuffle = true;
+    opts.shuffle_buffer_rows = 32;
     opts.seed = seed;
-    // A single worker makes reservoir arrival order deterministic; with
-    // many workers the stream is still seed-driven but racy in arrival.
-    opts.num_workers = 1;
+    opts.num_workers = std::get<0>(GetParam());
+    opts.prefetch_units = std::get<1>(GetParam());
     Dataloader loader(ds, opts);
     return DrainLabels(loader);
   };
   auto a = run(1);
+  auto b = run(1);
   auto c = run(2);
-  // Like PyTorch's multi-worker loader, exact order is timing-dependent;
-  // but different seeds must give different chunk visit orders, and both
-  // streams must be complete permutations.
+  EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
-  std::set<int> ua(a.begin(), a.end()), uc(c.begin(), c.end());
-  EXPECT_EQ(ua.size(), 100u);
-  EXPECT_EQ(uc.size(), 100u);
+  for (const auto* order : {&a, &b, &c}) {
+    std::set<int> unique(order->begin(), order->end());
+    EXPECT_EQ(order->size(), 100u);
+    EXPECT_EQ(unique.size(), 100u);
+  }
 }
 
+INSTANTIATE_TEST_SUITE_P(
+    WorkersByPrefetch, ShuffleSeedTest,
+    ::testing::Combine(::testing::Values(size_t{1}, size_t{4}, size_t{8}),
+                       ::testing::Values(size_t{1}, size_t{8})),
+    [](const ::testing::TestParamInfo<std::tuple<size_t, size_t>>& info) {
+      return "w" + std::to_string(std::get<0>(info.param)) + "_p" +
+             std::to_string(std::get<1>(info.param));
+    });
+
 TEST(DataloaderTest, StreamsQueryViewInViewOrder) {
-  auto ds = MakeDataset(60, std::make_shared<storage::MemoryStore>());
+  // Small chunks: the sparse view spans many work units.
+  auto ds = MakeDataset(60, std::make_shared<storage::MemoryStore>(),
+                        /*chunk_bytes=*/4 * 1024);
   auto view = tql::RunQuery(
       ds, "SELECT * FROM ds WHERE labels % 3 = 0 ORDER BY labels DESC");
   ASSERT_TRUE(view.ok()) << view.status();
@@ -165,6 +206,17 @@ TEST(DataloaderTest, StreamsQueryViewInViewOrder) {
   for (size_t i = 1; i < labels.size(); ++i) {
     EXPECT_EQ(labels[i - 1] - labels[i], 3);
   }
+
+  // Shuffled, with a reservoir larger than the view and a one-unit
+  // prefetch window: the visit-order fill must still drain every unit.
+  opts.shuffle = true;
+  opts.shuffle_buffer_rows = 512;
+  opts.prefetch_units = 1;
+  Dataloader shuffled(ds, *view, opts);
+  std::vector<int> got = DrainLabels(shuffled);
+  std::sort(got.begin(), got.end());
+  std::sort(labels.begin(), labels.end());
+  EXPECT_EQ(got, labels);
 }
 
 TEST(DataloaderTest, TransformRunsPerRow) {
