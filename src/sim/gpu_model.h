@@ -21,8 +21,9 @@ struct TimelineInterval {
 
 /// Rate-based GPU stand-in (see DESIGN.md substitutions). A training step
 /// on `batch` samples takes `batch / samples_per_sec` seconds of "compute";
-/// the gap between a step finishing and the next batch arriving is idle
-/// time. Utilization = busy / (busy + idle), the paper's Fig. 9/10 metric.
+/// the gap between one TrainStep returning and the next one starting is
+/// idle time. Utilization = busy / (busy + idle), the paper's Fig. 9/10
+/// metric.
 class GpuModel {
  public:
   /// `samples_per_sec`: the model's compute throughput when never starved.
@@ -51,7 +52,6 @@ class GpuModel {
       }
       intervals_.push_back({now, now + step_us, /*busy=*/true});
       busy_us_ += step_us;
-      last_end_us_ = now + step_us;
       samples_ += batch_size;
       steps_ += 1;
       int64_t total = busy_us_ + idle_us_;
@@ -62,6 +62,11 @@ class GpuModel {
     samples_counter_->Add(batch_size);
     step_hist_->Observe(static_cast<double>(step_us));
     SleepMicros(step_us);
+    // Idle starts when the step returns, not when it was due to end: a
+    // late wake-up from the sleep is not time the caller kept the GPU
+    // waiting.
+    MutexLock lock(mu_);
+    last_end_us_ = NowMicros();
   }
 
   /// Busy fraction over the observed span; 0 when nothing ran.

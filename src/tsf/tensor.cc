@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 
 #include "util/clock.h"
 #include "util/envelope.h"
@@ -107,19 +106,30 @@ Status Tensor::AppendPrecompressed(ByteView frame, const TensorShape& shape) {
   return AppendInternal(placeholder, frame);
 }
 
+bool Tensor::NeedsTiling(const Sample& sample) const {
+  return !sample.shape.IsEmptySample() &&
+         sample.NumElements() * DTypeSize(meta_.dtype) >
+             meta_.max_chunk_bytes &&
+         !meta_.htype.exempt_from_tiling();
+}
+
 Status Tensor::AppendInternal(const Sample& sample, ByteView precompressed) {
-  uint64_t raw_bytes = sample.shape.IsEmptySample()
-                           ? 0
-                           : sample.NumElements() * DTypeSize(meta_.dtype);
-  bool oversize = raw_bytes > meta_.max_chunk_bytes &&
-                  !meta_.htype.exempt_from_tiling() &&
-                  precompressed.empty();
-  if (oversize) {
-    return AppendTiled(sample);
+  if (precompressed.empty() && NeedsTiling(sample)) {
+    uint64_t index = NumSamples();
+    DL_ASSIGN_OR_RETURN(TileLayout layout, WriteTiles(sample));
+    // The sample still occupies one slot in the chunk stream: an empty
+    // placeholder keeps the chunk encoder a bijection over sample indices.
+    DL_RETURN_IF_ERROR(open_chunk_->Append(Sample::EmptyOf(meta_.dtype)));
+    shape_encoder_.Append(sample.shape);
+    tile_encoder_.Set(index, std::move(layout));
+    return Status::OK();
   }
 
   // Seal the open chunk first when this sample would push it past the
   // upper bound (the lower/upper-bound packing rule of §3.4).
+  uint64_t raw_bytes = sample.shape.IsEmptySample()
+                           ? 0
+                           : sample.NumElements() * DTypeSize(meta_.dtype);
   uint64_t incoming = precompressed.empty() ? raw_bytes : precompressed.size();
   if (!open_chunk_->empty() &&
       open_chunk_->payload_bytes() + incoming > meta_.max_chunk_bytes) {
@@ -135,37 +145,28 @@ Status Tensor::AppendInternal(const Sample& sample, ByteView precompressed) {
   return Status::OK();
 }
 
-Status Tensor::AppendTiled(const Sample& sample) {
-  uint64_t index = NumSamples();
-  TileLayout layout = ComputeTileLayout(sample.shape, DTypeSize(meta_.dtype),
-                                        meta_.max_chunk_bytes);
-  uint64_t tiles = layout.num_tiles();
-  layout.chunk_ids.reserve(tiles);
-  // Row-major walk over the grid.
+Result<TileLayout> Tensor::WriteTiles(const Sample& sample) {
+  size_t dtype_size = DTypeSize(meta_.dtype);
+  TileLayout layout =
+      ComputeTileLayout(sample.shape, dtype_size, meta_.max_chunk_bytes);
+  layout.chunk_ids.reserve(layout.num_tiles());
   std::vector<uint64_t> coord(layout.grid.size(), 0);
-  for (uint64_t t = 0; t < tiles; ++t) {
-    ByteBuffer tile_bytes = ExtractTile(sample, layout, coord);
+  const std::vector<uint64_t> zeros(coord.size(), 0);
+  do {
     TensorShape tile_shape = layout.TileShapeAt(coord);
+    ByteBuffer tile(tile_shape.NumElements() * dtype_size);
+    CopyBox(sample.data.data(), sample.shape, layout.TileOrigin(coord),
+            tile.data(), tile_shape, zeros, tile_shape.dims(), dtype_size);
     ChunkBuilder builder(meta_.dtype, meta_.sample_compression,
                          meta_.chunk_compression);
     DL_RETURN_IF_ERROR(
-        builder.Append(Sample(meta_.dtype, tile_shape, std::move(tile_bytes))));
+        builder.Append(Sample(meta_.dtype, tile_shape, std::move(tile))));
     DL_ASSIGN_OR_RETURN(ByteBuffer obj, builder.Finish());
     uint64_t id = NextChunkId();
     DL_RETURN_IF_ERROR(store_->Put(ChunkKey(id), ByteView(obj)));
     layout.chunk_ids.push_back(id);
-    // Advance the grid odometer.
-    for (size_t d = layout.grid.size(); d-- > 0;) {
-      if (++coord[d] < layout.grid[d]) break;
-      coord[d] = 0;
-    }
-  }
-  // The sample still occupies one slot in the chunk stream: an empty
-  // placeholder keeps the chunk encoder a bijection over sample indices.
-  DL_RETURN_IF_ERROR(open_chunk_->Append(Sample::EmptyOf(meta_.dtype)));
-  shape_encoder_.Append(sample.shape);
-  tile_encoder_.Set(index, std::move(layout));
-  return Status::OK();
+  } while (NextCoord(coord, layout.grid));
+  return layout;
 }
 
 Status Tensor::SealOpenChunk() {
@@ -239,7 +240,9 @@ Result<Sample> Tensor::Read(uint64_t index) {
                               std::to_string(NumSamples()));
   }
   if (const TileLayout* layout = tile_encoder_.Get(index)) {
-    return AssembleTiled(index, *layout);
+    const TensorShape& full = layout->sample_shape;
+    return ReadRegion(index, std::vector<uint64_t>(full.ndim(), 0),
+                      full.dims());
   }
   uint64_t flushed = chunk_encoder_.num_samples();
   if (index >= flushed) {
@@ -250,212 +253,82 @@ Result<Sample> Tensor::Read(uint64_t index) {
   return chunk->ReadSample(loc.local_index);
 }
 
-Result<Sample> Tensor::AssembleTiled(uint64_t index,
-                                     const TileLayout& layout) {
-  size_t dtype_size = DTypeSize(meta_.dtype);
-  // Tiles are stitched into one staging allocation, then sealed into the
-  // result's immutable Slice — the only full-sample copy on this path.
-  ByteBuffer staging(layout.sample_shape.NumElements() * dtype_size);
-  std::vector<uint64_t> coord(layout.grid.size(), 0);
-  for (uint64_t t = 0; t < layout.num_tiles(); ++t) {
-    DL_ASSIGN_OR_RETURN(std::shared_ptr<Chunk> chunk,
-                        FetchChunk(layout.chunk_ids[t]));
-    DL_ASSIGN_OR_RETURN(Sample tile, chunk->ReadSample(0));
-    PlaceTile(staging, layout.sample_shape, dtype_size, layout, coord,
-              ByteView(tile.data));
-    for (size_t d = layout.grid.size(); d-- > 0;) {
-      if (++coord[d] < layout.grid[d]) break;
-      coord[d] = 0;
-    }
-  }
-  (void)index;
-  return Sample(meta_.dtype, layout.sample_shape, Slice(std::move(staging)));
-}
-
 Result<Sample> Tensor::ReadRegion(uint64_t index,
                                   const std::vector<uint64_t>& starts,
                                   const std::vector<uint64_t>& sizes) {
   DL_ASSIGN_OR_RETURN(TensorShape full, ShapeAt(index));
-  if (starts.size() != full.ndim() || sizes.size() != full.ndim()) {
+  size_t ndim = full.ndim();
+  if (starts.size() != ndim || sizes.size() != ndim) {
     return Status::InvalidArgument("region rank mismatch");
   }
-  for (size_t d = 0; d < full.ndim(); ++d) {
-    if (starts[d] + sizes[d] > full[d]) {
+  for (size_t d = 0; d < ndim; ++d) {
+    if (starts[d] > full[d] || sizes[d] > full[d] - starts[d]) {
       return Status::OutOfRange("region exceeds sample bounds in dim " +
                                 std::to_string(d));
     }
   }
   size_t dtype_size = DTypeSize(meta_.dtype);
-  TensorShape region_shape{std::vector<uint64_t>(sizes)};
+  TensorShape region_shape(sizes);
+  // Tiles are copied into one staging allocation, then sealed into the
+  // result's immutable Slice.
   ByteBuffer staging(region_shape.NumElements() * dtype_size);
-
-  const TileLayout* layout = tile_encoder_.Get(index);
-  Sample source;
-  if (layout == nullptr) {
-    // Untiled: fetch the whole sample, then crop.
-    DL_ASSIGN_OR_RETURN(source, Read(index));
-    CopyRegion(source, starts, region_shape, staging.data());
+  if (staging.empty()) {  // a zero-size region reads nothing
     return Sample(meta_.dtype, region_shape, Slice(std::move(staging)));
   }
-  // Tiled: fetch only overlapping tiles, copy the intersections.
-  std::vector<uint64_t> coord(layout->grid.size(), 0);
-  for (uint64_t t = 0; t < layout->num_tiles(); ++t) {
-    // Tile bounds.
+
+  // An untiled sample is a one-tile grid whose tile is the stored sample.
+  const TileLayout* tiled = tile_encoder_.Get(index);
+  TileLayout whole{full, full.dims(), std::vector<uint64_t>(ndim, 1), {}};
+  const TileLayout& layout = tiled != nullptr ? *tiled : whole;
+  std::vector<uint64_t> coord(ndim, 0), src_origin(ndim), dst_origin(ndim),
+      extent(ndim);
+  uint64_t t = 0;
+  do {
+    // Intersect the tile with the region; skip the tile when it is empty.
+    std::vector<uint64_t> origin = layout.TileOrigin(coord);
+    TensorShape tile_shape = layout.TileShapeAt(coord);
     bool overlaps = true;
-    for (size_t d = 0; d < full.ndim(); ++d) {
-      uint64_t tstart = coord[d] * layout->tile_dims[d];
-      uint64_t tend = tstart + layout->TileShapeAt(coord)[d];
-      if (tend <= starts[d] || tstart >= starts[d] + sizes[d]) {
-        overlaps = false;
-        break;
-      }
+    for (size_t d = 0; d < ndim && overlaps; ++d) {
+      uint64_t lo = std::max(origin[d], starts[d]);
+      uint64_t hi = std::min(origin[d] + tile_shape[d], starts[d] + sizes[d]);
+      overlaps = lo < hi;
+      src_origin[d] = lo - origin[d];
+      dst_origin[d] = lo - starts[d];
+      extent[d] = hi - lo;
     }
     if (overlaps) {
-      DL_ASSIGN_OR_RETURN(std::shared_ptr<Chunk> chunk,
-                          FetchChunk(layout->chunk_ids[t]));
-      DL_ASSIGN_OR_RETURN(Sample tile, chunk->ReadSample(0));
-      // Copy intersection tile∩region element-wise (regions are small).
-      CopyTileRegion(tile, *layout, coord, starts, sizes, region_shape,
-                     staging.data());
+      Sample tile;
+      if (tiled == nullptr) {
+        DL_ASSIGN_OR_RETURN(tile, Read(index));
+      } else {
+        DL_ASSIGN_OR_RETURN(std::shared_ptr<Chunk> chunk,
+                            FetchChunk(layout.chunk_ids[t]));
+        DL_ASSIGN_OR_RETURN(tile, chunk->ReadSample(0));
+      }
+      if (!(tile.shape == tile_shape)) {
+        return Status::Corruption("tensor '" + meta_.name + "' sample " +
+                                  std::to_string(index) + ": stored shape " +
+                                  tile.shape.ToString() + ", expected " +
+                                  tile_shape.ToString());
+      }
+      CopyBox(tile.data.data(), tile_shape, src_origin, staging.data(),
+              region_shape, dst_origin, extent, dtype_size);
     }
-    for (size_t d = layout->grid.size(); d-- > 0;) {
-      if (++coord[d] < layout->grid[d]) break;
-      coord[d] = 0;
-    }
-  }
+    ++t;
+  } while (NextCoord(coord, layout.grid));
   return Sample(meta_.dtype, region_shape, Slice(std::move(staging)));
 }
 
-void Tensor::CopyRegion(const Sample& source,
-                        const std::vector<uint64_t>& starts,
-                        const TensorShape& out_shape, uint8_t* out_data) {
-  // Generic strided copy source[starts + i] -> out[i].
-  size_t nd = source.shape.ndim();
-  size_t es = DTypeSize(source.dtype);
-  if (nd == 0) {
-    std::memcpy(out_data, source.data.data(), source.data.size());
-    return;
-  }
-  std::vector<uint64_t> sstr(nd, 1), ostr(nd, 1);
-  for (size_t d = nd; d-- > 1;) {
-    sstr[d - 1] = sstr[d] * source.shape[d];
-    ostr[d - 1] = ostr[d] * out_shape[d];
-  }
-  std::vector<uint64_t> idx(nd, 0);
-  uint64_t run = out_shape[nd - 1];
-  while (true) {
-    uint64_t soff = 0, ooff = 0;
-    for (size_t d = 0; d < nd; ++d) {
-      soff += (starts[d] + idx[d]) * sstr[d];
-      ooff += idx[d] * ostr[d];
-    }
-    std::memcpy(out_data + ooff * es, source.data.data() + soff * es,
-                run * es);
-    if (nd == 1) break;
-    ptrdiff_t d = static_cast<ptrdiff_t>(nd) - 2;
-    while (d >= 0) {
-      if (++idx[d] < out_shape[d]) break;
-      idx[d] = 0;
-      --d;
-    }
-    if (d < 0) break;
-  }
-}
-
-void Tensor::CopyTileRegion(const Sample& tile, const TileLayout& layout,
-                            const std::vector<uint64_t>& coord,
-                            const std::vector<uint64_t>& starts,
-                            const std::vector<uint64_t>& sizes,
-                            const TensorShape& out_shape, uint8_t* out_data) {
-  size_t nd = layout.sample_shape.ndim();
-  size_t es = DTypeSize(tile.dtype);
-  // Intersection in global coordinates.
-  std::vector<uint64_t> tile_start(nd), isect_start(nd), isect_size(nd);
-  for (size_t d = 0; d < nd; ++d) {
-    tile_start[d] = coord[d] * layout.tile_dims[d];
-    uint64_t lo = std::max(tile_start[d], starts[d]);
-    uint64_t hi = std::min(tile_start[d] + tile.shape[d],
-                           starts[d] + sizes[d]);
-    isect_start[d] = lo;
-    isect_size[d] = hi - lo;
-  }
-  std::vector<uint64_t> tstr(nd, 1), ostr(nd, 1);
-  for (size_t d = nd; d-- > 1;) {
-    tstr[d - 1] = tstr[d] * tile.shape[d];
-    ostr[d - 1] = ostr[d] * out_shape[d];
-  }
-  std::vector<uint64_t> idx(nd, 0);
-  uint64_t run = isect_size[nd - 1];
-  while (true) {
-    uint64_t toff = 0, ooff = 0;
-    for (size_t d = 0; d < nd; ++d) {
-      toff += (isect_start[d] - tile_start[d] + idx[d]) * tstr[d];
-      ooff += (isect_start[d] - starts[d] + idx[d]) * ostr[d];
-    }
-    std::memcpy(out_data + ooff * es, tile.data.data() + toff * es,
-                run * es);
-    if (nd == 1) break;
-    ptrdiff_t d = static_cast<ptrdiff_t>(nd) - 2;
-    while (d >= 0) {
-      if (++idx[d] < isect_size[d]) break;
-      idx[d] = 0;
-      --d;
-    }
-    if (d < 0) break;
-  }
-}
-
 Status Tensor::Update(uint64_t index, const Sample& sample) {
-  DL_RETURN_IF_ERROR(meta_.ValidateSample(sample));
   uint64_t n = NumSamples();
-  if (index >= n) {
-    // Sparse out-of-bounds assignment (§3.5): pad then append.
-    for (uint64_t i = n; i < index; ++i) {
-      DL_RETURN_IF_ERROR(AppendInternal(Sample::EmptyOf(meta_.dtype),
-                                        ByteView()));
-    }
-    return AppendInternal(sample, ByteView());
+  if (index < n) return UpdateContiguous(index, {sample});
+  // Sparse out-of-bounds assignment (§3.5): pad then append.
+  DL_RETURN_IF_ERROR(meta_.ValidateSample(sample));
+  for (uint64_t i = n; i < index; ++i) {
+    DL_RETURN_IF_ERROR(AppendInternal(Sample::EmptyOf(meta_.dtype),
+                                      ByteView()));
   }
-  // Make the target chunk addressable: updates operate on flushed chunks.
-  if (index >= chunk_encoder_.num_samples()) {
-    DL_RETURN_IF_ERROR(Flush());
-  }
-  uint64_t raw_bytes =
-      sample.shape.IsEmptySample() ? 0 : sample.nbytes();
-
-  // Clear an existing tile entry; rewrite tiled if still oversized.
-  if (tile_encoder_.IsTiled(index)) tile_encoder_.Remove(index);
-  if (raw_bytes > meta_.max_chunk_bytes &&
-      !meta_.htype.exempt_from_tiling()) {
-    TileLayout layout = ComputeTileLayout(
-        sample.shape, DTypeSize(meta_.dtype), meta_.max_chunk_bytes);
-    std::vector<uint64_t> coord(layout.grid.size(), 0);
-    for (uint64_t t = 0; t < layout.num_tiles(); ++t) {
-      ByteBuffer tile_bytes = ExtractTile(sample, layout, coord);
-      ChunkBuilder builder(meta_.dtype, meta_.sample_compression,
-                           meta_.chunk_compression);
-      DL_RETURN_IF_ERROR(builder.Append(
-          Sample(meta_.dtype, layout.TileShapeAt(coord),
-                 std::move(tile_bytes))));
-      DL_ASSIGN_OR_RETURN(ByteBuffer obj, builder.Finish());
-      uint64_t id = NextChunkId();
-      DL_RETURN_IF_ERROR(store_->Put(ChunkKey(id), ByteView(obj)));
-      layout.chunk_ids.push_back(id);
-      for (size_t d = layout.grid.size(); d-- > 0;) {
-        if (++coord[d] < layout.grid[d]) break;
-        coord[d] = 0;
-      }
-    }
-    tile_encoder_.Set(index, std::move(layout));
-    // Replace the stored slot with an empty placeholder.
-    DL_RETURN_IF_ERROR(RewriteSampleInChunk(index, Sample::EmptyOf(meta_.dtype)));
-    DL_RETURN_IF_ERROR(shape_encoder_.Set(index, sample.shape));
-    return PersistEncoders();
-  }
-
-  DL_RETURN_IF_ERROR(RewriteSampleInChunk(index, sample));
-  DL_RETURN_IF_ERROR(shape_encoder_.Set(index, sample.shape));
-  return PersistEncoders();
+  return AppendInternal(sample, ByteView());
 }
 
 Status Tensor::UpdateContiguous(uint64_t start,
@@ -471,43 +344,37 @@ Status Tensor::UpdateContiguous(uint64_t start,
   for (const auto& s : samples) {
     DL_RETURN_IF_ERROR(meta_.ValidateSample(s));
   }
+  uint64_t end = start + samples.size();
   // Updates operate on flushed chunks.
-  if (start + samples.size() > chunk_encoder_.num_samples()) {
+  if (end > chunk_encoder_.num_samples()) {
     DL_RETURN_IF_ERROR(Flush());
   }
 
-  uint64_t i = 0;
-  while (i < samples.size()) {
-    uint64_t index = start + i;
-    uint64_t raw = samples[i].shape.IsEmptySample() ? 0 : samples[i].nbytes();
-    if (tile_encoder_.IsTiled(index) || raw > meta_.max_chunk_bytes) {
-      DL_RETURN_IF_ERROR(Update(index, samples[i]));
-      ++i;
-      continue;
-    }
+  uint64_t index = start;
+  while (index < end) {
     DL_ASSIGN_OR_RETURN(ChunkEncoder::Location loc, chunk_encoder_.Find(index));
-    // Batch every remaining in-range sample that lands in this chunk and
-    // stays on the dense path.
-    uint64_t take = std::min<uint64_t>(samples.size() - i,
-                                       loc.chunk_samples - loc.local_index);
-    uint64_t dense = 0;
-    while (dense < take) {
-      const Sample& s = samples[i + dense];
-      uint64_t rb = s.shape.IsEmptySample() ? 0 : s.nbytes();
-      if (tile_encoder_.IsTiled(index + dense) || rb > meta_.max_chunk_bytes) {
-        break;
-      }
-      ++dense;
-    }
-    take = dense;  // >= 1: samples[i] itself passed the checks above
+    // Rebuild this chunk once with every in-range sample it holds. An
+    // oversized sample keeps an empty placeholder slot; its tiles are
+    // chunks of their own.
+    uint64_t take =
+        std::min<uint64_t>(end - index, loc.chunk_samples - loc.local_index);
     DL_ASSIGN_OR_RETURN(std::shared_ptr<Chunk> chunk, FetchChunk(loc.chunk_id));
     ChunkBuilder builder(meta_.dtype, meta_.sample_compression,
                          meta_.chunk_compression);
+    std::vector<std::pair<uint64_t, TileLayout>> tiled;
     for (uint64_t j = 0; j < loc.chunk_samples; ++j) {
-      if (j >= loc.local_index && j < loc.local_index + take) {
-        DL_RETURN_IF_ERROR(builder.Append(samples[i + (j - loc.local_index)]));
+      uint64_t global = loc.chunk_first + j;
+      if (global < index || global >= index + take) {
+        DL_ASSIGN_OR_RETURN(Sample kept, chunk->ReadSample(j));
+        DL_RETURN_IF_ERROR(builder.Append(kept));
+        continue;
+      }
+      const Sample& s = samples[global - start];
+      if (NeedsTiling(s)) {
+        DL_ASSIGN_OR_RETURN(TileLayout layout, WriteTiles(s));
+        tiled.emplace_back(global, std::move(layout));
+        DL_RETURN_IF_ERROR(builder.Append(Sample::EmptyOf(meta_.dtype)));
       } else {
-        DL_ASSIGN_OR_RETURN(Sample s, chunk->ReadSample(j));
         DL_RETURN_IF_ERROR(builder.Append(s));
       }
     }
@@ -520,36 +387,14 @@ Status Tensor::UpdateContiguous(uint64_t start,
       MutexLock lock(cache_mu_);
       cached_chunk_.reset();  // invalidate
     }
-    for (uint64_t j = 0; j < take; ++j) {
-      DL_RETURN_IF_ERROR(shape_encoder_.Set(index + j, samples[i + j].shape));
+    for (uint64_t i = index; i < index + take; ++i) {
+      tile_encoder_.Remove(i);
+      DL_RETURN_IF_ERROR(shape_encoder_.Set(i, samples[i - start].shape));
     }
-    i += take;
+    for (auto& [i, layout] : tiled) tile_encoder_.Set(i, std::move(layout));
+    index += take;
   }
   return PersistEncoders();
-}
-
-Status Tensor::RewriteSampleInChunk(uint64_t index, const Sample& sample) {
-  DL_ASSIGN_OR_RETURN(ChunkEncoder::Location loc, chunk_encoder_.Find(index));
-  DL_ASSIGN_OR_RETURN(std::shared_ptr<Chunk> chunk, FetchChunk(loc.chunk_id));
-  ChunkBuilder builder(meta_.dtype, meta_.sample_compression,
-                       meta_.chunk_compression);
-  for (uint64_t i = 0; i < loc.chunk_samples; ++i) {
-    if (i == loc.local_index) {
-      DL_RETURN_IF_ERROR(builder.Append(sample));
-    } else {
-      DL_ASSIGN_OR_RETURN(Sample s, chunk->ReadSample(i));
-      DL_RETURN_IF_ERROR(builder.Append(s));
-    }
-  }
-  DL_ASSIGN_OR_RETURN(ByteBuffer obj, builder.Finish());
-  uint64_t new_id = NextChunkId();
-  DL_RETURN_IF_ERROR(store_->Put(ChunkKey(new_id), ByteView(obj)));
-  DL_RETURN_IF_ERROR(chunk_encoder_.ReplaceChunkId(loc.chunk_ordinal, new_id));
-  {
-    MutexLock lock(cache_mu_);
-    cached_chunk_.reset();  // invalidate
-  }
-  return Status::OK();
 }
 
 Result<size_t> Tensor::Rechunk() {

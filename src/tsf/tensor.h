@@ -57,25 +57,29 @@ class Tensor {
   Status AppendPrecompressed(ByteView frame, const TensorShape& shape);
 
   /// Replaces sample `index` in place (§3.5 random-access writes:
-  /// annotators, model predictions). Writing past the end pads the gap with
-  /// empty samples — the sparse/out-of-bounds assignment behaviour.
+  /// annotators, model predictions). An index inside the tensor goes
+  /// through `UpdateContiguous(index, {sample})`. Writing past the end pads
+  /// the gap with empty samples — the sparse/out-of-bounds assignment
+  /// behaviour.
   Status Update(uint64_t index, const Sample& sample);
 
   /// Replaces samples [start, start+samples.size()) in place, rebuilding
-  /// each affected chunk ONCE — per-sample Update rewrites its whole chunk
-  /// per call, which is quadratic over a dense range. All indices must
-  /// already exist (no sparse tail). Oversized and tiled samples fall back
-  /// to the per-sample path. The MVCC rebase replay depends on this: its
+  /// each affected chunk ONCE — a per-sample rewrite would be quadratic
+  /// over a dense range. All indices must already exist (no sparse tail).
+  /// An oversized sample is tiled: its slot in the rebuilt chunk holds an
+  /// empty placeholder. The MVCC rebase replay depends on this: its
   /// modified ranges are chunk-granular, so dense whole-chunk rewrites are
   /// the common case.
   Status UpdateContiguous(uint64_t start, const std::vector<Sample>& samples);
 
-  /// Reads one sample.
+  /// Reads one sample. A tiled sample is `ReadRegion` over its full box.
   Result<Sample> Read(uint64_t index);
 
-  /// Reads a sub-region of a *tiled* sample fetching only overlapping
-  /// tiles; falls back to a full read + crop for untiled samples.
-  /// `starts`/`sizes` must have one entry per dimension.
+  /// Reads the box [starts, starts+sizes) of sample `index`, one entry per
+  /// dimension, fetching only the tiles it overlaps (an untiled sample is
+  /// one tile). InvalidArgument on a rank mismatch; OutOfRange unless
+  /// starts[d] + sizes[d] <= shape[d] in every dimension. A region with a
+  /// zero size reads no tile and returns an empty sample of that shape.
   Result<Sample> ReadRegion(uint64_t index,
                             const std::vector<uint64_t>& starts,
                             const std::vector<uint64_t>& sizes);
@@ -111,22 +115,14 @@ class Tensor {
   Tensor(storage::StoragePtr store, TensorMeta meta);
 
   Status AppendInternal(const Sample& sample, ByteView precompressed);
-  Status AppendTiled(const Sample& sample);
-  Status RewriteSampleInChunk(uint64_t index, const Sample& sample);
-  // Region copies write into a caller-owned staging buffer (`out_data`,
-  // shaped `out_shape`); the caller seals the buffer into the result
-  // Sample's immutable Slice once assembly finishes.
-  static void CopyRegion(const Sample& source,
-                         const std::vector<uint64_t>& starts,
-                         const TensorShape& out_shape, uint8_t* out_data);
-  static void CopyTileRegion(const Sample& tile, const TileLayout& layout,
-                             const std::vector<uint64_t>& coord,
-                             const std::vector<uint64_t>& starts,
-                             const std::vector<uint64_t>& sizes,
-                             const TensorShape& out_shape, uint8_t* out_data);
+  /// True when `sample` must be tiled: raw bytes over max_chunk_bytes and
+  /// an htype that allows tiling.
+  bool NeedsTiling(const Sample& sample) const;
+  /// Writes each tile of `sample` as a chunk of its own and returns the
+  /// layout naming them.
+  Result<TileLayout> WriteTiles(const Sample& sample);
   Status SealOpenChunk();
   Result<std::shared_ptr<Chunk>> FetchChunk(uint64_t chunk_id);
-  Result<Sample> AssembleTiled(uint64_t index, const TileLayout& layout);
   uint64_t NextChunkId() { return next_chunk_id_++; }
   Status PersistEncoders();
 

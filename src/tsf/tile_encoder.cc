@@ -23,12 +23,18 @@ std::vector<uint64_t> Strides(const TensorShape& shape) {
 
 TensorShape TileLayout::TileShapeAt(
     const std::vector<uint64_t>& coord) const {
-  std::vector<uint64_t> dims(coord.size());
-  for (size_t d = 0; d < coord.size(); ++d) {
-    uint64_t start = coord[d] * tile_dims[d];
-    dims[d] = std::min(tile_dims[d], sample_shape[d] - start);
+  std::vector<uint64_t> dims = TileOrigin(coord);
+  for (size_t d = 0; d < dims.size(); ++d) {
+    dims[d] = std::min(tile_dims[d], sample_shape[d] - dims[d]);
   }
   return TensorShape(std::move(dims));
+}
+
+std::vector<uint64_t> TileLayout::TileOrigin(
+    const std::vector<uint64_t>& coord) const {
+  std::vector<uint64_t> origin(coord.size());
+  for (size_t d = 0; d < coord.size(); ++d) origin[d] = coord[d] * tile_dims[d];
+  return origin;
 }
 
 TileLayout ComputeTileLayout(const TensorShape& shape, size_t dtype_size,
@@ -66,72 +72,45 @@ TileLayout ComputeTileLayout(const TensorShape& shape, size_t dtype_size,
   return layout;
 }
 
-namespace {
-
-/// Copies between the full sample buffer and a tile buffer. `to_tile`
-/// selects direction. Generic n-d odometer over all dims but the last;
-/// the innermost run is contiguous in both buffers.
-void CopyTile(uint8_t* full, const TensorShape& full_shape,
-              size_t dtype_size, const TileLayout& layout,
-              const std::vector<uint64_t>& coord, uint8_t* tile,
-              bool to_tile) {
-  size_t ndim = full_shape.ndim();
-  if (ndim == 0) return;
-  TensorShape tile_shape = layout.TileShapeAt(coord);
-  std::vector<uint64_t> full_strides = Strides(full_shape);
-  std::vector<uint64_t> tile_strides = Strides(tile_shape);
-  std::vector<uint64_t> start(ndim);
-  for (size_t d = 0; d < ndim; ++d) start[d] = coord[d] * layout.tile_dims[d];
-
-  size_t inner = ndim - 1;
-  uint64_t run_elems = tile_shape[inner];
-  uint64_t run_bytes = run_elems * dtype_size;
-
-  // Odometer over tile-local coordinates of dims [0, inner); idx[inner]
-  // stays 0 and the innermost dimension is copied as one contiguous run.
-  std::vector<uint64_t> idx(ndim, 0);
-  while (true) {
-    uint64_t full_off = 0;
-    uint64_t tile_off = 0;
-    for (size_t d = 0; d < ndim; ++d) {
-      full_off += (start[d] + idx[d]) * full_strides[d];
-      tile_off += idx[d] * tile_strides[d];
-    }
-    uint8_t* fp = full + full_off * dtype_size;
-    uint8_t* tp = tile + tile_off * dtype_size;
-    if (to_tile) {
-      std::memcpy(tp, fp, run_bytes);
-    } else {
-      std::memcpy(fp, tp, run_bytes);
-    }
-    if (ndim == 1) break;
-    ptrdiff_t d = static_cast<ptrdiff_t>(inner) - 1;
-    while (d >= 0) {
-      if (++idx[d] < tile_shape[d]) break;
-      idx[d] = 0;
-      --d;
-    }
-    if (d < 0) break;  // all tile rows copied
+bool NextCoord(std::vector<uint64_t>& coord,
+               const std::vector<uint64_t>& extent) {
+  for (size_t d = coord.size(); d-- > 0;) {
+    if (++coord[d] < extent[d]) return true;
+    coord[d] = 0;
   }
+  return false;
 }
 
-}  // namespace
-
-ByteBuffer ExtractTile(const Sample& sample, const TileLayout& layout,
-                       const std::vector<uint64_t>& coord) {
-  TensorShape tile_shape = layout.TileShapeAt(coord);
-  size_t dtype_size = DTypeSize(sample.dtype);
-  ByteBuffer out(tile_shape.NumElements() * dtype_size);
-  CopyTile(const_cast<uint8_t*>(sample.data.data()), sample.shape,
-           dtype_size, layout, coord, out.data(), /*to_tile=*/true);
-  return out;
-}
-
-void PlaceTile(ByteBuffer& assembled, const TensorShape& full_shape,
-               size_t dtype_size, const TileLayout& layout,
-               const std::vector<uint64_t>& coord, ByteView tile) {
-  CopyTile(assembled.data(), full_shape, dtype_size, layout, coord,
-           const_cast<uint8_t*>(tile.data()), /*to_tile=*/false);
+void CopyBox(const uint8_t* src, const TensorShape& src_shape,
+             const std::vector<uint64_t>& src_origin, uint8_t* dst,
+             const TensorShape& dst_shape,
+             const std::vector<uint64_t>& dst_origin,
+             const std::vector<uint64_t>& extent, size_t dtype_size) {
+  size_t ndim = extent.size();
+  for (uint64_t e : extent) {
+    if (e == 0) return;
+  }
+  if (ndim == 0) {  // a scalar is a single element
+    std::memcpy(dst, src, dtype_size);
+    return;
+  }
+  std::vector<uint64_t> src_strides = Strides(src_shape);
+  std::vector<uint64_t> dst_strides = Strides(dst_shape);
+  size_t run_bytes = extent[ndim - 1] * dtype_size;
+  // Odometer over every dimension but the innermost, which is one
+  // contiguous run in both arrays (idx[ndim - 1] stays 0).
+  std::vector<uint64_t> outer = extent;
+  outer.back() = 1;
+  std::vector<uint64_t> idx(ndim, 0);
+  do {
+    uint64_t src_off = 0, dst_off = 0;
+    for (size_t d = 0; d < ndim; ++d) {
+      src_off += (src_origin[d] + idx[d]) * src_strides[d];
+      dst_off += (dst_origin[d] + idx[d]) * dst_strides[d];
+    }
+    std::memcpy(dst + dst_off * dtype_size, src + src_off * dtype_size,
+                run_bytes);
+  } while (NextCoord(idx, outer));
 }
 
 ByteBuffer TileEncoder::Serialize() const {

@@ -5,7 +5,7 @@
 #include <map>
 #include <vector>
 
-#include "tsf/sample.h"
+#include "tsf/shape.h"
 #include "util/bytes.h"
 #include "util/result.h"
 
@@ -28,6 +28,9 @@ struct TileLayout {
 
   /// Shape of the tile at grid coordinate (edge tiles may be smaller).
   TensorShape TileShapeAt(const std::vector<uint64_t>& coord) const;
+
+  /// Sample coordinate of the first element of the tile at `coord`.
+  std::vector<uint64_t> TileOrigin(const std::vector<uint64_t>& coord) const;
 };
 
 /// Computes a tile grid such that each tile's raw bytes stay under
@@ -35,14 +38,22 @@ struct TileLayout {
 TileLayout ComputeTileLayout(const TensorShape& shape, size_t dtype_size,
                              uint64_t max_tile_bytes);
 
-/// Extracts the tile at `coord` from the full sample bytes.
-ByteBuffer ExtractTile(const Sample& sample, const TileLayout& layout,
-                       const std::vector<uint64_t>& coord);
+/// Advances `coord` to the next point of the row-major grid [0, extent).
+/// Returns false (leaving `coord` all zeros) once every point was visited,
+/// so `do { ... } while (NextCoord(coord, extent));` visits each point once,
+/// including the single point of a rank-0 grid.
+bool NextCoord(std::vector<uint64_t>& coord,
+               const std::vector<uint64_t>& extent);
 
-/// Writes `tile` into the right region of `assembled` (full-sample buffer).
-void PlaceTile(ByteBuffer& assembled, const TensorShape& full_shape,
-               size_t dtype_size, const TileLayout& layout,
-               const std::vector<uint64_t>& coord, ByteView tile);
+/// Copies the n-d box of `extent` elements at `src_origin` in the row-major
+/// array `src` (shaped `src_shape`) to `dst_origin` in `dst` (shaped
+/// `dst_shape`), one contiguous innermost run at a time. The caller keeps
+/// the box inside both arrays. A box with a zero extent copies nothing.
+void CopyBox(const uint8_t* src, const TensorShape& src_shape,
+             const std::vector<uint64_t>& src_origin, uint8_t* dst,
+             const TensorShape& dst_shape,
+             const std::vector<uint64_t>& dst_origin,
+             const std::vector<uint64_t>& extent, size_t dtype_size);
 
 /// Per-tensor index of tiled samples: sample index → layout.
 class TileEncoder {

@@ -546,7 +546,11 @@ TEST(ObsIntegrationTest, EpochSpanTimelineCoversWallTime) {
     tsf::TensorOptions img;
     img.htype = "image";
     img.sample_compression = "none";
-    img.max_chunk_bytes = 1 << 14;  // many chunks -> many fetch spans
+    // 64 rows x 192 B = 12 KiB: 1 KiB chunks give 13 loader units (5 rows
+    // each). With one worker and prefetch_units = 1 a unit's fetch starts
+    // only once the consumer has drained the previous unit, so the
+    // consumer stalls on every fetch.
+    img.max_chunk_bytes = 1 << 10;
     ASSERT_TRUE(ds.CreateTensor("images", img).ok());
     for (int i = 0; i < 64; ++i) {
       ByteBuffer pixels(8 * 8 * 3, static_cast<uint8_t>(i));

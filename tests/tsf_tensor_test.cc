@@ -213,6 +213,81 @@ TEST(TensorTest, ReadRegionUntiledCrops) {
       (*tensor)->ReadRegion(0, {45, 0, 0}, {10, 5, 3}).status().IsOutOfRange());
 }
 
+// One untiled (index 0) and one tiled (index 1) sample behind a store
+// that counts Gets.
+std::unique_ptr<Tensor> SmallAndTiled(storage::StoragePtr store) {
+  TensorOptions opts;
+  opts.sample_compression = "none";
+  opts.max_chunk_bytes = 1024;
+  auto tensor = Tensor::Create(store, "t", opts);
+  EXPECT_TRUE(tensor.ok()) << tensor.status();
+  EXPECT_TRUE((*tensor)->Append(Image(4, 5, 1)).ok());    // 60 B
+  EXPECT_TRUE((*tensor)->Append(Image(40, 40, 2)).ok());  // 4800 B: tiled
+  EXPECT_TRUE((*tensor)->Flush().ok());
+  EXPECT_EQ((*tensor)->tile_encoder().num_tiled_samples(), 1u);
+  return std::move(*tensor);
+}
+
+TEST(TensorTest, ReadRegionRejectsBoundsThatWrap) {
+  // starts + sizes wraps to 0 in uint64 arithmetic; the bounds check must
+  // not accept the region (it read before the sample's buffer).
+  auto tensor = SmallAndTiled(Mem());
+  for (uint64_t i : {0, 1}) {
+    auto region = tensor->ReadRegion(i, {UINT64_MAX, 0, 0}, {1, 5, 3});
+    EXPECT_TRUE(region.status().IsOutOfRange()) << i << ": "
+                                                << region.status();
+  }
+}
+
+TEST(TensorTest, ReadRegionOfZeroSizeReadsNothing) {
+  auto store = std::make_shared<storage::InstrumentedStore>(Mem(), "zero");
+  auto tensor = SmallAndTiled(store);
+  uint64_t gets_before = store->gets();
+  for (uint64_t i : {0, 1}) {
+    auto region = tensor->ReadRegion(i, {0, 0, 0}, {0, 5, 3});
+    ASSERT_TRUE(region.ok()) << i << ": " << region.status();
+    EXPECT_EQ(region->shape, (TensorShape{0, 5, 3}));
+    EXPECT_TRUE(region->data.empty());
+  }
+  EXPECT_EQ(store->gets(), gets_before);
+}
+
+TEST(TensorTest, ReadEqualsFullRegion) {
+  auto tensor = SmallAndTiled(Mem());
+  for (uint64_t i : {0, 1}) {
+    auto whole = tensor->Read(i);
+    ASSERT_TRUE(whole.ok()) << whole.status();
+    auto region = tensor->ReadRegion(i, {0, 0, 0}, whole->shape.dims());
+    ASSERT_TRUE(region.ok()) << region.status();
+    EXPECT_EQ(region->shape, whole->shape) << i;
+    EXPECT_EQ(region->data, whole->data) << i;
+  }
+}
+
+TEST(TensorTest, TileOfWrongShapeIsCorruption) {
+  // A stored tile smaller than its layout says must not be copied from: the
+  // copy would read past the tile's buffer.
+  auto store = Mem();
+  auto tensor = SmallAndTiled(store);
+  const TileLayout* layout = tensor->tile_encoder().Get(1);
+  ASSERT_NE(layout, nullptr);
+  ChunkBuilder builder(tensor->meta().dtype, tensor->meta().sample_compression,
+                       tensor->meta().chunk_compression);
+  ASSERT_TRUE(builder.Append(Image(2, 2, 3)).ok());
+  auto obj = builder.Finish();
+  ASSERT_TRUE(obj.ok()) << obj.status();
+  ASSERT_TRUE(
+      store->Put(tensor->ChunkKey(layout->chunk_ids[0]), ByteView(*obj)).ok());
+
+  auto reopened = Tensor::Open(store, "t");
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_TRUE((*reopened)->Read(1).status().IsCorruption());
+  EXPECT_TRUE((*reopened)
+                  ->ReadRegion(1, {0, 0, 0}, {1, 1, 3})
+                  .status()
+                  .IsCorruption());
+}
+
 TEST(TensorTest, UpdateRewritesSampleInPlace) {
   auto store = Mem();
   TensorOptions opts;
@@ -299,6 +374,91 @@ TEST(TensorTest, UpdateContiguousRejectsRangePastEnd) {
   EXPECT_TRUE((*tensor)->UpdateContiguous(3, two).IsOutOfRange());
   EXPECT_TRUE((*tensor)->UpdateContiguous(4, two).IsOutOfRange());
   EXPECT_TRUE((*tensor)->UpdateContiguous(0, {}).ok());  // empty is a no-op
+}
+
+// In-place updates that tile, untile or re-tile a sample. Samples over
+// kMaxChunk raw bytes are tiled.
+class TiledUpdateTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kMaxChunk = 64 * 1024;
+
+  void SetUp() override {
+    TensorOptions opts;
+    opts.htype = "image";
+    opts.sample_compression = "none";
+    opts.max_chunk_bytes = kMaxChunk;
+    auto tensor = Tensor::Create(store_, "t", opts);
+    ASSERT_TRUE(tensor.ok()) << tensor.status();
+    tensor_ = std::move(*tensor);
+    for (const Sample& s : base_) ASSERT_TRUE(tensor_->Append(s).ok());
+    ASSERT_TRUE(tensor_->Flush().ok());
+    ASSERT_TRUE(tensor_->tile_encoder().IsTiled(1));
+  }
+
+  // Checks data, shape and tiling of every sample, in memory and after a
+  // reopen from the store.
+  void ExpectContents(const std::vector<Sample>& want) {
+    Check(*tensor_, want, "in memory");
+    auto reopened = Tensor::Open(store_, "t");
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    Check(**reopened, want, "reopened");
+  }
+
+  static void Check(Tensor& tensor, const std::vector<Sample>& want,
+                    const std::string& label) {
+    ASSERT_EQ(tensor.NumSamples(), want.size()) << label;
+    size_t tiled = 0;
+    for (uint64_t i = 0; i < want.size(); ++i) {
+      auto got = tensor.Read(i);
+      ASSERT_TRUE(got.ok()) << label << " " << i << ": " << got.status();
+      EXPECT_EQ(got->shape, want[i].shape) << label << " " << i;
+      EXPECT_EQ(got->data, want[i].data) << label << " " << i;
+      EXPECT_EQ(*tensor.ShapeAt(i), want[i].shape) << label << " " << i;
+      bool oversized = want[i].nbytes() > kMaxChunk;
+      EXPECT_EQ(tensor.tile_encoder().IsTiled(i), oversized)
+          << label << " " << i;
+      tiled += oversized;
+    }
+    EXPECT_EQ(tensor.tile_encoder().num_tiled_samples(), tiled) << label;
+  }
+
+  storage::StoragePtr store_ = Mem();
+  std::unique_ptr<Tensor> tensor_;
+  std::vector<Sample> base_ = {Image(20, 20, 0), Image(300, 300, 1),
+                               Image(20, 20, 2)};
+};
+
+TEST_F(TiledUpdateTest, SmallToTiled) {
+  Sample big = Image(280, 250, 10);
+  ASSERT_TRUE(tensor_->Update(0, big).ok());
+  ExpectContents({big, base_[1], base_[2]});
+}
+
+TEST_F(TiledUpdateTest, TiledToSmall) {
+  Sample small = Image(16, 24, 11);
+  ASSERT_TRUE(tensor_->Update(1, small).ok());
+  ExpectContents({base_[0], small, base_[2]});
+}
+
+TEST_F(TiledUpdateTest, TiledToTiled) {
+  Sample big = Image(200, 260, 12);
+  ASSERT_TRUE(tensor_->Update(1, big).ok());
+  ExpectContents({base_[0], big, base_[2]});
+}
+
+TEST_F(TiledUpdateTest, SparseWritePastEndTiles) {
+  Sample big = Image(260, 300, 13);
+  ASSERT_TRUE(tensor_->Update(5, big).ok());
+  ASSERT_TRUE(tensor_->Flush().ok());  // the padded tail is appended
+  Sample empty = Sample::EmptyOf(DType::kUInt8);
+  ExpectContents({base_[0], base_[1], base_[2], empty, empty, big});
+}
+
+TEST_F(TiledUpdateTest, ContiguousRangeWithOversizedSample) {
+  std::vector<Sample> batch = {Image(300, 220, 14), Image(18, 18, 15),
+                               Image(22, 20, 16)};
+  ASSERT_TRUE(tensor_->UpdateContiguous(0, batch).ok());
+  ExpectContents(batch);
 }
 
 TEST(TensorTest, SparseOutOfBoundsAssignmentPads) {
