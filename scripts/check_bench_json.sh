@@ -40,7 +40,7 @@ fi
 if command -v python3 >/dev/null 2>&1; then
   for report in "${reports[@]}"; do
   python3 - "$report" <<'PYEOF'
-import json, sys
+import json, os, sys
 
 path = sys.argv[1]
 with open(path) as f:
@@ -104,6 +104,16 @@ if doc["bench"] == "fig7_local_loader":
              f"fig7 must record extra.deeplake_raw.{key} (int >= 0)")
     need(raw.get("legacy_bytes_copied", 0) >= raw.get("bytes_copied", 0),
          "legacy copy emulation must not copy less than the slice path")
+    # resources{} covers only the instrumented deeplake epoch: its CPU time
+    # cannot exceed that epoch's wall time on every core of the machine.
+    wall = dl_stages.get("wall_secs")
+    need(isinstance(wall, (int, float)) and wall > 0,
+         "fig7 must record extra.deeplake.wall_secs (> 0)")
+    cpu_cap = wall * 1e6 * (os.cpu_count() or 1)
+    need(resources["cpu_time_per_epoch_us"] <= cpu_cap,
+         f"resources.cpu_time_per_epoch_us {resources['cpu_time_per_epoch_us']}"
+         f" exceeds wall x cores = {cpu_cap:.0f}us: the window covers more"
+         " than the deeplake epoch")
 print(f"OK: {path} valid "
       f"({len(metrics['counters'])} counters, "
       f"{len(metrics['histograms'])} histograms, "

@@ -15,10 +15,6 @@ namespace dl::version {
 
 namespace {
 
-bool IsTempDebris(std::string_view key) {
-  return key.find(".dltmp.") != std::string_view::npos;
-}
-
 bool IsChunkKey(std::string_view key) {
   return key.find("/chunks/") != std::string_view::npos;
 }
@@ -135,16 +131,12 @@ Result<FsckReport> FsckScan(storage::StoragePtr store) {
     }
   }
 
-  // Object pass: CRC-verify everything that carries a checksum.
-  std::set<std::string> dir_ids;
-  std::set<std::string> dirs_with_keyset;
-  std::set<std::string> dirs_with_record;
-  std::set<std::string> dirs_with_torn_record;
-  std::set<std::string> dirs_with_marker;
-  for (const auto& key : keys) {
-    std::string dir_id = VersionDirIdOf(key);
-    if (!dir_id.empty()) dir_ids.insert(dir_id);
+  // Version directories, read exactly as crash recovery reads them.
+  DL_ASSIGN_OR_RETURN(auto dirs, ReadVersionDirs(*store));
 
+  // Object pass: CRC-verify everything that carries a checksum.
+  std::set<std::string> dirs_with_keyset;
+  for (const auto& key : keys) {
     if (IsTempDebris(key)) {
       AddIssue(&report, FsckIssueKind::kTempDebris, key,
                "leftover atomic-write temp file");
@@ -159,7 +151,7 @@ Result<FsckReport> FsckScan(storage::StoragePtr store) {
     report.objects_scanned++;
     report.bytes_scanned += bytes->size();
 
-    std::string base = BaseName(key);
+    std::string dir_id = VersionDirIdOf(key);
     if (key == VersionControl::kInfoKey) continue;  // checked above
     if (IsChunkKey(key)) {
       auto chunk = tsf::Chunk::Parse(*bytes, /*verify_checksum=*/true);
@@ -169,31 +161,26 @@ Result<FsckReport> FsckScan(storage::StoragePtr store) {
       }
       continue;
     }
-    if (IsJsonManifest(base)) {
-      if (base == "txn.json") {
-        // An MVCC staging marker: its *presence* classifies the directory
-        // (DESIGN.md §12); whether its bytes verify is irrelevant — a torn
-        // marker marks debris just as well.
-        dirs_with_marker.insert(dir_id);
-        continue;
+    // A txn marker's *presence* classifies its directory (DESIGN.md §12);
+    // whether its bytes verify is irrelevant. The commit record was read
+    // with its directory.
+    if (!dir_id.empty() && key == TxnMarkerKey(dir_id)) continue;
+    if (!dir_id.empty() && key == CommitRecordKey(dir_id)) {
+      if (dirs[dir_id].record == RecordState::kTorn) {
+        AddIssue(&report, FsckIssueKind::kTornCommit, key,
+                 "commit record failed verification (crash at the commit "
+                 "point)");
       }
+      continue;
+    }
+    if (IsJsonManifest(BaseName(key))) {
       Status s = CheckManifestBytes(*bytes);
       if (!s.ok()) {
-        if (base == "commit.json") {
-          dirs_with_record.insert(dir_id);
-          dirs_with_torn_record.insert(dir_id);
-          AddIssue(&report, FsckIssueKind::kTornCommit, key,
-                   "commit record failed verification (crash at the commit "
-                   "point): " + s.ToString());
-        } else {
-          AddIssue(&report, FsckIssueKind::kCorruptObject, key,
-                   "manifest failed verification: " + s.ToString());
-        }
-        continue;
+        AddIssue(&report, FsckIssueKind::kCorruptObject, key,
+                 "manifest failed verification: " + s.ToString());
+      } else if (!dir_id.empty() && key == KeySetKey(dir_id)) {
+        dirs_with_keyset.insert(dir_id);
       }
-      if (base == "keyset.json") dirs_with_keyset.insert(dir_id);
-      if (base == "commit.json") dirs_with_record.insert(dir_id);
-      continue;
     }
     // Encoder .bin files and anything else: readability (checked by the
     // Get above) is the guarantee; they carry no independent checksum.
@@ -206,10 +193,9 @@ Result<FsckReport> FsckScan(storage::StoragePtr store) {
   // opposite: a published commit whose marker delete was lost; only the
   // marker itself is debris there.
   std::set<std::string> stale_txn_dirs;
-  for (const auto& id : dirs_with_marker) {
-    bool has_valid_record = dirs_with_record.count(id) > 0 &&
-                            dirs_with_torn_record.count(id) == 0;
-    if (has_valid_record) {
+  for (const auto& [id, dir] : dirs) {
+    if (!dir.has_marker) continue;
+    if (dir.record == RecordState::kValid) {
       AddIssue(&report, FsckIssueKind::kStaleTxn, TxnMarkerKey(id),
                "leftover transaction marker on a published commit");
     } else {
@@ -218,8 +204,8 @@ Result<FsckReport> FsckScan(storage::StoragePtr store) {
   }
   if (!stale_txn_dirs.empty()) {
     // Objects inside a stale staging directory may be arbitrarily torn
-    // (the writer died mid-write); they are deleted wholesale by repair,
-    // so per-object issues there are noise — fold them into one issue.
+    // (the writer died mid-write); recovery deletes them wholesale, so
+    // per-object issues there are noise — fold them into one issue.
     std::vector<FsckIssue> kept;
     for (auto& issue : report.issues) {
       if (stale_txn_dirs.count(VersionDirIdOf(issue.key)) > 0) continue;
@@ -235,21 +221,22 @@ Result<FsckReport> FsckScan(storage::StoragePtr store) {
 
   // Structural pass.
   if (info_ok) {
-    for (const auto& id : dir_ids) {
-      if (known_commits.count(id) == 0 && dirs_with_marker.count(id) == 0) {
+    for (const auto& [id, dir] : dirs) {
+      if (known_commits.count(id) == 0 && !dir.has_marker) {
         AddIssue(&report, FsckIssueKind::kOrphanDir, VersionDir(id),
                  "version directory referenced by no commit");
       }
     }
     for (const auto& id : known_commits) {
-      if (dirs_with_keyset.count(id) == 0 && dir_ids.count(id) > 0) {
+      if (dirs_with_keyset.count(id) == 0 && dirs.count(id) > 0) {
         AddIssue(&report, FsckIssueKind::kMissingKeySet, KeySetKey(id),
                  "commit has objects but no key set (derivable; repair "
                  "rebuilds it)");
       }
     }
     for (const auto& id : committed) {
-      if (dirs_with_record.count(id) == 0) {
+      auto dir = dirs.find(id);
+      if (dir == dirs.end() || dir->second.record == RecordState::kAbsent) {
         AddIssue(&report, FsckIssueKind::kTornCommit, CommitRecordKey(id),
                  "committed per info snapshot but its commit record is "
                  "missing");
@@ -268,19 +255,6 @@ Result<FsckReport> FsckRepair(storage::StoragePtr store) {
       case FsckIssueKind::kTempDebris:
         DL_RETURN_IF_ERROR(store->Delete(issue.key));
         repairs.push_back("deleted temp debris '" + issue.key + "'");
-        break;
-      case FsckIssueKind::kTornCommit:
-        // Discard the torn record: the commit point was never reached, so
-        // recovery rolls the commit back to a working head. (A missing
-        // record with committed info is rewritten by recovery instead.)
-        if (BaseName(issue.key) == "commit.json") {
-          auto exists = store->Exists(issue.key);
-          if (exists.ok() && *exists) {
-            DL_RETURN_IF_ERROR(store->Delete(issue.key));
-            repairs.push_back("rolled back torn commit record '" +
-                              issue.key + "'");
-          }
-        }
         break;
       case FsckIssueKind::kCorruptObject:
         if (IsChunkKey(issue.key)) {
@@ -302,22 +276,16 @@ Result<FsckReport> FsckRepair(storage::StoragePtr store) {
         break;
       }
       case FsckIssueKind::kStaleTxn:
+        // Marker on a published commit: only the marker is debris, and
+        // recovery leaves it alone. An abandoned staging directory is
+        // deleted by the recovery replay below.
         if (BaseName(issue.key) == "txn.json") {
-          // Marker on a published commit: only the marker is debris.
-          auto exists = store->Exists(issue.key);
-          if (exists.ok() && *exists) {
-            DL_RETURN_IF_ERROR(store->Delete(issue.key));
-            repairs.push_back("deleted leftover txn marker '" + issue.key +
-                              "'");
-          }
-        } else {
-          DL_ASSIGN_OR_RETURN(auto keys,
-                              store->ListPrefix(issue.key + "/"));
-          for (const auto& k : keys) DL_RETURN_IF_ERROR(store->Delete(k));
-          repairs.push_back("removed abandoned staged transaction '" +
-                            issue.key + "'");
+          DL_RETURN_IF_ERROR(store->Delete(issue.key));
+          repairs.push_back("deleted leftover txn marker '" + issue.key +
+                            "'");
         }
         break;
+      case FsckIssueKind::kTornCommit:
       case FsckIssueKind::kOrphanDir:
       case FsckIssueKind::kMissingKeySet:
         // Handled by the recovery replay below.
@@ -325,9 +293,10 @@ Result<FsckReport> FsckRepair(storage::StoragePtr store) {
     }
   }
 
-  // Replay crash recovery: rolls incomplete commits back / recorded ones
-  // forward, rebuilds key sets and the info snapshot, removes orphan
-  // directories, and reopens a working head.
+  // Replay crash recovery: drops torn commit records and rolls their
+  // commits back, rolls recorded ones forward, rebuilds key sets and the
+  // info snapshot, removes abandoned staging and orphan directories, and
+  // reopens a working head.
   {
     auto vc = VersionControl::OpenOrInit(store);
     if (!vc.ok()) return vc.status();

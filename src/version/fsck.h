@@ -32,9 +32,10 @@ enum class FsckIssueKind {
   kTempDebris,
   /// Abandoned MVCC staging directory (DESIGN.md §12): carries a txn.json
   /// marker but no valid commit record — debris of a crashed or losing
-  /// writer. Repair deletes the whole directory; nothing in it was ever
-  /// reachable. Also used for a leftover marker on a *published* commit
-  /// (record present), where repair deletes just the marker.
+  /// writer. Repair's recovery replay deletes the whole directory; nothing
+  /// in it was ever reachable. Also used for a leftover marker on a
+  /// *published* commit (record present), where repair deletes just the
+  /// marker.
   kStaleTxn,
 };
 
@@ -60,11 +61,12 @@ struct FsckReport {
 /// Read-only integrity scan. Never modifies the store.
 Result<FsckReport> FsckScan(storage::StoragePtr store);
 
-/// Repairs what a scan finds: deletes temp debris and torn commit records
-/// (rolling the affected commit back), quarantines corrupt chunks under
-/// `lost+found/`, then replays VersionControl's crash recovery (rebuilding
-/// key sets / info, removing orphan directories) and rescans. The returned
-/// report is the POST-repair scan, with `repairs` listing every action.
+/// Repairs what a scan finds: deletes temp debris, corrupt manifests and
+/// leftover txn markers, quarantines corrupt chunks under `lost+found/`,
+/// then replays VersionControl's crash recovery (dropping torn commit
+/// records, removing abandoned staging and orphan directories, rebuilding
+/// key sets / info) and rescans. The returned report is the POST-repair
+/// scan, with `repairs` listing every action.
 Result<FsckReport> FsckRepair(storage::StoragePtr store);
 
 }  // namespace dl::version

@@ -1,16 +1,19 @@
 #ifndef DEEPLAKE_VERSION_LAYOUT_H_
 #define DEEPLAKE_VERSION_LAYOUT_H_
 
+#include <map>
 #include <string>
 #include <string_view>
 
+#include "storage/storage.h"
 #include "util/string_util.h"
+#include "version/version_control.h"
 
 namespace dl::version {
 
 /// On-store layout of the version tree (paper §4.2), shared between
 /// VersionControl and the fsck library so the two never disagree about
-/// where manifests live:
+/// where manifests live or what a version directory's state is:
 ///
 ///   version_control_info.json          tree snapshot (branches, commits)
 ///   versions/<id>/keyset.json          keys written while <id> was head
@@ -49,6 +52,12 @@ inline bool IsVersionManifestName(std::string_view rel_key) {
          rel_key == "commit.json" || rel_key == "txn.json";
 }
 
+/// Temp-file debris from an interrupted atomic rename (PosixStore); never
+/// part of a key set or worth preserving.
+inline bool IsTempDebris(std::string_view key) {
+  return key.find(".dltmp.") != std::string_view::npos;
+}
+
 /// Extracts the commit id from a full key "versions/<id>/..."; empty when
 /// the key is not inside a version directory.
 inline std::string VersionDirIdOf(std::string_view full_key) {
@@ -58,6 +67,31 @@ inline std::string VersionDirIdOf(std::string_view full_key) {
   if (slash == std::string_view::npos || slash == 0) return "";
   return std::string(rest.substr(0, slash));
 }
+
+/// State of a directory's commit record, the commit point (DESIGN.md §9).
+enum class RecordState {
+  kAbsent,  // never written, or dropped by recovery
+  kValid,   // verifies and parses: the commit landed
+  kTorn,    // present but fails verification: the crash hit the commit point
+};
+
+/// One version directory as the commit protocol sees it.
+struct VersionDirState {
+  RecordState record = RecordState::kAbsent;
+  CommitInfo info;          // the record's content when kValid
+  bool has_marker = false;  // txn.json present: an MVCC staging directory
+  bool debris_only = true;  // every object in it is temp debris
+};
+
+/// Lists versions/ once and reads every directory's commit record — the
+/// one reading of the version directories that crash recovery and dlfsck
+/// share. Never writes; fails only on I/O errors.
+Result<std::map<std::string, VersionDirState>> ReadVersionDirs(
+    storage::StorageProvider& store);
+
+/// Deletes every object under versions/<id>/.
+Status DeleteVersionDir(storage::StorageProvider& store,
+                        const std::string& commit_id);
 
 }  // namespace dl::version
 

@@ -195,9 +195,7 @@ Status VersionControl::AbortStagedCommit(const std::string& txn_id) {
   // Delete the staging directory, marker included. Order does not matter:
   // without a commit record the directory is debris regardless of which
   // keys survive a crash here.
-  DL_ASSIGN_OR_RETURN(auto keys, base_->ListPrefix(VersionDir(txn_id) + "/"));
-  for (const auto& k : keys) DL_RETURN_IF_ERROR(base_->Delete(k));
-  return Status::OK();
+  return DeleteVersionDir(*base_, txn_id);
 }
 
 Result<std::string> VersionControl::SealStagedLocked(
@@ -236,33 +234,8 @@ Result<std::string> VersionControl::SealStagedLocked(
           "branch '" + branch + "' has uncommitted working-head changes; "
           "commit or discard them before publishing transactions");
     }
-    it->second.committed = true;
-    it->second.staged = false;
-    it->second.message = message;
-    it->second.branch = branch;
-    it->second.timestamp_us = NowMicros();
   }
-  // Journaled seal (DESIGN.md §9/§12): manifests first, then the commit
-  // record — the single commit point. The txn marker is removed right
-  // before the record, so up to the very last write the directory is
-  // GC-able debris, and after it the commit is fully published.
-  Status js = [&]() -> Status {
-    DL_RETURN_IF_ERROR(PersistKeySet(txn_id));
-    DL_RETURN_IF_ERROR(WriteDiffFile(txn_id));
-    DL_RETURN_IF_ERROR(RemoveTxnMarker(txn_id));
-    return WriteCommitRecord(txn_id);
-  }();
-  if (!js.ok()) {
-    // The record may or may not have landed; put the in-memory state back
-    // to "staged" and let recovery arbitrate on the next open.
-    MutexLock lock(mu_);
-    auto it = commits_.find(txn_id);
-    if (it != commits_.end()) {
-      it->second.committed = false;
-      it->second.staged = true;
-    }
-    return js;
-  }
+  DL_RETURN_IF_ERROR(Seal(txn_id, message));
   {
     // Splice the branch's working head onto the published commit — the
     // same reparenting recovery performs when a publish crashes after its
@@ -396,19 +369,7 @@ Result<std::string> VersionControl::PublishTxn(const std::string& txn_id,
       return tgt_open.status();
     }
     // Tensors created by this transaction.
-    for (const auto& name : src->TensorNames()) {
-      if (tgt->HasTensor(name)) continue;
-      DL_ASSIGN_OR_RETURN(tsf::Tensor * st, src->GetTensor(name));
-      tsf::TensorOptions opts;
-      opts.htype = st->meta().htype.ToString();
-      opts.dtype = std::string(tsf::DTypeName(st->meta().dtype));
-      opts.sample_compression = std::string(
-          compress::CompressionName(st->meta().sample_compression));
-      opts.chunk_compression = std::string(
-          compress::CompressionName(st->meta().chunk_compression));
-      opts.max_chunk_bytes = st->meta().max_chunk_bytes;
-      DL_RETURN_IF_ERROR(tgt->CreateTensor(name, opts).status());
-    }
+    DL_RETURN_IF_ERROR(CopyTensorSchema(*src, *tgt));
     // Rows this transaction appended. If it appended at all, its
     // `_sample_id` footprint overlapped any concurrent appender's, so
     // reaching this point means the intermediate commits appended nothing

@@ -11,16 +11,6 @@
 
 namespace dl::version {
 
-namespace {
-
-/// Temp-file debris from an interrupted atomic rename (PosixStore); never
-/// part of a key set or worth preserving.
-bool IsTempDebris(std::string_view key) {
-  return key.find(".dltmp.") != std::string_view::npos;
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // VersionedStore
 // ---------------------------------------------------------------------------
@@ -184,16 +174,10 @@ Result<std::shared_ptr<VersionControl>> VersionControl::OpenOrInit(
     return vc;
   }
   // Fresh tree: main branch with an empty working commit.
-  std::string root_id = vc->NewCommitId();
-  CommitInfo root;
-  root.id = root_id;
-  root.branch = kDefaultBranch;
-  root.timestamp_us = NowMicros();
-  vc->commits_[root_id] = root;
-  vc->branches_[kDefaultBranch] = root_id;
-  vc->current_branch_ = kDefaultBranch;
-  vc->current_commit_ = root_id;
-  vc->key_sets_[root_id] = {};
+  {
+    MutexLock lock(vc->mu_);
+    vc->OpenWorkingHead("", kDefaultBranch);
+  }
   DL_RETURN_IF_ERROR(vc->Flush());
   return vc;
 }
@@ -202,6 +186,19 @@ std::string VersionControl::NewCommitId() {
   uint64_t entropy =
       Mix64(static_cast<uint64_t>(NowMicros()) ^ (++id_counter_ << 40));
   return Hex64(entropy);
+}
+
+void VersionControl::OpenWorkingHead(std::string parent, std::string branch) {
+  CommitInfo head;
+  head.id = NewCommitId();
+  head.parent = std::move(parent);
+  head.branch = branch;
+  head.timestamp_us = NowMicros();
+  key_sets_[head.id] = {};
+  branches_[branch] = head.id;
+  current_branch_ = std::move(branch);
+  current_commit_ = head.id;
+  commits_[head.id] = std::move(head);
 }
 
 storage::StoragePtr VersionControl::working_store() {
@@ -242,33 +239,11 @@ Result<std::string> VersionControl::Commit(const std::string& message) {
           "cannot commit in detached state; checkout a branch first");
     }
     sealed_id = current_commit_;
-    CommitInfo& info = commits_[sealed_id];
-    info.committed = true;
-    info.message = message;
-    info.timestamp_us = NowMicros();
   }
-  // Journaled commit protocol (DESIGN.md §9): stage every version-dir
-  // manifest first, then write the commit record — its presence is the
-  // single commit point. A crash before the record leaves an uncommitted
-  // working head (old state); a crash after it is rolled forward by
-  // recovery (new state). Nothing in between is observable.
-  DL_RETURN_IF_ERROR(PersistKeySet(sealed_id));
-  DL_RETURN_IF_ERROR(WriteDiffFile(sealed_id));
-  DL_RETURN_IF_ERROR(WriteCommitRecord(sealed_id));
-
-  // Open the next working commit on the branch.
-  std::string next_id = NewCommitId();
+  DL_RETURN_IF_ERROR(Seal(sealed_id, message));
   {
     MutexLock lock(mu_);
-    CommitInfo next;
-    next.id = next_id;
-    next.parent = sealed_id;
-    next.branch = current_branch_;
-    next.timestamp_us = NowMicros();
-    commits_[next_id] = next;
-    branches_[current_branch_] = next_id;
-    key_sets_[next_id] = {};
-    current_commit_ = next_id;
+    OpenWorkingHead(sealed_id, current_branch_);
   }
   DL_RETURN_IF_ERROR(Flush());
   return sealed_id;
@@ -276,60 +251,40 @@ Result<std::string> VersionControl::Commit(const std::string& message) {
 
 Status VersionControl::CheckoutBranch(const std::string& branch,
                                       bool create) {
+  bool dirty = false;
   {
     MutexLock lock(mu_);
     auto it = branches_.find(branch);
-    if (it != branches_.end()) {
-      if (create) {
-        return Status::AlreadyExists("branch '" + branch + "' exists");
-      }
-      current_branch_ = branch;
-      current_commit_ = it->second;
-    } else if (!create) {
+    if (it != branches_.end() && create) {
+      return Status::AlreadyExists("branch '" + branch + "' exists");
+    }
+    if (it == branches_.end() && !create) {
       return Status::NotFound("no branch '" + branch + "'");
     }
-    if (it != branches_.end()) {
-      // fallthrough to persist outside the lock
-      create = false;
+    if (!create) {
+      current_branch_ = branch;
+      current_commit_ = it->second;
+    } else {
+      dirty = !current_branch_.empty() &&
+              !key_sets_[current_commit_].empty() &&
+              !commits_[current_commit_].committed;
     }
   }
-  if (!create) {
-    return Flush();
-  }
+  if (!create) return Flush();
   // Creating a branch from a working commit with writes would let two
   // branches share a mutable directory; seal it first (auto-commit, the
   // behaviour of checkout -b on a dirty working set).
-  bool dirty;
-  {
-    MutexLock lock(mu_);
-    dirty = !current_branch_.empty() && !key_sets_[current_commit_].empty() &&
-            !commits_[current_commit_].committed;
-  }
   if (dirty) {
-    DL_ASSIGN_OR_RETURN(std::string sealed,
-                        Commit("auto commit before branching"));
-    (void)sealed;
+    DL_RETURN_IF_ERROR(Commit("auto commit before branching").status());
   }
   {
     MutexLock lock(mu_);
-    std::string fork_point = current_commit_;
-    // If the working head is empty and uncommitted, fork from its parent so
-    // the two branches do not share the mutable directory.
-    if (!commits_[fork_point].committed) {
-      std::string parent = commits_[fork_point].parent;
-      if (!parent.empty()) fork_point = parent;
-    }
-    std::string id = NewCommitId();
-    CommitInfo info;
-    info.id = id;
-    info.parent = fork_point;
-    info.branch = branch;
-    info.timestamp_us = NowMicros();
-    commits_[id] = info;
-    branches_[branch] = id;
-    key_sets_[id] = {};
-    current_branch_ = branch;
-    current_commit_ = id;
+    // An empty, uncommitted working head forks from its parent so the two
+    // branches do not share the mutable directory.
+    const CommitInfo& fork = commits_[current_commit_];
+    OpenWorkingHead(
+        fork.committed || fork.parent.empty() ? current_commit_ : fork.parent,
+        branch);
   }
   return PersistInfo();
 }
@@ -535,27 +490,20 @@ Status VersionControl::RebuildKeySet(const std::string& commit_id) {
   return PersistKeySet(commit_id);
 }
 
-Status VersionControl::LoadAllKeySets() {
-  std::vector<std::string> ids;
+Status VersionControl::LoadOrRebuildKeySet(const std::string& commit_id) {
+  Status s = LoadKeySet(commit_id);
+  if (s.ok()) return s;
+  if (!s.IsNotFound() && !s.IsCorruption() && !s.IsInvalidArgument()) {
+    return s;
+  }
+  if (!s.IsNotFound()) recovery_.corrupt_manifests++;
+  DL_RETURN_IF_ERROR(RebuildKeySet(commit_id));
+  bool non_empty;
   {
     MutexLock lock(mu_);
-    for (const auto& [id, info] : commits_) ids.push_back(id);
+    non_empty = !key_sets_[commit_id].empty();
   }
-  for (const auto& id : ids) {
-    Status s = LoadKeySet(id);
-    if (s.ok()) continue;
-    if (!s.IsNotFound() && !s.IsCorruption() && !s.IsInvalidArgument()) {
-      return s;
-    }
-    if (!s.IsNotFound()) recovery_.corrupt_manifests++;
-    DL_RETURN_IF_ERROR(RebuildKeySet(id));
-    bool non_empty;
-    {
-      MutexLock lock(mu_);
-      non_empty = !key_sets_[id].empty();
-    }
-    if (!s.IsNotFound() || non_empty) recovery_.keysets_rebuilt++;
-  }
+  if (!s.IsNotFound() || non_empty) recovery_.keysets_rebuilt++;
   return Status::OK();
 }
 
@@ -577,22 +525,76 @@ Status VersionControl::WriteCommitRecord(const std::string& commit_id) {
   return PutManifest(CommitRecordKey(commit_id), j);
 }
 
-bool VersionControl::HasTxnMarker(const std::string& commit_id) {
-  auto exists = base_->Exists(TxnMarkerKey(commit_id));
-  return exists.ok() && *exists;
+Status VersionControl::Seal(const std::string& id,
+                            const std::string& message) {
+  CommitInfo before;
+  {
+    MutexLock lock(mu_);
+    CommitInfo& info = commits_[id];
+    before = info;
+    info.committed = true;
+    info.staged = false;
+    info.message = message;
+    info.timestamp_us = NowMicros();
+  }
+  // Journaled seal (DESIGN.md §9.3, §12.2): stage every version-dir
+  // manifest first, then write the commit record — its presence is the
+  // single commit point. A staged commit's txn marker goes right before
+  // the record, so up to the last write its directory is GC-able debris.
+  // A crash before the record leaves the old state; a crash after it is
+  // rolled forward by recovery. Nothing in between is observable.
+  Status s = [&]() -> Status {
+    DL_RETURN_IF_ERROR(PersistKeySet(id));
+    DL_RETURN_IF_ERROR(WriteDiffFile(id));
+    if (before.staged) DL_RETURN_IF_ERROR(RemoveTxnMarker(id));
+    return WriteCommitRecord(id);
+  }();
+  if (!s.ok()) {
+    // The record may or may not have landed; recovery arbitrates on the
+    // next open. In memory the commit stays what it was.
+    MutexLock lock(mu_);
+    commits_[id] = std::move(before);
+  }
+  return s;
 }
 
-Result<CommitInfo> VersionControl::ReadCommitRecord(
-    const std::string& commit_id) {
-  DL_ASSIGN_OR_RETURN(Json j, ReadManifest(CommitRecordKey(commit_id)));
-  CommitInfo info;
-  info.id = commit_id;
-  info.parent = j.Get("parent").as_string();
-  info.branch = j.Get("branch").as_string();
-  info.message = j.Get("message").as_string();
-  info.committed = true;
-  info.timestamp_us = j.Get("timestamp_us").as_int(0);
-  return info;
+Result<std::map<std::string, VersionDirState>> ReadVersionDirs(
+    storage::StorageProvider& store) {
+  DL_ASSIGN_OR_RETURN(auto keys, store.ListPrefix(kVersionsPrefix));
+  std::map<std::string, VersionDirState> dirs;
+  for (const auto& k : keys) {
+    std::string id = VersionDirIdOf(k);
+    if (id.empty()) continue;
+    VersionDirState& dir = dirs[id];
+    if (k == TxnMarkerKey(id)) dir.has_marker = true;
+    if (!IsTempDebris(k)) dir.debris_only = false;
+  }
+  for (auto& [id, dir] : dirs) {
+    auto payload = storage::GetVerified(store, CommitRecordKey(id));
+    Result<Json> j = payload.ok() ? Json::Parse(payload->ToStringView())
+                                  : Result<Json>(payload.status());
+    if (j.ok()) {
+      dir.record = RecordState::kValid;
+      dir.info.id = id;
+      dir.info.parent = j->Get("parent").as_string();
+      dir.info.branch = j->Get("branch").as_string();
+      dir.info.message = j->Get("message").as_string();
+      dir.info.committed = true;
+      dir.info.timestamp_us = j->Get("timestamp_us").as_int(0);
+    } else if (j.status().IsCorruption() || j.status().IsInvalidArgument()) {
+      dir.record = RecordState::kTorn;
+    } else if (!j.status().IsNotFound()) {
+      return j.status();
+    }
+  }
+  return dirs;
+}
+
+Status DeleteVersionDir(storage::StorageProvider& store,
+                        const std::string& commit_id) {
+  DL_ASSIGN_OR_RETURN(auto keys, store.ListPrefix(VersionDir(commit_id) + "/"));
+  for (const auto& k : keys) DL_RETURN_IF_ERROR(store.Delete(k));
+  return Status::OK();
 }
 
 Status VersionControl::Open() {
@@ -607,7 +609,12 @@ Status VersionControl::Open() {
     if (s.IsCorruption()) recovery_.corrupt_manifests++;
     DL_RETURN_IF_ERROR(RebuildInfoFromRecords());
   }
-  DL_RETURN_IF_ERROR(LoadAllKeySets());
+  std::vector<std::string> ids;
+  {
+    MutexLock lock(mu_);
+    for (const auto& [id, info] : commits_) ids.push_back(id);
+  }
+  for (const auto& id : ids) DL_RETURN_IF_ERROR(LoadOrRebuildKeySet(id));
   DL_RETURN_IF_ERROR(Recover());
   if (recovery_.any()) DL_RETURN_IF_ERROR(Flush());
   return Status::OK();
@@ -615,32 +622,18 @@ Status VersionControl::Open() {
 
 Status VersionControl::RebuildInfoFromRecords() {
   recovery_.info_rebuilt = true;
-  DL_ASSIGN_OR_RETURN(auto all_keys, base_->ListPrefix(kVersionsPrefix));
-  std::set<std::string> dir_ids;
-  for (const auto& k : all_keys) {
-    std::string id = VersionDirIdOf(k);
-    if (!id.empty() && !IsTempDebris(k)) dir_ids.insert(std::move(id));
-  }
-
+  DL_ASSIGN_OR_RETURN(auto dirs, ReadVersionDirs(*base_));
   std::map<std::string, CommitInfo> commits;
   std::vector<std::string> recordless;
-  for (const auto& id : dir_ids) {
-    auto rec = ReadCommitRecord(id);
-    if (rec.ok()) {
-      commits[id] = *rec;
-      continue;
+  for (const auto& [id, dir] : dirs) {
+    if (dir.record == RecordState::kValid) {
+      commits[id] = dir.info;
+    } else if (!dir.has_marker && !dir.debris_only) {
+      // Recover() drops a torn record. A txn.json marker proves the
+      // directory is MVCC staging debris, never a legacy working head:
+      // leave it out of the adoption candidates so Recover() GCs it.
+      recordless.push_back(id);
     }
-    if (rec.status().IsCorruption()) {
-      // Torn record: the commit point never durably landed — roll back.
-      recovery_.corrupt_manifests++;
-      recovery_.commits_rolled_back++;
-      DL_RETURN_IF_ERROR(base_->Delete(CommitRecordKey(id)));
-    }
-    // A txn.json marker proves the directory is MVCC staging debris, never
-    // a legacy working head: leave it out of the adoption candidates so
-    // Recover()'s stale-transaction pass garbage-collects it.
-    if (HasTxnMarker(id)) continue;
-    recordless.push_back(id);
   }
 
   // Branch heads: per branch, the committed record no other record on the
@@ -666,204 +659,134 @@ Status VersionControl::RebuildInfoFromRecords() {
   }
 
   MutexLock lock(mu_);
-  commits_.clear();
+  commits_ = std::move(commits);
   branches_ = std::move(branches);
-  for (const auto& [id, info] : commits) commits_[id] = info;
   current_branch_ = branches_.count(kDefaultBranch) > 0
                         ? std::string(kDefaultBranch)
                         : (branches_.empty() ? std::string(kDefaultBranch)
                                              : branches_.begin()->first);
+  auto hit = branches_.find(current_branch_);
+  current_commit_ = hit == branches_.end() ? "" : hit->second;
   if (recordless.size() == 1) {
     // Exactly one recordless directory: the crashed tree's working head.
     // Adopt it onto the current branch so its staged writes stay reachable.
     const std::string& id = recordless.front();
     CommitInfo info;
     info.id = id;
-    auto hit = branches_.find(current_branch_);
-    info.parent = hit == branches_.end() ? "" : hit->second;
+    info.parent = current_commit_;
     info.branch = current_branch_;
     info.timestamp_us = NowMicros();
     commits_[id] = info;
     branches_[current_branch_] = id;
     current_commit_ = id;
-  } else {
-    // Zero or ambiguous: point at the branch head; Recover() opens a fresh
-    // working child and quarantines the unplaceable directories.
-    auto hit = branches_.find(current_branch_);
-    current_commit_ = hit == branches_.end() ? "" : hit->second;
   }
+  // Zero or ambiguous: the branch head stays current; Recover() opens a
+  // fresh working child and quarantines the unplaceable directories.
   return Status::OK();
 }
 
 Status VersionControl::Recover() {
-  DL_ASSIGN_OR_RETURN(auto all_keys, base_->ListPrefix(kVersionsPrefix));
-  std::set<std::string> dir_ids;
-  for (const auto& k : all_keys) {
-    std::string id = VersionDirIdOf(k);
-    if (!id.empty()) dir_ids.insert(std::move(id));
-  }
-
+  DL_ASSIGN_OR_RETURN(auto dirs, ReadVersionDirs(*base_));
   std::map<std::string, bool> known;  // id -> committed, per the snapshot
   {
     MutexLock lock(mu_);
     for (const auto& [id, info] : commits_) known[id] = info.committed;
   }
 
-  // Reconcile every known commit with its on-store record. The record is
-  // the commit point: valid record wins over a stale snapshot (roll
-  // forward); torn record means the point was never reached (roll back).
+  // A torn record means the commit point was never reached: drop it and
+  // roll the commit back — unless the snapshot had already absorbed the
+  // commit, which makes the record the damaged copy (rewritten below).
+  for (auto& [id, dir] : dirs) {
+    if (dir.record != RecordState::kTorn) continue;
+    recovery_.corrupt_manifests++;
+    DL_RETURN_IF_ERROR(base_->Delete(CommitRecordKey(id)));
+    dir.record = RecordState::kAbsent;
+    auto k = known.find(id);
+    if (k == known.end() || !k->second) recovery_.commits_rolled_back++;
+  }
+
+  // Reconcile every known commit with its record, the commit point: a
+  // valid record wins over a stale snapshot (roll forward); a commit the
+  // snapshot calls committed but that has no record (a legacy tree, or the
+  // torn copy dropped above) gets its record restored from the snapshot.
+  // Uncommitted with no record is a normal working head.
   for (const auto& [id, committed] : known) {
-    auto rec = ReadCommitRecord(id);
-    if (rec.ok()) {
-      if (!committed) {
-        MutexLock lock(mu_);
-        CommitInfo& info = commits_[id];
-        info.committed = true;
-        info.message = rec->message;
-        info.timestamp_us = rec->timestamp_us;
-        if (info.branch.empty()) info.branch = rec->branch;
-        recovery_.commits_rolled_forward++;
-      }
+    auto d = dirs.find(id);
+    if (d == dirs.end() || d->second.record != RecordState::kValid) {
+      if (committed) DL_RETURN_IF_ERROR(WriteCommitRecord(id));
       continue;
     }
-    if (rec.status().IsCorruption() || rec.status().IsInvalidArgument()) {
-      recovery_.corrupt_manifests++;
-      DL_RETURN_IF_ERROR(base_->Delete(CommitRecordKey(id)));
-      if (committed) {
-        // The snapshot had already absorbed this commit, so it IS
-        // committed; the record is the damaged copy — rewrite it.
-        DL_RETURN_IF_ERROR(WriteCommitRecord(id));
-      } else {
-        recovery_.commits_rolled_back++;
-      }
-      continue;
-    }
-    if (!rec.status().IsNotFound()) return rec.status();
-    if (committed) {
-      // Legacy tree predating commit records (or a lost record): restore
-      // the durable commit point from the snapshot.
-      DL_RETURN_IF_ERROR(WriteCommitRecord(id));
-    }
-    // Uncommitted with no record: a normal working head.
-  }
-
-  // Commits whose record landed but whose id the info snapshot has never
-  // seen: a published transaction that crashed after its commit point and
-  // before the info flush (DESIGN.md §12). The record is the commit point,
-  // so adopt the commit and splice the branch's unsealed working head onto
-  // it — exactly what the publish would have done.
-  for (const auto& id : dir_ids) {
-    {
-      MutexLock lock(mu_);
-      if (commits_.count(id) > 0) continue;
-    }
-    auto rec = ReadCommitRecord(id);
-    if (!rec.ok()) {
-      if (rec.status().IsCorruption() || rec.status().IsInvalidArgument()) {
-        // Torn record on an unknown directory: the commit point never
-        // landed. Drop the record; the directory is classified below
-        // (staged-txn debris or orphan).
-        recovery_.corrupt_manifests++;
-        recovery_.commits_rolled_back++;
-        DL_RETURN_IF_ERROR(base_->Delete(CommitRecordKey(id)));
-      } else if (!rec.status().IsNotFound()) {
-        return rec.status();
-      }
-      continue;
-    }
-    {
-      MutexLock lock(mu_);
-      CommitInfo info = *rec;
-      std::string branch =
-          info.branch.empty() ? std::string(kDefaultBranch) : info.branch;
-      commits_[id] = info;
-      auto bit = branches_.find(branch);
-      if (bit != branches_.end()) {
-        auto wit = commits_.find(bit->second);
-        if (wit != commits_.end() && !wit->second.committed &&
-            wit->second.parent == info.parent) {
-          wit->second.parent = id;
-        }
-      } else {
-        branches_[branch] = id;
-      }
-    }
+    if (committed) continue;
+    const CommitInfo& rec = d->second.info;
+    MutexLock lock(mu_);
+    CommitInfo& info = commits_[id];
+    info.committed = true;
+    info.message = rec.message;
+    info.timestamp_us = rec.timestamp_us;
+    if (info.branch.empty()) info.branch = rec.branch;
     recovery_.commits_rolled_forward++;
-    // The keyset lands before the record in the journal order; load it so
-    // the adopted commit's objects resolve through the chain.
-    Status ks = LoadKeySet(id);
-    if (!ks.ok()) {
-      if (!ks.IsNotFound() && !ks.IsCorruption() &&
-          !ks.IsInvalidArgument()) {
-        return ks;
-      }
-      if (!ks.IsNotFound()) recovery_.corrupt_manifests++;
-      DL_RETURN_IF_ERROR(RebuildKeySet(id));
-      recovery_.keysets_rebuilt++;
-    }
   }
 
-  // Version directories no commit references: the half-created next head
-  // of a crashed Commit, or the staging directory of a crashed / losing
-  // writer. A txn.json marker proves the latter — safe to GC even after an
-  // info rebuild, since a marked directory was never a working head.
-  // Unmarked dirs are provably unreachable only when the snapshot loaded
-  // cleanly — delete; after an info rebuild quarantine (dlfsck reports
-  // them) instead.
-  for (const auto& id : dir_ids) {
-    bool referenced;
-    {
-      MutexLock lock(mu_);
-      referenced = commits_.count(id) > 0;
-    }
-    if (referenced) continue;
-    if (HasTxnMarker(id)) {
-      DL_ASSIGN_OR_RETURN(auto keys,
-                          base_->ListPrefix(VersionDir(id) + "/"));
-      for (const auto& k : keys) DL_RETURN_IF_ERROR(base_->Delete(k));
+  // Directories the snapshot has never seen.
+  for (const auto& [id, dir] : dirs) {
+    if (known.count(id) > 0) continue;
+    if (dir.record == RecordState::kValid) {
+      // A published transaction that crashed after its commit point and
+      // before the info flush (DESIGN.md §12). The record is the commit
+      // point, so adopt the commit and splice the branch's unsealed working
+      // head onto it — exactly what the publish would have done.
+      {
+        MutexLock lock(mu_);
+        const CommitInfo& info = dir.info;
+        std::string branch =
+            info.branch.empty() ? std::string(kDefaultBranch) : info.branch;
+        commits_[id] = info;
+        auto bit = branches_.find(branch);
+        if (bit != branches_.end()) {
+          auto wit = commits_.find(bit->second);
+          if (wit != commits_.end() && !wit->second.committed &&
+              wit->second.parent == info.parent) {
+            wit->second.parent = id;
+          }
+        } else {
+          branches_[branch] = id;
+        }
+      }
+      recovery_.commits_rolled_forward++;
+      // The keyset lands before the record in the journal order; load it
+      // so the adopted commit's objects resolve through the chain.
+      DL_RETURN_IF_ERROR(LoadOrRebuildKeySet(id));
+    } else if (dir.has_marker) {
+      // The staging directory of a crashed or losing writer: a txn.json
+      // marker proves it was never a working head, so it is GC-able even
+      // after an info rebuild.
+      DL_RETURN_IF_ERROR(DeleteVersionDir(*base_, id));
       recovery_.stale_txns_removed++;
-      continue;
-    }
-    if (recovery_.info_rebuilt) {
+    } else if (recovery_.info_rebuilt) {
+      // Unplaceable after an info rebuild: "unreferenced" cannot be proven,
+      // so leave it in place (dlfsck reports it).
       recovery_.dirs_quarantined++;
-      continue;
+    } else {
+      // The half-created next head of a crashed Commit: provably
+      // unreachable under a cleanly loaded snapshot.
+      DL_RETURN_IF_ERROR(DeleteVersionDir(*base_, id));
+      recovery_.orphan_dirs_removed++;
     }
-    DL_ASSIGN_OR_RETURN(auto keys, base_->ListPrefix(VersionDir(id) + "/"));
-    for (const auto& k : keys) DL_RETURN_IF_ERROR(base_->Delete(k));
-    recovery_.orphan_dirs_removed++;
   }
 
   // The tree must end on an uncommitted working head. After a roll-forward
   // the old head is sealed; open a fresh child exactly as Commit() would
   // have.
-  bool need_new_head = false;
-  {
-    MutexLock lock(mu_);
-    if (current_commit_.empty() || commits_.count(current_commit_) == 0) {
-      if (current_branch_.empty()) current_branch_ = kDefaultBranch;
-      auto it = branches_.find(current_branch_);
-      if (it != branches_.end() && commits_.count(it->second) > 0) {
-        current_commit_ = it->second;
-      } else {
-        current_commit_.clear();
-      }
-    }
-    need_new_head =
-        current_commit_.empty() ||
-        (!current_branch_.empty() && commits_[current_commit_].committed);
+  MutexLock lock(mu_);
+  if (current_commit_.empty() || commits_.count(current_commit_) == 0) {
+    if (current_branch_.empty()) current_branch_ = kDefaultBranch;
+    auto it = branches_.find(current_branch_);
+    bool has_head = it != branches_.end() && commits_.count(it->second) > 0;
+    current_commit_ = has_head ? it->second : "";
   }
-  if (need_new_head) {
-    std::string next_id = NewCommitId();
-    MutexLock lock(mu_);
-    CommitInfo next;
-    next.id = next_id;
-    next.parent = current_commit_;  // may be empty: fresh root
-    next.branch = current_branch_;
-    next.timestamp_us = NowMicros();
-    commits_[next_id] = next;
-    branches_[current_branch_] = next_id;
-    key_sets_[next_id] = {};
-    current_commit_ = next_id;
+  if (current_commit_.empty() ||
+      (!current_branch_.empty() && commits_[current_commit_].committed)) {
+    OpenWorkingHead(current_commit_, current_branch_);  // parent may be empty
   }
   return Status::OK();
 }
@@ -986,6 +909,25 @@ Status VersionControl::WriteDiffFile(const std::string& commit_id) {
 // Merge
 // ---------------------------------------------------------------------------
 
+Status VersionControl::CopyTensorSchema(tsf::Dataset& src,
+                                        tsf::Dataset& dst) {
+  for (const auto& name : src.TensorNames()) {
+    if (dst.HasTensor(name)) continue;
+    DL_ASSIGN_OR_RETURN(tsf::Tensor * st, src.GetTensor(name));
+    const tsf::TensorMeta& meta = st->meta();
+    tsf::TensorOptions opts;
+    opts.htype = meta.htype.ToString();
+    opts.dtype = std::string(tsf::DTypeName(meta.dtype));
+    opts.sample_compression =
+        std::string(compress::CompressionName(meta.sample_compression));
+    opts.chunk_compression =
+        std::string(compress::CompressionName(meta.chunk_compression));
+    opts.max_chunk_bytes = meta.max_chunk_bytes;
+    DL_RETURN_IF_ERROR(dst.CreateTensor(name, opts).status());
+  }
+  return Status::OK();
+}
+
 Result<MergeStats> VersionControl::Merge(const std::string& source_branch,
                                          MergePolicy policy) {
   std::string source_head;
@@ -1008,19 +950,7 @@ Result<MergeStats> VersionControl::Merge(const std::string& source_branch,
   DL_ASSIGN_OR_RETURN(auto tgt, tsf::Dataset::Open(working_store()));
 
   // Create tensors that only exist on the source branch.
-  for (const auto& name : src->TensorNames()) {
-    if (tgt->HasTensor(name)) continue;
-    DL_ASSIGN_OR_RETURN(tsf::Tensor * st, src->GetTensor(name));
-    tsf::TensorOptions opts;
-    opts.htype = st->meta().htype.ToString();
-    opts.dtype = std::string(tsf::DTypeName(st->meta().dtype));
-    opts.sample_compression =
-        std::string(compress::CompressionName(st->meta().sample_compression));
-    opts.chunk_compression =
-        std::string(compress::CompressionName(st->meta().chunk_compression));
-    opts.max_chunk_bytes = st->meta().max_chunk_bytes;
-    DL_RETURN_IF_ERROR(tgt->CreateTensor(name, opts).status());
-  }
+  DL_RETURN_IF_ERROR(CopyTensorSchema(*src, *tgt));
 
   // Index target rows by sample id.
   MergeStats stats;

@@ -188,6 +188,10 @@ class VersionControl
       : base_(std::move(base)) {}
 
   std::string NewCommitId();
+  /// Opens a fresh, empty working head on `branch` after `parent` (empty
+  /// for a root) and checks it out. In memory only; callers persist.
+  void OpenWorkingHead(std::string parent, std::string branch)
+      DL_REQUIRES(mu_);
   /// Loads existing state and runs crash recovery (DESIGN.md §9).
   Status Open() DL_EXCLUDES(mu_);
   Status LoadInfo() DL_EXCLUDES(mu_);
@@ -198,6 +202,9 @@ class VersionControl
   std::vector<std::string> Chain(const std::string& commit_id) const
       DL_REQUIRES(mu_);
   Status WriteDiffFile(const std::string& commit_id) DL_EXCLUDES(mu_);
+  /// Creates in `dst` every tensor of `src` that `dst` lacks, with the same
+  /// htype, dtype, compressions and chunk bound (Merge and rebase replay).
+  static Status CopyTensorSchema(tsf::Dataset& src, tsf::Dataset& dst);
 
   // ---- Journaled commit protocol (DESIGN.md §9) ----
 
@@ -208,12 +215,17 @@ class VersionControl
   Result<Json> ReadManifest(const std::string& key);
   /// Writes versions/<id>/commit.json — the single commit point.
   Status WriteCommitRecord(const std::string& commit_id) DL_EXCLUDES(mu_);
-  Result<CommitInfo> ReadCommitRecord(const std::string& commit_id);
+  /// The journaled seal of commit `id`, working head or staged: marks it
+  /// committed with `message`, then writes keyset → diff → (staged only:
+  /// delete txn.json) → commit record. On failure the in-memory CommitInfo
+  /// is restored, so a failed seal never looks committed.
+  Status Seal(const std::string& id, const std::string& message)
+      DL_REQUIRES(publish_mu_) DL_EXCLUDES(mu_);
   /// Reconstructs a commit's key set from its directory listing (minus
   /// manifests); used when keyset.json is missing or corrupt.
   Status RebuildKeySet(const std::string& commit_id) DL_EXCLUDES(mu_);
-  /// Loads (or rebuilds) the key set of every known commit.
-  Status LoadAllKeySets() DL_EXCLUDES(mu_);
+  /// Loads a commit's key set, rebuilding it when missing or corrupt.
+  Status LoadOrRebuildKeySet(const std::string& commit_id) DL_EXCLUDES(mu_);
   /// Reconstructs branches/commits from per-commit records after the info
   /// snapshot was lost or torn.
   Status RebuildInfoFromRecords() DL_EXCLUDES(mu_);
@@ -224,9 +236,6 @@ class VersionControl
   // ---- Optimistic concurrent commits (DESIGN.md §12, defined in mvcc.cc).
   // WriteTxn is the public face; these run the protocol.
 
-  /// True when versions/<id>/txn.json exists — the directory is (or was)
-  /// a private MVCC staging commit, never a legacy working head.
-  bool HasTxnMarker(const std::string& commit_id);
   /// Creates a staged commit whose parent is `branch`'s sealed head and
   /// writes its txn.json marker. Returns the staging commit id.
   Result<std::string> BeginStagedCommit(const std::string& branch,
@@ -247,9 +256,9 @@ class VersionControl
   /// Drops a staged commit: erases it from the in-memory maps and deletes
   /// its directory (marker included). Idempotent.
   Status AbortStagedCommit(const std::string& txn_id) DL_EXCLUDES(mu_);
-  /// Fast-path seal under publish_mu_: keyset + diff + commit record for
-  /// the staged commit (whose parent must be the branch's sealed head),
-  /// then reparents the branch's unsealed working head onto it.
+  /// Fast-path publish under publish_mu_: seals the staged commit (whose
+  /// parent must be the branch's sealed head), then reparents the
+  /// branch's unsealed working head onto it.
   Result<std::string> SealStagedLocked(const std::string& txn_id,
                                        const std::string& branch,
                                        const std::string& message)

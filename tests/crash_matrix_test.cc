@@ -9,13 +9,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "storage/storage.h"
 #include "tsf/dataset.h"
 #include "version/fsck.h"
+#include "version/layout.h"
+#include "version/mvcc.h"
 #include "version/version_control.h"
 
 namespace dl {
@@ -25,6 +30,7 @@ using storage::CrashMode;
 using storage::CrashModeName;
 using storage::CrashPointStore;
 using storage::MemoryStore;
+using storage::StorageProvider;
 using storage::StoragePtr;
 using tsf::Dataset;
 using tsf::DType;
@@ -33,7 +39,9 @@ using tsf::TensorOptions;
 using version::FsckIssueKind;
 using version::FsckRepair;
 using version::FsckScan;
+using version::RecoveryReport;
 using version::VersionControl;
+using version::WriteTxn;
 
 constexpr uint64_t kSeedRows = 5;
 constexpr uint64_t kNewRows = 7;
@@ -238,6 +246,313 @@ TEST(CrashMatrixTest, DuplicateModeLandsWriteButReportsFailure) {
   auto v = base->Get("k");
   ASSERT_TRUE(v.ok()) << v.status();
   EXPECT_EQ(ByteView(*v).ToStringView(), "v");
+}
+
+// ---------------------------------------------------------------------------
+// What recovery reports, one case per debris shape (DESIGN.md §9.3, §12.4).
+// Each case plants one shape in a seed image and checks three views of it:
+// the RecoveryReport of a plain reopen, the issue kinds of a dlfsck scan,
+// and a clean scan after dlfsck repair (which a later open leaves alone).
+// ---------------------------------------------------------------------------
+
+std::string Describe(const RecoveryReport& r) {
+  return "rolled_back=" + std::to_string(r.commits_rolled_back) +
+         " rolled_forward=" + std::to_string(r.commits_rolled_forward) +
+         " keysets_rebuilt=" + std::to_string(r.keysets_rebuilt) +
+         " orphans_removed=" + std::to_string(r.orphan_dirs_removed) +
+         " quarantined=" + std::to_string(r.dirs_quarantined) +
+         " corrupt=" + std::to_string(r.corrupt_manifests) +
+         " info_rebuilt=" + std::to_string(r.info_rebuilt) +
+         " stale_txns=" + std::to_string(r.stale_txns_removed);
+}
+
+std::multiset<std::string> IssueKinds(const version::FsckReport& report) {
+  std::multiset<std::string> kinds;
+  for (const auto& i : report.issues) {
+    kinds.insert(version::FsckIssueKindName(i.kind));
+  }
+  return kinds;
+}
+
+void CheckDebris(StoragePtr image, const RecoveryReport& want,
+                 const std::multiset<std::string>& want_kinds) {
+  auto vc = VersionControl::OpenOrInit(CloneImage(*image));
+  ASSERT_TRUE(vc.ok()) << vc.status();
+  EXPECT_EQ(Describe((*vc)->last_recovery()), Describe(want));
+
+  auto scan = FsckScan(image);
+  ASSERT_TRUE(scan.ok()) << scan.status();
+  EXPECT_EQ(IssueKinds(*scan), want_kinds);
+  auto repaired = FsckRepair(image);
+  ASSERT_TRUE(repaired.ok()) << repaired.status();
+  EXPECT_TRUE(repaired->clean())
+      << repaired->issues.size() << " issue(s) left, first: "
+      << repaired->issues.front().key;
+  auto after = VersionControl::OpenOrInit(image);
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_FALSE((*after)->last_recovery().any())
+      << Describe((*after)->last_recovery());
+}
+
+struct SeedIds {
+  std::string sealed;  // the seed's one sealed commit
+  std::string head;    // its empty working head
+};
+
+SeedIds IdsOf(StoragePtr image) {
+  auto vc = VersionControl::OpenOrInit(image).MoveValue();
+  return {vc->SealedHead().MoveValue(), vc->current_commit()};
+}
+
+std::string Read(StorageProvider& store, const std::string& key) {
+  auto bytes = store.Get(key);
+  EXPECT_TRUE(bytes.ok()) << key << ": " << bytes.status();
+  return bytes.ok() ? std::string(ByteView(*bytes).ToStringView()) : "";
+}
+
+void Write(StorageProvider& store, const std::string& key,
+           std::string_view value) {
+  ASSERT_TRUE(store.Put(key, ByteView(value)).ok());
+}
+
+/// Replaces `key` with the first half of its bytes: a write torn mid-way.
+void Tear(StorageProvider& store, const std::string& key) {
+  std::string bytes = Read(store, key);
+  Write(store, key, std::string_view(bytes).substr(0, bytes.size() / 2));
+}
+
+constexpr char kStrayDir[] = "00000000deadbeef";
+
+TEST(RecoveryReportTest, TornRecordOnWorkingHead) {
+  StoragePtr image = BuildSeed();
+  SeedIds ids = IdsOf(image);
+  std::string record = Read(*image, version::CommitRecordKey(ids.sealed));
+  Write(*image, version::CommitRecordKey(ids.head),
+        std::string_view(record).substr(0, record.size() / 2));
+  CheckDebris(image, {.commits_rolled_back = 1, .corrupt_manifests = 1},
+              {"torn-commit"});
+}
+
+TEST(RecoveryReportTest, ValidRecordNotYetAbsorbed) {
+  // The commit crashed after its record and the next head's key set, but
+  // before the info snapshot: the snapshot still names the old head.
+  StoragePtr image = BuildSeed();
+  std::string old_info = Read(*image, VersionControl::kInfoKey);
+  ASSERT_TRUE(RunWorkload(image).ok());
+  Write(*image, VersionControl::kInfoKey, old_info);
+  CheckDebris(image, {.commits_rolled_forward = 1, .orphan_dirs_removed = 1},
+              {"orphan-dir"});
+}
+
+TEST(RecoveryReportTest, TornKeySet) {
+  StoragePtr image = BuildSeed();
+  Tear(*image, version::KeySetKey(IdsOf(image).sealed));
+  CheckDebris(image, {.keysets_rebuilt = 1, .corrupt_manifests = 1},
+              {"corrupt-object", "missing-keyset"});
+}
+
+TEST(RecoveryReportTest, MissingKeySet) {
+  StoragePtr image = BuildSeed();
+  ASSERT_TRUE(image->Delete(version::KeySetKey(IdsOf(image).sealed)).ok());
+  CheckDebris(image, {.keysets_rebuilt = 1}, {"missing-keyset"});
+}
+
+TEST(RecoveryReportTest, LostInfoAdoptsTheOneRecordlessDir) {
+  StoragePtr image = BuildSeed();
+  SeedIds ids = IdsOf(image);
+  ASSERT_TRUE(image->Delete(VersionControl::kInfoKey).ok());
+  {
+    auto vc = VersionControl::OpenOrInit(CloneImage(*image));
+    ASSERT_TRUE(vc.ok()) << vc.status();
+    EXPECT_EQ((*vc)->current_commit(), ids.head);
+  }
+  CheckDebris(image, {.info_rebuilt = true}, {"bad-info"});
+}
+
+TEST(RecoveryReportTest, LostInfoQuarantinesTwoRecordlessDirs) {
+  StoragePtr image = BuildSeed();
+  SeedIds ids = IdsOf(image);
+  Write(*image, version::KeySetKey(kStrayDir),
+        Read(*image, version::KeySetKey(ids.head)));
+  ASSERT_TRUE(image->Delete(VersionControl::kInfoKey).ok());
+  CheckDebris(image, {.dirs_quarantined = 2, .info_rebuilt = true},
+              {"bad-info"});
+}
+
+TEST(RecoveryReportTest, OrphanDirUnderCleanInfo) {
+  StoragePtr image = BuildSeed();
+  Write(*image, version::KeySetKey(kStrayDir),
+        Read(*image, version::KeySetKey(IdsOf(image).head)));
+  CheckDebris(image, {.orphan_dirs_removed = 1}, {"orphan-dir"});
+}
+
+TEST(RecoveryReportTest, AbandonedStagingDir) {
+  StoragePtr seed = BuildSeed();
+  StoragePtr image;
+  {
+    auto vc = VersionControl::OpenOrInit(seed).MoveValue();
+    auto txn = WriteTxn::Begin(vc).MoveValue();
+    Dataset* ds = txn->dataset().MoveValue();
+    ASSERT_TRUE(AppendRows(*ds, kSeedRows, 2).ok());
+    ASSERT_TRUE(ds->Flush().ok());
+    image = CloneImage(*seed);  // the writer dies before publishing
+  }
+  CheckDebris(image, {.stale_txns_removed = 1}, {"stale-txn"});
+}
+
+TEST(RecoveryReportTest, LeftoverMarkerOnPublishedCommit) {
+  StoragePtr image = BuildSeed();
+  std::string landed;
+  {
+    auto vc = VersionControl::OpenOrInit(image).MoveValue();
+    auto txn = WriteTxn::Begin(vc).MoveValue();
+    Dataset* ds = txn->dataset().MoveValue();
+    ASSERT_TRUE(AppendRows(*ds, kSeedRows, 2).ok());
+    landed = txn->Publish("txn").MoveValue();
+  }
+  // The commit record landed but the marker survived it: only dlfsck
+  // flags this; recovery has nothing to do.
+  Write(*image, version::TxnMarkerKey(landed), "{}");
+  CheckDebris(image, {}, {"stale-txn"});
+}
+
+// ---------------------------------------------------------------------------
+// The journaled write order of DESIGN.md §9.3, pinned op by op.
+// ---------------------------------------------------------------------------
+
+/// Records every storage operation as "<op> <key>", in issue order.
+class RecordingStore : public storage::ForwardingStore {
+ public:
+  using ForwardingStore::ForwardingStore;
+
+  Result<Slice> Get(std::string_view key) override {
+    Note("get", key);
+    return ForwardingStore::Get(key);
+  }
+  Result<Slice> GetRange(std::string_view key, uint64_t offset,
+                         uint64_t length) override {
+    Note("get_range", key);
+    return ForwardingStore::GetRange(key, offset, length);
+  }
+  Status Put(std::string_view key, ByteView value) override {
+    Note("put", key);
+    return ForwardingStore::Put(key, value);
+  }
+  Status PutDurable(std::string_view key, ByteView value) override {
+    Note("put_durable", key);
+    return ForwardingStore::PutDurable(key, value);
+  }
+  Status Delete(std::string_view key) override {
+    Note("delete", key);
+    return ForwardingStore::Delete(key);
+  }
+  Result<bool> Exists(std::string_view key) override {
+    Note("exists", key);
+    return ForwardingStore::Exists(key);
+  }
+  Result<uint64_t> SizeOf(std::string_view key) override {
+    Note("size_of", key);
+    return ForwardingStore::SizeOf(key);
+  }
+  Result<std::vector<std::string>> ListPrefix(
+      std::string_view prefix) override {
+    Note("list", prefix);
+    return ForwardingStore::ListPrefix(prefix);
+  }
+  std::string name() const override { return "recording"; }
+
+  std::vector<std::string> Writes() const {
+    std::vector<std::string> writes;
+    for (const auto& op : ops) {
+      if (StartsWith(op, "put") || StartsWith(op, "delete")) {
+        writes.push_back(op);
+      }
+    }
+    return writes;
+  }
+
+  std::vector<std::string> ops;
+
+ private:
+  void Note(const char* op, std::string_view key) {
+    ops.push_back(std::string(op) + " " + std::string(key));
+  }
+};
+
+TEST(CommitWriteOrderTest, CommitIsFiveDurableManifestWrites) {
+  auto rec = std::make_shared<RecordingStore>(BuildSeed());
+  auto vc = VersionControl::OpenOrInit(rec).MoveValue();
+  auto ds = Dataset::Open(vc->working_store()).MoveValue();
+  ASSERT_TRUE(AppendRows(*ds, kSeedRows, kNewRows).ok());
+  ASSERT_TRUE(ds->Flush().ok());
+  const std::string sealed = vc->current_commit();
+  rec->ops.clear();
+  ASSERT_TRUE(vc->Commit("second").ok());
+  const std::string next = vc->current_commit();
+  EXPECT_EQ(rec->Writes(),
+            (std::vector<std::string>{
+                "put_durable " + version::KeySetKey(sealed),
+                "put_durable " + version::DiffKey(sealed),
+                "put_durable " + version::CommitRecordKey(sealed),
+                "put_durable " + version::KeySetKey(next),
+                std::string("put_durable ") + VersionControl::kInfoKey}));
+}
+
+TEST(CommitWriteOrderTest, FastPathPublishDropsMarkerBeforeRecord) {
+  auto rec = std::make_shared<RecordingStore>(BuildSeed());
+  auto vc = VersionControl::OpenOrInit(rec).MoveValue();
+  const std::string head = vc->current_commit();
+  auto txn = WriteTxn::Begin(vc).MoveValue();
+  Dataset* ds = txn->dataset().MoveValue();
+  ASSERT_TRUE(AppendRows(*ds, kSeedRows, 2).ok());
+  const std::string id = txn->id();
+  rec->ops.clear();
+  auto landed = txn->Publish("txn");
+  ASSERT_TRUE(landed.ok()) << landed.status();
+  EXPECT_EQ(*landed, id);  // fast path: the staging commit itself lands
+
+  // The transaction's dataset flush comes first and stays in its own
+  // directory; then the seal, then the version tree's Flush.
+  std::vector<std::string> writes = rec->Writes();
+  const std::string seal_first = "put_durable " + version::KeySetKey(id);
+  auto seal = std::find(writes.begin(), writes.end(), seal_first);
+  ASSERT_NE(seal, writes.end());
+  for (auto it = writes.begin(); it != seal; ++it) {
+    EXPECT_NE(it->find(" " + version::VersionDir(id) + "/"),
+              std::string::npos)
+        << *it;
+  }
+  EXPECT_EQ(std::vector<std::string>(seal, writes.end()),
+            (std::vector<std::string>{
+                seal_first,
+                "put_durable " + version::DiffKey(id),
+                "delete " + version::TxnMarkerKey(id),
+                "put_durable " + version::CommitRecordKey(id),
+                "put_durable " + version::KeySetKey(head),
+                std::string("put_durable ") + VersionControl::kInfoKey}));
+}
+
+TEST(CommitWriteOrderTest, CleanOpenOnlyReads) {
+  StoragePtr image = BuildSeed();
+  ASSERT_TRUE(RunWorkload(image).ok());
+  auto rec = std::make_shared<RecordingStore>(image);
+  auto vc = VersionControl::OpenOrInit(rec);
+  ASSERT_TRUE(vc.ok()) << vc.status();
+  EXPECT_FALSE((*vc)->last_recovery().any());
+  // Root, the workload's commit and the working head, in id order.
+  std::vector<std::string> ids;
+  for (const auto& c : (*vc)->Log()) ids.push_back(c.id);
+  ASSERT_EQ(ids.size(), kSeedLog + 1);
+  std::sort(ids.begin(), ids.end());
+  std::vector<std::string> want = {
+      std::string("exists ") + VersionControl::kInfoKey,
+      std::string("get ") + VersionControl::kInfoKey};
+  for (const auto& id : ids) want.push_back("get " + version::KeySetKey(id));
+  want.push_back(std::string("list ") + version::kVersionsPrefix);
+  for (const auto& id : ids) {
+    want.push_back("get " + version::CommitRecordKey(id));
+  }
+  EXPECT_EQ(rec->ops, want);
 }
 
 }  // namespace

@@ -192,6 +192,53 @@ TEST(VersionControlTest, PersistsAcrossReopen) {
   EXPECT_EQ((*ds)->ReadRow(0)->at("labels").AsInt(), 42);
 }
 
+TEST(VersionControlTest, FailedCommitLeavesHeadUnsealed) {
+  auto base = Mem();
+  auto faulty = std::make_shared<storage::FaultInjectionStore>(
+      base, UINT64_MAX, storage::kFaultPut);
+  auto vc = VersionControl::OpenOrInit(faulty).MoveValue();
+  auto ds = Dataset::Create(vc->working_store()).MoveValue();
+  TensorOptions opts;
+  opts.htype = "class_label";
+  ASSERT_TRUE(ds->CreateTensor("labels", opts).ok());
+  ASSERT_TRUE(AppendScalar(*ds, "labels", 1).ok());
+  ASSERT_TRUE(ds->Flush().ok());
+  ASSERT_TRUE(vc->Commit("first").ok());
+  ASSERT_TRUE(AppendScalar(*ds, "labels", 2).ok());
+  ASSERT_TRUE(ds->Flush().ok());
+  const std::string head = vc->current_commit();
+  auto sealed_before = vc->SealedHead();
+  ASSERT_TRUE(sealed_before.ok()) << sealed_before.status();
+  const size_t log_before = vc->Log().size();
+
+  // Every write fails: the seal's first manifest never lands, so no
+  // commit record exists and the head must stay the open working head.
+  faulty->set_fail_every(1);
+  EXPECT_FALSE(vc->Commit("should fail").ok());
+  faulty->set_fail_every(UINT64_MAX);
+
+  auto info = vc->GetCommit(head);
+  ASSERT_TRUE(info.ok()) << info.status();
+  EXPECT_FALSE(info->committed);
+  EXPECT_EQ(vc->current_commit(), head);
+  EXPECT_EQ(vc->Log().front().message, "");
+  auto sealed_after = vc->SealedHead();
+  ASSERT_TRUE(sealed_after.ok()) << sealed_after.status();
+  EXPECT_EQ(*sealed_after, *sealed_before);
+
+  auto retried = vc->Commit("retried");
+  ASSERT_TRUE(retried.ok()) << retried.status();
+  EXPECT_EQ(*retried, head);
+  auto reopened = VersionControl::OpenOrInit(base);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_FALSE((*reopened)->last_recovery().any());
+  auto log = (*reopened)->Log();
+  ASSERT_EQ(log.size(), log_before + 1);
+  EXPECT_EQ(log[1].id, head);
+  EXPECT_EQ(log[1].message, "retried");
+  EXPECT_EQ(log[2].message, "first");
+}
+
 TEST(VersionControlTest, LogWalksChain) {
   Fixture f;
   ASSERT_TRUE(AppendScalar(*f.ds, "labels", 1).ok());
