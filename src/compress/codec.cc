@@ -1,5 +1,8 @@
 #include "compress/codec.h"
 
+#include <string>
+
+#include "compress/codec_internal.h"
 #include "util/macros.h"
 
 namespace dl::compress {
@@ -62,13 +65,29 @@ Result<ByteBuffer> Codec::Decompress(ByteView frame) const {
   return out;
 }
 
+Status CheckDeclaredSize(std::string_view codec, uint64_t declared,
+                         uint64_t expected) {
+  if (expected == Codec::kUnknownSize || declared == expected) {
+    return Status::OK();
+  }
+  return Status::Corruption(std::string(codec) + ": frame declares raw size " +
+                            std::to_string(declared) + ", expected " +
+                            std::to_string(expected));
+}
+
 Result<Slice> DecompressToSlice(Compression c, ByteView frame,
-                                BufferPool& pool) {
-  // The frame size is only a lower bound on the raw size, but steady-state
-  // decode sees similarly sized chunks, so a retained buffer that grew once
-  // keeps absorbing subsequent decodes without reallocating.
-  ByteBuffer out = pool.Acquire(frame.size());
-  DL_RETURN_IF_ERROR(GetCodec(c)->DecompressInto(frame, out));
+                                uint64_t raw_size, BufferPool& pool) {
+  // No codec expands a frame more than 255x (an LZ77 length-extension byte
+  // of 255), so a larger size is a corrupt caller header, not an
+  // allocation to attempt.
+  if (raw_size > static_cast<uint64_t>(frame.size()) * 255 + 255) {
+    return Status::Corruption(
+        std::string(CompressionName(c)) + ": expected raw size " +
+        std::to_string(raw_size) + " implausible for a " +
+        std::to_string(frame.size()) + "-byte frame");
+  }
+  ByteBuffer out = pool.Acquire(static_cast<size_t>(raw_size));
+  DL_RETURN_IF_ERROR(GetCodec(c)->DecompressInto(frame, out, raw_size));
   return pool.Seal(std::move(out));
 }
 

@@ -54,10 +54,20 @@ class Codec {
   virtual Result<ByteBuffer> Compress(ByteView raw,
                                       const CodecContext& ctx) const = 0;
 
-  /// Decompresses a frame produced by `Compress`, appending into `out`
-  /// (cleared first; pre-reserved capacity — e.g. from a BufferPool — is
-  /// kept). Returns Corruption on a malformed frame.
-  virtual Status DecompressInto(ByteView frame, ByteBuffer& out) const = 0;
+  /// An `expected_size` for callers that do not know the raw size: the
+  /// codec then only bounds the frame's declared size by its own
+  /// plausibility ratio.
+  static constexpr uint64_t kUnknownSize = UINT64_MAX;
+
+  /// Decompresses a frame produced by `Compress` into `out` (cleared first;
+  /// pre-reserved capacity — e.g. from a BufferPool — is kept). A frame that
+  /// declares a raw size other than a known `expected_size` is Corruption
+  /// before `out` grows. Returns Corruption on a malformed frame.
+  virtual Status DecompressInto(ByteView frame, ByteBuffer& out,
+                                uint64_t expected_size) const = 0;
+  Status DecompressInto(ByteView frame, ByteBuffer& out) const {
+    return DecompressInto(frame, out, kUnknownSize);
+  }
 
   /// Decompresses into a fresh buffer. Returns Corruption on a malformed
   /// frame.
@@ -72,10 +82,13 @@ Result<ByteBuffer> CompressBytes(Compression c, ByteView raw,
                                  const CodecContext& ctx = {});
 Result<ByteBuffer> DecompressBytes(Compression c, ByteView frame);
 
-/// Decompresses into a buffer recycled from `pool` and seals it into an
-/// owning Slice — the chunk-decode hot path: steady-state epoch loops hit
-/// the pool's free list instead of the allocator (DESIGN.md §10).
+/// Decompresses a frame that must hold exactly `raw_size` bytes into a
+/// buffer of that size recycled from `pool`, and seals it into an owning
+/// Slice — the chunk-decode hot path: steady-state epoch loops hit the
+/// pool's free list instead of the allocator (DESIGN.md §10). A frame that
+/// declares another size is Corruption.
 Result<Slice> DecompressToSlice(Compression c, ByteView frame,
+                                uint64_t raw_size,
                                 BufferPool& pool = BufferPool::Default());
 
 /// Shape information recovered from an image-codec frame header without

@@ -6,56 +6,158 @@
 //   u8 magic 'I', u8 mode (0 lossless / 1 lossy), u8 quant_shift,
 //   varint pixel_stride (channels), varint row_stride (width*channels),
 //   varint raw_size, then an embedded LZ77 frame of the residual plane.
+//
+// Both directions run row by row: row 0 and each row's first pixel have
+// their own loops, so the Paeth loop does no per-byte column test, and the
+// pixel width is a compile-time constant for 1..4 bytes. Quantizing is fused
+// into the filter pass and dequantizing into the unfilter pass. The
+// byte-at-a-time original is the test oracle (tests/reference_codec.cc).
 
+#include <algorithm>
 #include <cstdlib>
+#include <type_traits>
 
 #include "compress/codec.h"
+#include "compress/codec_internal.h"
 #include "util/coding.h"
 #include "util/macros.h"
 
 namespace dl::compress {
-
-const Codec* GetLz77Codec();
-
 namespace {
 
 constexpr uint8_t kMagic = 'I';
 
-uint8_t Paeth(uint8_t left, uint8_t up, uint8_t upleft) {
-  int p = static_cast<int>(left) + up - upleft;
-  int pa = std::abs(p - left);
-  int pb = std::abs(p - up);
-  int pc = std::abs(p - upleft);
-  if (pa <= pb && pa <= pc) return left;
-  if (pb <= pc) return up;
-  return upleft;
+// A quantization shift above 7 would keep no bit of a pixel; the encoder
+// writes 0..4.
+constexpr uint8_t kMaxShift = 7;
+
+// Calls `fn(std::integral_constant<size_t, k>)` with k = bpp for pixel
+// widths 1..4, so the row loops below see the left-neighbour distance as a
+// constant, and with k = 0 (distance read at run time) for any other width.
+template <typename Fn>
+void WithPixelWidth(size_t bpp, Fn&& fn) {
+  switch (bpp) {
+    case 1:
+      return fn(std::integral_constant<size_t, 1>{});
+    case 2:
+      return fn(std::integral_constant<size_t, 2>{});
+    case 3:
+      return fn(std::integral_constant<size_t, 3>{});
+    case 4:
+      return fn(std::integral_constant<size_t, 4>{});
+    default:
+      return fn(std::integral_constant<size_t, 0>{});
+  }
 }
 
-// Residual plane via Paeth prediction. `stride` is bytes per row, `bpp`
-// bytes per pixel (the "left" neighbour distance).
-ByteBuffer FilterPlane(ByteView raw, size_t stride, size_t bpp) {
-  ByteBuffer out(raw.size());
-  const uint8_t* p = raw.data();
-  size_t n = raw.size();
-  for (size_t i = 0; i < n; ++i) {
-    size_t col = i % stride;
-    uint8_t left = col >= bpp ? p[i - bpp] : 0;
-    uint8_t up = i >= stride ? p[i - stride] : 0;
-    uint8_t upleft = (i >= stride && col >= bpp) ? p[i - stride - bpp] : 0;
-    out[i] = static_cast<uint8_t>(p[i] - Paeth(left, up, upleft));
+// Paeth residuals of one row of `len` bytes. `prev` is the row above, null
+// for row 0. Bytes left of the first pixel and above row 0 count as 0, so
+// row 0 predicts from the left neighbour alone and the first pixel of every
+// other row from the byte above.
+template <size_t kBpp>
+void FilterRow(const uint8_t* row, const uint8_t* prev, uint8_t* out,
+               size_t len, size_t bpp) {
+  const size_t b = kBpp != 0 ? kBpp : bpp;
+  const size_t lead = std::min(b, len);
+  if (prev == nullptr) {
+    for (size_t i = 0; i < lead; ++i) out[i] = row[i];
+    for (size_t i = b; i < len; ++i) {
+      out[i] = static_cast<uint8_t>(row[i] - row[i - b]);
+    }
+    return;
   }
-  return out;
+  for (size_t i = 0; i < lead; ++i) {
+    out[i] = static_cast<uint8_t>(row[i] - prev[i]);
+  }
+  for (size_t i = b; i < len; ++i) {
+    uint8_t pred = PaethPredict(row[i - b], prev[i], prev[i - b]);
+    out[i] = static_cast<uint8_t>(row[i] - pred);
+  }
 }
 
-void UnfilterPlane(ByteBuffer& data, size_t stride, size_t bpp) {
-  size_t n = data.size();
-  for (size_t i = 0; i < n; ++i) {
-    size_t col = i % stride;
-    uint8_t left = col >= bpp ? data[i - bpp] : 0;
-    uint8_t up = i >= stride ? data[i - stride] : 0;
-    uint8_t upleft = (i >= stride && col >= bpp) ? data[i - stride - bpp] : 0;
-    data[i] = static_cast<uint8_t>(data[i] + Paeth(left, up, upleft));
+// Inverse of FilterRow, in place: `prev` is the row above, already
+// unfiltered.
+template <size_t kBpp>
+void UnfilterRow(uint8_t* row, const uint8_t* prev, size_t len, size_t bpp) {
+  const size_t b = kBpp != 0 ? kBpp : bpp;
+  const size_t lead = std::min(b, len);
+  if (prev == nullptr) {
+    for (size_t i = b; i < len; ++i) {
+      row[i] = static_cast<uint8_t>(row[i] + row[i - b]);
+    }
+    return;
   }
+  for (size_t i = 0; i < lead; ++i) {
+    row[i] = static_cast<uint8_t>(row[i] + prev[i]);
+  }
+  for (size_t i = b; i < len; ++i) {
+    uint8_t pred = PaethPredict(row[i - b], prev[i], prev[i - b]);
+    row[i] = static_cast<uint8_t>(row[i] + pred);
+  }
+}
+
+void Quantize(const uint8_t* in, uint8_t* out, size_t len, int shift) {
+  for (size_t i = 0; i < len; ++i) {
+    out[i] = static_cast<uint8_t>(in[i] >> shift);
+  }
+}
+
+// Maps each quantized value to the centre of its bucket.
+void Dequantize(uint8_t* p, size_t len, int shift) {
+  if (shift == 0) return;
+  const uint8_t center = static_cast<uint8_t>(1u << (shift - 1));
+  for (size_t i = 0; i < len; ++i) {
+    p[i] = static_cast<uint8_t>((p[i] << shift) | center);
+  }
+}
+
+// Residual plane of `raw` (quantized by `shift` first) into `out`, row by
+// row. `stride` is bytes per row (1..n; the last row may be partial), `bpp`
+// bytes per pixel (the "left" neighbour distance). Lossy rows are quantized
+// into two alternating scratch rows, so the plane is read once.
+void FilterPlane(ByteView raw, size_t stride, size_t bpp, int shift,
+                 uint8_t* out) {
+  const uint8_t* src = raw.data();
+  const size_t n = raw.size();
+  WithPixelWidth(bpp, [&](auto width) {
+    constexpr size_t kBpp = decltype(width)::value;
+    ByteBuffer scratch;
+    if (shift > 0) scratch.resize(n > stride ? 2 * stride : stride);
+    const uint8_t* prev = nullptr;
+    size_t r = 0;
+    for (size_t start = 0; start < n; start += stride, ++r) {
+      const size_t len = std::min(stride, n - start);
+      const uint8_t* row = src + start;
+      if (shift > 0) {
+        uint8_t* quantized = scratch.data() + (r % 2) * stride;
+        Quantize(row, quantized, len, shift);
+        row = quantized;
+      }
+      FilterRow<kBpp>(row, prev, out + start, len, bpp);
+      prev = row;
+    }
+  });
+}
+
+// Undoes FilterPlane in place. Dequantizing runs one row behind the
+// unfilter, which still needs the row above in quantized form.
+void UnfilterPlane(uint8_t* data, size_t n, size_t stride, size_t bpp,
+                   int shift) {
+  stride = std::min(stride, n);  // forged strides past the plane: one row
+  WithPixelWidth(bpp, [&](auto width) {
+    constexpr size_t kBpp = decltype(width)::value;
+    uint8_t* prev = nullptr;
+    for (size_t start = 0; start < n; start += stride) {
+      const size_t len = std::min(stride, n - start);
+      uint8_t* row = data + start;
+      UnfilterRow<kBpp>(row, prev, len, bpp);
+      if (prev != nullptr) Dequantize(prev, stride, shift);
+      prev = row;
+    }
+    if (prev != nullptr) {
+      Dequantize(prev, n - static_cast<size_t>(prev - data), shift);
+    }
+  });
 }
 
 int ShiftForQuality(int quality) {
@@ -88,14 +190,8 @@ class ImageCodec : public Codec {
     if (bpp > stride) bpp = stride;
     int shift = lossy_ ? ShiftForQuality(ctx.quality) : 0;
 
-    ByteBuffer plane;
-    ByteView source = raw;
-    if (shift > 0) {
-      plane.resize(raw.size());
-      for (size_t i = 0; i < raw.size(); ++i) plane[i] = raw[i] >> shift;
-      source = ByteView(plane);
-    }
-    ByteBuffer residuals = FilterPlane(source, stride, bpp);
+    ByteBuffer residuals(raw.size());
+    FilterPlane(raw, stride, bpp, shift, residuals.data());
 
     ByteBuffer out;
     out.push_back(kMagic);
@@ -104,13 +200,15 @@ class ImageCodec : public Codec {
     PutVarint64(out, bpp);
     PutVarint64(out, stride);
     PutVarint64(out, raw.size());
-    DL_ASSIGN_OR_RETURN(ByteBuffer lz,
-                        GetLz77Codec()->Compress(ByteView(residuals), {}));
-    AppendBytes(out, ByteView(lz));
+    Lz77CompressAppend(ByteView(residuals), out);
+    // The LZ77 stage sized `out` for incompressible input; callers may keep
+    // the frame (image files, ingest batches), so give the slack back.
+    out.shrink_to_fit();
     return out;
   }
 
-  Status DecompressInto(ByteView frame, ByteBuffer& out) const override {
+  Status DecompressInto(ByteView frame, ByteBuffer& out,
+                        uint64_t expected_size) const override {
     out.clear();
     Decoder dec{frame};
     DL_ASSIGN_OR_RETURN(uint8_t magic, dec.GetByte());
@@ -123,20 +221,18 @@ class ImageCodec : public Codec {
     if (stride == 0 || bpp == 0) {
       return Status::Corruption("image: zero stride");
     }
-    DL_ASSIGN_OR_RETURN(ByteView rest, dec.GetBytes(dec.remaining()));
+    if (mode == 1 && shift > kMaxShift) {
+      return Status::Corruption("image: quantization shift " +
+                                std::to_string(shift) + " out of range");
+    }
+    DL_RETURN_IF_ERROR(CheckDeclaredSize("image", raw_size, expected_size));
     // The embedded LZ77 stage unpacks the residual plane straight into the
-    // caller's (possibly pooled) buffer; unfiltering then runs in place.
-    DL_RETURN_IF_ERROR(GetLz77Codec()->DecompressInto(rest, out));
-    if (out.size() != raw_size) {
-      return Status::Corruption("image: residual plane size mismatch");
-    }
-    UnfilterPlane(out, stride, bpp);
-    if (mode == 1 && shift > 0) {
-      uint8_t center = static_cast<uint8_t>(1u << (shift - 1));
-      for (auto& b : out) {
-        b = static_cast<uint8_t>((b << shift) | center);
-      }
-    }
+    // caller's (possibly pooled) buffer, and must declare the same size;
+    // unfiltering then runs in place.
+    DL_RETURN_IF_ERROR(Lz77DecompressInto(frame.subview(dec.position()), out,
+                                          raw_size));
+    UnfilterPlane(out.data(), out.size(), static_cast<size_t>(stride),
+                  static_cast<size_t>(bpp), mode == 1 ? shift : 0);
     return Status::OK();
   }
 

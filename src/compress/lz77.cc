@@ -7,12 +7,22 @@
 //     literal bytes
 //     [if match_len nibble > 0 or extended] 2-byte LE offset (1..65535),
 //       then extended match length bytes if the nibble was 15.
-// The final sequence carries literals only (match nibble 0, no offset) —
-// signalled by the stream ending exactly at raw_size.
+// The frame ends exactly at raw_size, either on a literal-only sequence
+// (match nibble 0, no offset) or on a match: only a match's start is kept
+// out of the last kMinMatch bytes, its extension runs to the end of the
+// input. 64 bytes of 'a' compress to 40 1f 61 01 00 2c — one literal and a
+// 63-byte match.
+//
+// Both directions work on raw pointers into buffers sized up front. The
+// decoder bounds-checks every read against the frame and every write
+// against raw_size; it never copies past the end of its output.
 
+#include <bit>
 #include <cstring>
+#include <vector>
 
 #include "compress/codec.h"
+#include "compress/codec_internal.h"
 #include "util/coding.h"
 #include "util/macros.h"
 
@@ -23,6 +33,9 @@ constexpr int kHashBits = 15;
 constexpr size_t kHashSize = 1 << kHashBits;
 constexpr size_t kMinMatch = 4;
 constexpr size_t kMaxOffset = 65535;
+// The decoder copies short literals and far matches in fixed blocks of this
+// many bytes where the block stays inside the frame and the output.
+constexpr size_t kBlock = 16;
 
 inline uint32_t Load32(const uint8_t* p) {
   uint32_t v;
@@ -30,21 +43,51 @@ inline uint32_t Load32(const uint8_t* p) {
   return v;
 }
 
+inline uint64_t Load64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, 8);
+  return v;
+}
+
 inline uint32_t Hash4(const uint8_t* p) {
   return (Load32(p) * 2654435761u) >> (32 - kHashBits);
 }
 
-void PutLen(ByteBuffer& out, size_t extra) {
-  // Writes the extension bytes for a nibble that was 15.
-  while (extra >= 255) {
-    out.push_back(255);
-    extra -= 255;
+// Number of leading bytes at `a` and `b` that agree, comparing no further
+// than `b_end` (a < b, so `a` stays in bounds too). Eight bytes at a time:
+// the lowest set bit of the XOR names the first byte that differs.
+size_t MatchLength(const uint8_t* a, const uint8_t* b, const uint8_t* b_end) {
+  const uint8_t* const b_start = b;
+  while (b_end - b >= 8) {
+    uint64_t diff = Load64(a) ^ Load64(b);
+    if (diff != 0) {
+      int bits = std::endian::native == std::endian::little
+                     ? std::countr_zero(diff)
+                     : std::countl_zero(diff);
+      return static_cast<size_t>(b - b_start) + static_cast<size_t>(bits / 8);
+    }
+    a += 8;
+    b += 8;
   }
-  out.push_back(static_cast<uint8_t>(extra));
+  while (b < b_end && *a == *b) {
+    ++a;
+    ++b;
+  }
+  return static_cast<size_t>(b - b_start);
 }
 
-void EmitSequence(ByteBuffer& out, const uint8_t* lit_start, size_t lit_len,
-                  size_t match_len, size_t offset) {
+// Writes the extension bytes for a nibble that was 15.
+uint8_t* PutLen(uint8_t* op, size_t extra) {
+  while (extra >= 255) {
+    *op++ = 255;
+    extra -= 255;
+  }
+  *op++ = static_cast<uint8_t>(extra);
+  return op;
+}
+
+uint8_t* EmitSequence(uint8_t* op, const uint8_t* lit_start, size_t lit_len,
+                      size_t match_len, size_t offset) {
   uint8_t lit_nibble = lit_len >= 15 ? 15 : static_cast<uint8_t>(lit_len);
   uint8_t match_nibble = 0;
   bool has_match = match_len >= kMinMatch;
@@ -52,14 +95,28 @@ void EmitSequence(ByteBuffer& out, const uint8_t* lit_start, size_t lit_len,
     size_t ml = match_len - kMinMatch;
     match_nibble = ml >= 15 ? 15 : static_cast<uint8_t>(ml);
   }
-  out.push_back(static_cast<uint8_t>((lit_nibble << 4) | match_nibble));
-  if (lit_nibble == 15) PutLen(out, lit_len - 15);
-  out.insert(out.end(), lit_start, lit_start + lit_len);
+  *op++ = static_cast<uint8_t>((lit_nibble << 4) | match_nibble);
+  if (lit_nibble == 15) op = PutLen(op, lit_len - 15);
+  std::memcpy(op, lit_start, lit_len);
+  op += lit_len;
   if (has_match) {
-    out.push_back(static_cast<uint8_t>(offset));
-    out.push_back(static_cast<uint8_t>(offset >> 8));
-    if (match_nibble == 15) PutLen(out, match_len - kMinMatch - 15);
+    *op++ = static_cast<uint8_t>(offset);
+    *op++ = static_cast<uint8_t>(offset >> 8);
+    if (match_nibble == 15) op = PutLen(op, match_len - kMinMatch - 15);
   }
+  return op;
+}
+
+// Adds a length extension (bytes of 255, then a terminator below 255) to
+// `len`. False if the frame ends first.
+bool AddExtension(const uint8_t*& ip, const uint8_t* ip_end, size_t& len) {
+  uint8_t b = 255;
+  while (b == 255) {
+    if (ip == ip_end) return false;
+    b = *ip++;
+    len += b;
+  }
+  return true;
 }
 
 class Lz77Codec final : public Codec {
@@ -70,106 +127,146 @@ class Lz77Codec final : public Codec {
   Result<ByteBuffer> Compress(ByteView raw,
                               const CodecContext& /*ctx*/) const override {
     ByteBuffer out;
-    out.reserve(raw.size() / 2 + 16);
-    PutVarint64(out, raw.size());
-    const uint8_t* base = raw.data();
-    const size_t n = raw.size();
-    if (n == 0) return out;
-
-    std::vector<uint32_t> table(kHashSize, UINT32_MAX);
-    size_t i = 0;
-    size_t anchor = 0;  // start of pending literals
-    // Matches may not extend into the last kMinMatch bytes so the decoder's
-    // wild-copy-free loop stays simple.
-    const size_t match_limit = n >= kMinMatch ? n - kMinMatch : 0;
-    while (i + kMinMatch <= n && i < match_limit) {
-      uint32_t h = Hash4(base + i);
-      uint32_t cand = table[h];
-      table[h] = static_cast<uint32_t>(i);
-      if (cand != UINT32_MAX && i - cand <= kMaxOffset &&
-          Load32(base + cand) == Load32(base + i)) {
-        // Extend the match forward.
-        size_t match_len = kMinMatch;
-        while (i + match_len < n &&
-               base[cand + match_len] == base[i + match_len]) {
-          ++match_len;
-        }
-        EmitSequence(out, base + anchor, i - anchor, match_len, i - cand);
-        // Index a couple of positions inside the match to keep the table
-        // warm without hashing every byte.
-        size_t end = i + match_len;
-        for (size_t p = i + 1; p + kMinMatch <= end && p + kMinMatch <= n;
-             p += match_len / 4 + 1) {
-          table[Hash4(base + p)] = static_cast<uint32_t>(p);
-        }
-        i = end;
-        anchor = i;
-      } else {
-        ++i;
-      }
-    }
-    // Trailing literals.
-    if (anchor < n) {
-      EmitSequence(out, base + anchor, n - anchor, 0, 0);
-    }
+    Lz77CompressAppend(raw, out);
     return out;
   }
 
-  Status DecompressInto(ByteView frame, ByteBuffer& out) const override {
-    out.clear();
-    Decoder dec{frame};
-    DL_ASSIGN_OR_RETURN(uint64_t raw_size, dec.GetVarint64());
-    // raw_size comes off the wire: sanity-bound it before allocating.
-    // Each frame byte can contribute at most 255 output bytes (a match
-    // length extension byte of 255), so anything beyond that ratio is a
-    // corrupt header — reject it instead of attempting a huge reserve.
-    if (raw_size > static_cast<uint64_t>(frame.size()) * 255 + 255) {
-      return Status::Corruption("lz77: raw size implausible for frame");
-    }
-    out.reserve(static_cast<size_t>(raw_size));
-    while (out.size() < raw_size) {
-      DL_ASSIGN_OR_RETURN(uint8_t token, dec.GetByte());
-      size_t lit_len = token >> 4;
-      if (lit_len == 15) {
-        while (true) {
-          DL_ASSIGN_OR_RETURN(uint8_t b, dec.GetByte());
-          lit_len += b;
-          if (b != 255) break;
-        }
-      }
-      DL_ASSIGN_OR_RETURN(ByteView lits, dec.GetBytes(lit_len));
-      out.insert(out.end(), lits.begin(), lits.end());
-      if (out.size() >= raw_size) break;  // final literal-only sequence
-      size_t match_len = token & 0x0f;
-      DL_ASSIGN_OR_RETURN(uint8_t o0, dec.GetByte());
-      DL_ASSIGN_OR_RETURN(uint8_t o1, dec.GetByte());
-      size_t offset = static_cast<size_t>(o0) | (static_cast<size_t>(o1) << 8);
-      if (match_len == 15) {
-        while (true) {
-          DL_ASSIGN_OR_RETURN(uint8_t b, dec.GetByte());
-          match_len += b;
-          if (b != 255) break;
-        }
-      }
-      match_len += kMinMatch;
-      if (offset == 0 || offset > out.size()) {
-        return Status::Corruption("lz77: bad match offset");
-      }
-      if (out.size() + match_len > raw_size) {
-        return Status::Corruption("lz77: match overruns raw size");
-      }
-      // Byte-wise copy: handles overlapping matches (offset < match_len).
-      size_t src = out.size() - offset;
-      for (size_t k = 0; k < match_len; ++k) out.push_back(out[src + k]);
-    }
-    if (out.size() != raw_size) {
-      return Status::Corruption("lz77: frame shorter than raw size");
-    }
-    return Status::OK();
+  Status DecompressInto(ByteView frame, ByteBuffer& out,
+                        uint64_t expected_size) const override {
+    return Lz77DecompressInto(frame, out, expected_size);
   }
 };
 
 }  // namespace
+
+void Lz77CompressAppend(ByteView raw, ByteBuffer& out) {
+  PutVarint64(out, raw.size());
+  const uint8_t* base = raw.data();
+  const size_t n = raw.size();
+  if (n == 0) return;
+
+  // Worst case: a sequence with a match is no longer than the bytes it
+  // covers plus one extension byte per 255 literals, and the final literal
+  // run adds a token and one more extension byte.
+  const size_t start = out.size();
+  out.resize(start + n + n / 255 + 16);
+  uint8_t* op = out.data() + start;
+
+  std::vector<uint32_t> table(kHashSize, UINT32_MAX);
+  size_t i = 0;
+  size_t anchor = 0;  // start of pending literals
+  // A match may start no later than n - kMinMatch - 1; it then extends to
+  // the end of the input if the bytes agree.
+  const size_t match_limit = n >= kMinMatch ? n - kMinMatch : 0;
+  while (i < match_limit) {
+    uint32_t h = Hash4(base + i);
+    uint32_t cand = table[h];
+    table[h] = static_cast<uint32_t>(i);
+    if (cand != UINT32_MAX && i - cand <= kMaxOffset &&
+        Load32(base + cand) == Load32(base + i)) {
+      size_t match_len =
+          kMinMatch + MatchLength(base + cand + kMinMatch,
+                                  base + i + kMinMatch, base + n);
+      op = EmitSequence(op, base + anchor, i - anchor, match_len, i - cand);
+      // Index a couple of positions inside the match to keep the table
+      // warm without hashing every byte.
+      size_t end = i + match_len;
+      for (size_t p = i + 1; p + kMinMatch <= end && p + kMinMatch <= n;
+           p += match_len / 4 + 1) {
+        table[Hash4(base + p)] = static_cast<uint32_t>(p);
+      }
+      i = end;
+      anchor = i;
+    } else {
+      ++i;
+    }
+  }
+  // Trailing literals.
+  if (anchor < n) {
+    op = EmitSequence(op, base + anchor, n - anchor, 0, 0);
+  }
+  out.resize(static_cast<size_t>(op - out.data()));
+}
+
+Status Lz77DecompressInto(ByteView frame, ByteBuffer& out,
+                          uint64_t expected_size) {
+  out.clear();
+  Decoder dec{frame};
+  DL_ASSIGN_OR_RETURN(uint64_t raw_size, dec.GetVarint64());
+  DL_RETURN_IF_ERROR(CheckDeclaredSize("lz77", raw_size, expected_size));
+  // raw_size comes off the wire: sanity-bound it before allocating.
+  // Each frame byte can contribute at most 255 output bytes (a match
+  // length extension byte of 255), so anything beyond that ratio is a
+  // corrupt header — reject it instead of attempting a huge allocation.
+  if (raw_size > static_cast<uint64_t>(frame.size()) * 255 + 255) {
+    return Status::Corruption("lz77: raw size implausible for frame");
+  }
+  out.resize(static_cast<size_t>(raw_size));
+  uint8_t* const out_start = out.data();
+  uint8_t* op = out_start;
+  uint8_t* const out_end = out_start + raw_size;
+  const uint8_t* ip = frame.data() + dec.position();
+  const uint8_t* const ip_end = frame.data() + frame.size();
+  while (op < out_end) {
+    if (ip == ip_end) {
+      return Status::Corruption("lz77: frame shorter than raw size");
+    }
+    const uint8_t token = *ip++;
+    size_t lit_len = token >> 4;
+    if (lit_len == 15 && !AddExtension(ip, ip_end, lit_len)) {
+      return Status::Corruption("lz77: truncated literal length");
+    }
+    if (lit_len > static_cast<size_t>(ip_end - ip)) {
+      return Status::Corruption("lz77: literals run past the frame");
+    }
+    if (lit_len > static_cast<size_t>(out_end - op)) {
+      return Status::Corruption("lz77: literals overrun raw size");
+    }
+    if (lit_len <= kBlock && static_cast<size_t>(ip_end - ip) >= kBlock &&
+        static_cast<size_t>(out_end - op) >= kBlock) {
+      std::memcpy(op, ip, kBlock);  // the tail is rewritten by what follows
+    } else {
+      std::memcpy(op, ip, lit_len);
+    }
+    op += lit_len;
+    ip += lit_len;
+    if (op == out_end) break;  // final literal-only sequence
+    if (ip_end - ip < 2) {
+      return Status::Corruption("lz77: truncated match offset");
+    }
+    size_t offset = static_cast<size_t>(ip[0]) |
+                    (static_cast<size_t>(ip[1]) << 8);
+    ip += 2;
+    size_t match_len = token & 0x0f;
+    if (match_len == 15 && !AddExtension(ip, ip_end, match_len)) {
+      return Status::Corruption("lz77: truncated match length");
+    }
+    match_len += kMinMatch;
+    if (offset == 0 || offset > static_cast<size_t>(op - out_start)) {
+      return Status::Corruption("lz77: bad match offset");
+    }
+    if (match_len > static_cast<size_t>(out_end - op)) {
+      return Status::Corruption("lz77: match overruns raw size");
+    }
+    const uint8_t* match = op - offset;
+    if (offset >= kBlock &&
+        static_cast<size_t>(out_end - op) >= match_len + kBlock) {
+      // Whole blocks: a block's source ends at least kBlock bytes back, so
+      // it is already final. The last block's tail stays inside raw_size
+      // and is rewritten by what follows.
+      for (size_t k = 0; k < match_len; k += kBlock) {
+        std::memcpy(op + k, match + k, kBlock);
+      }
+    } else if (offset >= match_len) {
+      std::memcpy(op, match, match_len);
+    } else {
+      // Overlapping match: each byte may be one this copy just wrote.
+      for (size_t k = 0; k < match_len; ++k) op[k] = match[k];
+    }
+    op += match_len;
+  }
+  return Status::OK();
+}
 
 const Codec* GetLz77Codec() {
   static const Lz77Codec* kCodec = new Lz77Codec();

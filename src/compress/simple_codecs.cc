@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "compress/codec.h"
+#include "compress/codec_internal.h"
 #include "util/coding.h"
 #include "util/macros.h"
 
@@ -18,8 +19,10 @@ class NoneCodec final : public Codec {
                               const CodecContext& /*ctx*/) const override {
     return raw.ToBuffer();
   }
-  Status DecompressInto(ByteView frame, ByteBuffer& out) const override {
+  Status DecompressInto(ByteView frame, ByteBuffer& out,
+                        uint64_t expected_size) const override {
     out.clear();
+    DL_RETURN_IF_ERROR(CheckDeclaredSize("none", frame.size(), expected_size));
     AppendBytes(out, frame);
     return Status::OK();
   }
@@ -69,10 +72,12 @@ class RleCodec final : public Codec {
     return out;
   }
 
-  Status DecompressInto(ByteView frame, ByteBuffer& out) const override {
+  Status DecompressInto(ByteView frame, ByteBuffer& out,
+                        uint64_t expected_size) const override {
     out.clear();
     Decoder dec{frame};
     DL_ASSIGN_OR_RETURN(uint64_t raw_size, dec.GetVarint64());
+    DL_RETURN_IF_ERROR(CheckDeclaredSize("rle", raw_size, expected_size));
     // raw_size is wire-controlled: bound it before allocating. A run
     // sequence is two frame bytes producing at most 129 output bytes, so
     // >129x expansion means a corrupt header, not a real frame.
@@ -128,7 +133,8 @@ class DeltaCodec final : public Codec {
     return out;
   }
 
-  Status DecompressInto(ByteView frame, ByteBuffer& out) const override {
+  Status DecompressInto(ByteView frame, ByteBuffer& out,
+                        uint64_t expected_size) const override {
     out.clear();
     Decoder dec{frame};
     DL_ASSIGN_OR_RETURN(uint8_t es, dec.GetByte());
@@ -144,6 +150,8 @@ class DeltaCodec final : public Codec {
     if (count > dec.remaining() || tail > dec.remaining()) {
       return Status::Corruption("delta: counts implausible for frame");
     }
+    DL_RETURN_IF_ERROR(
+        CheckDeclaredSize("delta", count * es + tail, expected_size));
     out.reserve(static_cast<size_t>(count * es + tail));
     int64_t prev = 0;
     for (uint64_t i = 0; i < count; ++i) {

@@ -196,11 +196,19 @@ Result<Chunk> Chunk::Parse(Slice bytes, bool verify_checksum) {
     ByteView frame = bytes.view().subview(
         header.payload_offset,
         bytes.size() - header.payload_offset - 4);
+    // The payload is the samples' stored bytes back to back.
+    uint64_t payload_size = 0;
+    for (uint64_t len : header.stored_lens) {
+      if (len > UINT64_MAX - payload_size) {
+        return Status::Corruption("chunk: stored lengths overflow");
+      }
+      payload_size += len;
+    }
     // Pooled decode: the buffer returns to the arena when the last sample
     // slice referencing it drops.
-    DL_ASSIGN_OR_RETURN(
-        decompressed,
-        compress::DecompressToSlice(header.chunk_compression, frame));
+    DL_ASSIGN_OR_RETURN(decompressed,
+                        compress::DecompressToSlice(header.chunk_compression,
+                                                    frame, payload_size));
   }
   return Chunk(std::move(header), std::move(bytes), std::move(decompressed));
 }
@@ -241,8 +249,9 @@ Result<Sample> DecodeStoredSample(Slice stored,
     // keep-alive (the chunk's buffer, which may itself be the LRU entry).
     out.data = std::move(stored);
   } else {
-    DL_ASSIGN_OR_RETURN(out.data, compress::DecompressToSlice(
-                                      sample_compression, stored));
+    DL_ASSIGN_OR_RETURN(out.data,
+                        compress::DecompressToSlice(sample_compression, stored,
+                                                    out.ExpectedBytes()));
   }
   DL_RETURN_IF_ERROR(out.Validate());
   return out;

@@ -38,12 +38,15 @@ struct Sample {
   uint64_t nbytes() const { return data.size(); }
   bool IsEmpty() const { return data.empty(); }
 
-  /// data.size() must equal NumElements() * DTypeSize(dtype); empty-shaped
-  /// samples (any dim 0) must have no data.
+  /// Bytes the shape and dtype call for: NumElements() * DTypeSize(dtype),
+  /// or 0 for an empty-shaped sample (any dim 0).
+  uint64_t ExpectedBytes() const {
+    return shape.IsEmptySample() ? 0 : NumElements() * DTypeSize(dtype);
+  }
+
+  /// data.size() must equal ExpectedBytes().
   Status Validate() const {
-    uint64_t expected =
-        shape.IsEmptySample() ? 0 : NumElements() * DTypeSize(dtype);
-    if (data.size() != expected) {
+    if (data.size() != ExpectedBytes()) {
       return Status::InvalidArgument(
           "sample byte size " + std::to_string(data.size()) +
           " does not match shape " + shape.ToString() + " dtype " +

@@ -118,12 +118,12 @@ TEST(BufferPoolTest, DecompressToSliceRoundTripsThroughPool) {
   ASSERT_TRUE(frame.ok());
   BufferPool pool(1 << 20);
   auto s1 = compress::DecompressToSlice(compress::Compression::kLz77,
-                                        ByteView(*frame), pool);
+                                        ByteView(*frame), raw.size(), pool);
   ASSERT_TRUE(s1.ok()) << s1.status();
   EXPECT_EQ(*s1, raw);
   *s1 = Slice();  // drop the only reference -> allocation back to the pool
   auto s2 = compress::DecompressToSlice(compress::Compression::kLz77,
-                                        ByteView(*frame), pool);
+                                        ByteView(*frame), raw.size(), pool);
   ASSERT_TRUE(s2.ok());
   EXPECT_EQ(*s2, raw);
   EXPECT_GE(pool.reuses(), 1u);

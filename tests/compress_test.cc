@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "compress/codec.h"
+#include "compress/codec_internal.h"
+#include "reference_codec.h"
 #include "util/rng.h"
 
 namespace dl::compress {
@@ -105,6 +107,32 @@ TEST(Lz77Test, CorruptFrameIsError) {
                              ByteView(frame->data(), cut));
     EXPECT_FALSE(r.ok());
   }
+}
+
+TEST(ImageCodecTest, PaethPredictorMatchesReferenceOnEveryInput) {
+  for (int left = 0; left < 256; ++left) {
+    for (int up = 0; up < 256; ++up) {
+      for (int upleft = 0; upleft < 256; ++upleft) {
+        uint8_t a = static_cast<uint8_t>(left), b = static_cast<uint8_t>(up),
+                c = static_cast<uint8_t>(upleft);
+        ASSERT_EQ(PaethPredict(a, b, c), reference::Paeth(a, b, c))
+            << left << " " << up << " " << upleft;
+      }
+    }
+  }
+}
+
+TEST(Lz77Test, Lz77FrameMayEndOnMatch) {
+  // Only a match's start stays out of the last 4 bytes; its extension runs
+  // to the end of the input. 64 bytes of 'a' are one literal and a 63-byte
+  // match (4 + 15 + 0x2c) with no trailing literals.
+  ByteBuffer raw(64, 'a');
+  auto frame = CompressBytes(Compression::kLz77, ByteView(raw));
+  ASSERT_TRUE(frame.ok());
+  EXPECT_EQ(*frame, (ByteBuffer{0x40, 0x1f, 0x61, 0x01, 0x00, 0x2c}));
+  auto back = DecompressBytes(Compression::kLz77, ByteView(*frame));
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ(*back, raw);
 }
 
 TEST(RleTest, LongRunsCompressHard) {

@@ -1,7 +1,10 @@
 // Fuzz-ish robustness suite for the byte codecs and the varint/fixed coding
 // layer: random buffers round-trip exactly, and random/truncated/corrupted
 // frames must come back as Status::Corruption (or decode to *something*) —
-// never crash, scan out of bounds, or trip UBSan. Run it under
+// never crash, scan out of bounds, or trip UBSan. Hostile LZ77 and image
+// frames must also get the same verdict from the fast codecs and the
+// reference codecs (tests/reference_codec.cc): both fail, or both decode to
+// the same bytes. Seeds and counts are fixed. Run it under
 // DEEPLAKE_SANITIZE=undefined (scripts/run_sanitizers.sh) to get the actual
 // UB checking; in a plain build it still catches crashes and wrong results.
 
@@ -11,9 +14,11 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "compress/codec.h"
+#include "reference_codec.h"
 #include "util/bytes.h"
 #include "util/coding.h"
 #include "util/crc32.h"
@@ -133,6 +138,21 @@ TEST(FuzzRoundTrip, Lz77RejectsImplausibleRawSize) {
   EXPECT_TRUE(r.status().IsCorruption()) << r.status().ToString();
 }
 
+// The fast decoder and the reference decoder give `frame` the same
+// verdict: both fail (the fast one with Corruption), or both succeed with
+// identical bytes.
+void ExpectSameVerdict(Compression c, ByteView frame, const std::string& what) {
+  auto fast = GetCodec(c)->Decompress(frame);
+  auto ref = compress::reference::Decompress(c, frame);
+  ASSERT_EQ(fast.ok(), ref.ok())
+      << what << ": fast " << fast.status() << ", reference " << ref.status();
+  if (fast.ok()) {
+    ASSERT_EQ(*fast, *ref) << what;
+  } else {
+    ASSERT_TRUE(fast.status().IsCorruption()) << what << ": " << fast.status();
+  }
+}
+
 TEST(FuzzRoundTrip, Lz77CorruptedBytesFailOrMismatch) {
   Rng rng(0xbadf);
   ByteBuffer raw = CompressibleBuffer(rng, 1024);
@@ -142,10 +162,126 @@ TEST(FuzzRoundTrip, Lz77CorruptedBytesFailOrMismatch) {
     ByteBuffer mutated = *frame;
     size_t pos = rng.Uniform(mutated.size());
     mutated[pos] ^= static_cast<uint8_t>(1 + rng.Uniform(255));
-    // Either a clean Corruption error or a decode (possibly wrong bytes —
-    // lz77 frames carry no checksum; the chunk layer owns integrity).
-    auto r = GetCodec(Compression::kLz77)->Decompress(ByteView(mutated));
-    (void)r.ok();
+    // A clean Corruption error or a decode, possibly of wrong bytes (lz77
+    // frames carry no checksum; the chunk layer owns integrity) — but the
+    // same outcome the reference decoder reaches.
+    ExpectSameVerdict(Compression::kLz77, ByteView(mutated),
+                      "iter=" + std::to_string(iter) +
+                          " pos=" + std::to_string(pos));
+  }
+}
+
+// A 24x20 RGB image frame plus the length of its image header (magic,
+// mode, shift and the three geometry varints), where the embedded LZ77
+// frame starts.
+struct ImageFrame {
+  ByteBuffer bytes;
+  size_t header_len = 0;
+};
+
+ImageFrame MakeImageFrame(Rng& rng, Compression c) {
+  const size_t h = 20, w = 24, ch = 3;
+  ByteBuffer pixels(h * w * ch);
+  for (size_t i = 0; i < pixels.size(); ++i) {
+    size_t row = i / (w * ch), col = i % (w * ch);
+    pixels[i] = static_cast<uint8_t>(row * 5 + col + rng.Uniform(4));
+  }
+  compress::CodecContext ctx;
+  ctx.row_stride = w * ch;
+  ctx.elem_size = ch;
+  ctx.quality = 55;
+  auto frame = GetCodec(c)->Compress(ByteView(pixels), ctx);
+  EXPECT_TRUE(frame.ok());
+  ImageFrame out;
+  out.bytes = frame.ok() ? *frame : ByteBuffer{};
+  Decoder dec{ByteView(out.bytes)};
+  EXPECT_TRUE(dec.Skip(3).ok());
+  for (int k = 0; k < 3; ++k) EXPECT_TRUE(dec.GetVarint64().ok());
+  out.header_len = dec.position();
+  return out;
+}
+
+const Compression kImageCodecs[] = {Compression::kImage,
+                                    Compression::kImageLossy};
+
+TEST(FuzzRoundTrip, ImageTruncationAtEveryCutAgreesWithReference) {
+  Rng rng(0x1c07);
+  for (Compression c : kImageCodecs) {
+    ImageFrame frame = MakeImageFrame(rng, c);
+    for (size_t cut = 0; cut <= frame.bytes.size(); ++cut) {
+      ByteView torn(frame.bytes.data(), cut);
+      ExpectSameVerdict(c, torn,
+                        std::string(compress::CompressionName(c)) +
+                            " cut=" + std::to_string(cut));
+    }
+  }
+}
+
+TEST(FuzzRoundTrip, ImageMutationsAgreeWithReference) {
+  // 500 single-byte mutations per codec: half land in the image header or
+  // the embedded LZ77 size varint, half anywhere in the LZ77 body.
+  Rng rng(0x1a6e);
+  for (Compression c : kImageCodecs) {
+    ImageFrame frame = MakeImageFrame(rng, c);
+    const size_t head = frame.header_len + 3;
+    for (int iter = 0; iter < 500; ++iter) {
+      ByteBuffer mutated = frame.bytes;
+      size_t pos = iter % 2 == 0
+                       ? rng.Uniform(head)
+                       : head + rng.Uniform(mutated.size() - head);
+      mutated[pos] ^= static_cast<uint8_t>(1 + rng.Uniform(255));
+      ExpectSameVerdict(c, ByteView(mutated),
+                        std::string(compress::CompressionName(c)) +
+                            " iter=" + std::to_string(iter) +
+                            " pos=" + std::to_string(pos));
+    }
+  }
+}
+
+TEST(FuzzRoundTrip, ForgedImageGeometryAgreesWithReference) {
+  // Headers the encoder never writes, around a valid LZ77 frame of a
+  // 120-byte residual plane.
+  Rng rng(0x6e0);
+  ByteBuffer residuals = CompressibleBuffer(rng, 120);
+  auto lz = GetCodec(Compression::kLz77)->Compress(ByteView(residuals), {});
+  ASSERT_TRUE(lz.ok());
+  struct Forged {
+    uint8_t mode, shift;
+    uint64_t bpp, stride, raw_size;
+  };
+  const Forged kForged[] = {
+      {0, 0, 5, 3, 120},    // bpp > stride
+      {1, 2, 9, 4, 120},    // bpp > stride, lossy
+      {0, 0, 3, 0, 120},    // zero stride
+      {0, 0, 0, 12, 120},   // zero bpp
+      {0, 0, 3, 7, 120},    // raw_size % stride != 0
+      {1, 3, 4, 50, 120},   // partial last row, lossy
+      {0, 0, 3, 1000, 120}, // stride past the plane
+      {0, 0, 3, 12, 119},   // raw_size differs from the LZ77 frame
+      {0, 0, 3, 12, 121},
+      {0, 0, 3, UINT64_MAX, 120},
+      {0, 0, UINT64_MAX, 12, 120},
+      {1, 7, 3, 12, 120},   // largest shift
+      {1, 8, 3, 12, 120},   // shift past a byte
+      {1, 200, 3, 12, 120},
+      {0, 200, 3, 12, 120}, // lossless ignores the shift
+      {2, 3, 3, 12, 120},   // unknown mode: not dequantized
+      {1, 0, 3, 12, 120},
+  };
+  for (const Forged& f : kForged) {
+    for (Compression c : kImageCodecs) {
+      ByteBuffer frame = {'I', f.mode, f.shift};
+      PutVarint64(frame, f.bpp);
+      PutVarint64(frame, f.stride);
+      PutVarint64(frame, f.raw_size);
+      AppendBytes(frame, ByteView(*lz));
+      ExpectSameVerdict(c, ByteView(frame),
+                        "mode=" + std::to_string(f.mode) +
+                            " shift=" + std::to_string(f.shift) +
+                            " bpp=" + std::to_string(f.bpp) +
+                            " stride=" + std::to_string(f.stride) +
+                            " raw=" + std::to_string(f.raw_size));
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "tsf/chunk.h"
 #include "tsf/chunk_encoder.h"
@@ -12,6 +13,7 @@
 #include "tsf/htype.h"
 #include "tsf/shape_encoder.h"
 #include "tsf/tile_encoder.h"
+#include "util/coding.h"
 #include "util/rng.h"
 
 namespace dl::tsf {
@@ -215,6 +217,41 @@ TEST(ChunkFormatTest, PrecompressedAppendEqualsNormal) {
   auto back = chunk->ReadSample(0);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->data, s.data);
+}
+
+TEST(ChunkFormatTest, ForgedImageRawSizeIsCorruptionNamingExpectedSize) {
+  // A stored image frame whose embedded LZ77 frame claims 100x the frame
+  // size, inside LZ77's own 255x plausibility bound. The sample's shape
+  // fixes the raw size, so the read fails on the declared size instead of
+  // reserving room for it.
+  Sample s = MakeSample(16, 16, 3, 3);
+  compress::CodecContext ctx = ContextForSample(DType::kUInt8, s.shape);
+  auto frame = compress::CompressBytes(compress::Compression::kImage,
+                                       ByteView(s.data), ctx);
+  ASSERT_TRUE(frame.ok());
+  Decoder dec{ByteView(*frame)};
+  ASSERT_TRUE(dec.Skip(3).ok());  // magic, mode, quantization shift
+  for (int k = 0; k < 3; ++k) ASSERT_TRUE(dec.GetVarint64().ok());
+  const size_t lz_start = dec.position();
+  auto lz_raw_size = dec.GetVarint64();
+  ASSERT_TRUE(lz_raw_size.ok());
+  ASSERT_EQ(*lz_raw_size, s.data.size());
+  ByteBuffer forged(frame->begin(), frame->begin() + lz_start);
+  PutVarint64(forged, 100 * frame->size());
+  forged.insert(forged.end(), frame->begin() + dec.position(), frame->end());
+
+  ChunkBuilder builder(DType::kUInt8, compress::Compression::kImage,
+                       compress::Compression::kNone);
+  ASSERT_TRUE(builder.AppendPrecompressed(ByteView(forged), s.shape).ok());
+  auto chunk = Chunk::Parse(builder.Finish().MoveValue());
+  ASSERT_TRUE(chunk.ok()) << chunk.status();
+  auto back = chunk->ReadSample(0);
+  ASSERT_FALSE(back.ok());
+  EXPECT_TRUE(back.status().IsCorruption()) << back.status();
+  EXPECT_NE(back.status().ToString().find(
+                "expected " + std::to_string(s.data.size())),
+            std::string::npos)
+      << back.status();
 }
 
 // ---------------------------------------------------------------------------
