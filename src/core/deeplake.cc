@@ -168,16 +168,9 @@ Result<std::string> DeepLake::Transact(
 Result<tql::DatasetView> DeepLake::QueryAt(const std::string& commit_id,
                                            const std::string& query_text) {
   DL_ASSIGN_OR_RETURN(auto snapshot, At(commit_id));
-  tql::QueryOptions options;
-  auto vc = vc_;
-  options.version_resolver =
-      [vc](const std::string& commit)
-      -> Result<std::shared_ptr<tsf::Dataset>> {
-    DL_ASSIGN_OR_RETURN(auto store, vc->StoreAt(commit));
-    return tsf::Dataset::Open(store);
-  };
-  DL_ASSIGN_OR_RETURN(tql::DatasetView view,
-                      tql::RunQuery(snapshot, query_text, options));
+  DL_ASSIGN_OR_RETURN(
+      tql::DatasetView view,
+      tql::RunQuery(snapshot, query_text, QueryOptionsForLake()));
   view.PinAtCommit(commit_id);
   return view;
 }
@@ -188,32 +181,23 @@ Result<std::unique_ptr<stream::Dataloader>> DeepLake::DataloaderAt(
   return std::make_unique<stream::Dataloader>(snapshot, options);
 }
 
-Result<tql::DatasetView> DeepLake::Query(const std::string& query_text) {
+tql::QueryOptions DeepLake::QueryOptionsForLake() {
   tql::QueryOptions options;
   if (vc_) {
-    auto vc = vc_;
-    options.version_resolver =
-        [vc](const std::string& commit)
-        -> Result<std::shared_ptr<tsf::Dataset>> {
-      DL_ASSIGN_OR_RETURN(auto store, vc->StoreAt(commit));
-      return tsf::Dataset::Open(store);
+    options.version_resolver = [this](const std::string& commit) {
+      return At(commit);
     };
   }
-  return tql::RunQuery(dataset_, query_text, options);
+  return options;
+}
+
+Result<tql::DatasetView> DeepLake::Query(const std::string& query_text) {
+  return tql::RunQuery(dataset_, query_text, QueryOptionsForLake());
 }
 
 Result<tql::QueryProfile> DeepLake::ExplainQuery(
     const std::string& query_text) {
-  tql::QueryOptions options;
-  if (vc_) {
-    auto vc = vc_;
-    options.version_resolver =
-        [vc](const std::string& commit)
-        -> Result<std::shared_ptr<tsf::Dataset>> {
-      DL_ASSIGN_OR_RETURN(auto store, vc->StoreAt(commit));
-      return tsf::Dataset::Open(store);
-    };
-  }
+  tql::QueryOptions options = QueryOptionsForLake();
   tql::QueryProfile profile;
   options.profile = &profile;
   DL_RETURN_IF_ERROR(tql::RunQuery(dataset_, query_text, options).status());

@@ -214,6 +214,10 @@ class DeepLake {
  private:
   DeepLake() = default;
   Status ReopenDataset();
+  /// Options for a query over this lake: `FROM ds VERSION '<id>'`
+  /// resolves through At() when the lake has version control. They refer
+  /// to this lake, so they live only for the query they are built for.
+  tql::QueryOptions QueryOptionsForLake();
 
   storage::StoragePtr base_;
   std::shared_ptr<version::VersionControl> vc_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <optional>
 
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -45,6 +47,13 @@ Result<NdArray> AsArray(const Value& v, EvalContext& ctx,
                                  " expects an array, got null");
 }
 
+/// A shape as a 1-d array of its dimensions (what SHAPE returns).
+Value DimsValue(const std::vector<uint64_t>& shape) {
+  std::vector<double> dims(shape.begin(), shape.end());
+  uint64_t rank = dims.size();
+  return Value(NdArray({rank}, std::move(dims)));
+}
+
 Result<int64_t> AsIndex(const Value& v, const char* what) {
   if (!v.is_array() || !v.array().IsScalar()) {
     return Status::InvalidArgument(std::string("tql: ") + what +
@@ -65,11 +74,11 @@ bool IsKnownFunction(const std::string& fn) {
 }
 
 /// Static semantic validation: unknown columns and functions fail at query
-/// time, not lazily on first cell access.
-Status ValidateExpr(const Expr& expr, tsf::Dataset* ds) {
+/// time, not lazily on first cell access. Columns resolve as in `scope`.
+Status ValidateExpr(const Expr& expr, const EvalContext& scope) {
   switch (expr.kind) {
     case Expr::Kind::kColumn:
-      if (!ds->HasTensor(expr.text)) {
+      if (!scope.HasColumn(expr.text)) {
         return Status::NotFound("tql: no tensor '" + expr.text + "'");
       }
       return Status::OK();
@@ -81,14 +90,14 @@ Status ValidateExpr(const Expr& expr, tsf::Dataset* ds) {
     default:
       break;
   }
-  if (expr.lhs) DL_RETURN_IF_ERROR(ValidateExpr(*expr.lhs, ds));
-  if (expr.rhs) DL_RETURN_IF_ERROR(ValidateExpr(*expr.rhs, ds));
-  for (const auto& a : expr.args) DL_RETURN_IF_ERROR(ValidateExpr(*a, ds));
+  if (expr.lhs) DL_RETURN_IF_ERROR(ValidateExpr(*expr.lhs, scope));
+  if (expr.rhs) DL_RETURN_IF_ERROR(ValidateExpr(*expr.rhs, scope));
+  for (const auto& a : expr.args) DL_RETURN_IF_ERROR(ValidateExpr(*a, scope));
   for (const auto& s : expr.slices) {
-    if (s.index) DL_RETURN_IF_ERROR(ValidateExpr(*s.index, ds));
-    if (s.start) DL_RETURN_IF_ERROR(ValidateExpr(*s.start, ds));
-    if (s.stop) DL_RETURN_IF_ERROR(ValidateExpr(*s.stop, ds));
-    if (s.step) DL_RETURN_IF_ERROR(ValidateExpr(*s.step, ds));
+    if (s.index) DL_RETURN_IF_ERROR(ValidateExpr(*s.index, scope));
+    if (s.start) DL_RETURN_IF_ERROR(ValidateExpr(*s.start, scope));
+    if (s.stop) DL_RETURN_IF_ERROR(ValidateExpr(*s.stop, scope));
+    if (s.step) DL_RETURN_IF_ERROR(ValidateExpr(*s.step, scope));
   }
   return Status::OK();
 }
@@ -101,21 +110,41 @@ Result<Value> EvalContext::Column(const std::string& name) {
     if (io_ != nullptr) ++io_->cache_hits;
     return it->second;
   }
-  // Qualified JOIN reference: "alias/tensor" -> the bound dataset/row.
-  size_t slash = name.find('/');
-  if (slash != std::string::npos) {
-    auto binding = bindings_.find(name.substr(0, slash));
-    if (binding != bindings_.end()) {
-      DL_ASSIGN_OR_RETURN(Value v,
-                          Load(binding->second.first, binding->second.second,
-                               name.substr(slash + 1)));
-      cache_[name] = v;
-      return v;
-    }
-  }
-  DL_ASSIGN_OR_RETURN(Value v, Load(dataset_, row_, name));
+  std::string tensor;
+  const Binding* binding = Bound(name, &tensor);
+  DL_ASSIGN_OR_RETURN(Value v, binding != nullptr
+                                   ? Load(binding->first, binding->second,
+                                          tensor)
+                                   : Load(dataset_, row_, name));
   cache_[name] = v;
   return v;
+}
+
+Result<tsf::TensorShape> EvalContext::ColumnShape(
+    const std::string& name) const {
+  std::string tensor;
+  const Binding* binding = Bound(name, &tensor);
+  DL_ASSIGN_OR_RETURN(tsf::Tensor * t,
+                      binding != nullptr ? binding->first->GetTensor(tensor)
+                                         : dataset_->GetTensor(name));
+  return t->ShapeAt(binding != nullptr ? binding->second : row_);
+}
+
+bool EvalContext::HasColumn(const std::string& name) const {
+  std::string tensor;
+  const Binding* binding = Bound(name, &tensor);
+  return binding != nullptr ? binding->first->HasTensor(tensor)
+                            : dataset_->HasTensor(name);
+}
+
+const EvalContext::Binding* EvalContext::Bound(const std::string& name,
+                                               std::string* tensor) const {
+  size_t slash = name.find('/');
+  if (slash == std::string::npos) return nullptr;
+  auto binding = bindings_.find(name.substr(0, slash));
+  if (binding == bindings_.end()) return nullptr;
+  *tensor = name.substr(slash + 1);
+  return &binding->second;
 }
 
 Result<Value> EvalContext::Load(tsf::Dataset* dataset, uint64_t row,
@@ -125,10 +154,7 @@ Result<Value> EvalContext::Load(tsf::Dataset* dataset, uint64_t row,
     return Value::Null();
   }
   DL_ASSIGN_OR_RETURN(tsf::Sample s, tensor->Read(row));
-  if (io_ != nullptr) {
-    ++io_->loads;
-    io_->bytes_loaded += s.data.size();
-  }
+  if (io_ != nullptr) io_->bytes_loaded += s.data.size();
   Value v;
   if (s.shape.IsEmptySample() && s.data.empty() && s.shape.ndim() > 0) {
     v = Value::Null();
@@ -302,6 +328,14 @@ Result<Value> Evaluate(const Expr& expr, EvalContext& ctx) {
     }
     case Expr::Kind::kCall: {
       const std::string& fn = expr.text;
+      // SHAPE of a column is served by the shape encoder — no chunk read,
+      // so its argument is not evaluated.
+      if (fn == "SHAPE" && expr.args.size() == 1 &&
+          expr.args[0]->kind == Expr::Kind::kColumn) {
+        DL_ASSIGN_OR_RETURN(tsf::TensorShape sh,
+                            ctx.ColumnShape(expr.args[0]->text));
+        return DimsValue(sh.dims());
+      }
       std::vector<Value> args;
       args.reserve(expr.args.size());
       for (const auto& a : expr.args) {
@@ -347,19 +381,8 @@ Result<Value> Evaluate(const Expr& expr, EvalContext& ctx) {
       }
       if (fn == "SHAPE") {
         DL_RETURN_IF_ERROR(need(1));
-        // SHAPE of a column is served by the shape encoder — no chunk read.
-        if (expr.args[0]->kind == Expr::Kind::kColumn) {
-          DL_ASSIGN_OR_RETURN(tsf::Tensor * t,
-                              ctx.dataset()->GetTensor(expr.args[0]->text));
-          DL_ASSIGN_OR_RETURN(tsf::TensorShape sh, t->ShapeAt(ctx.row()));
-          std::vector<double> dims(sh.dims().begin(), sh.dims().end());
-          uint64_t rank = dims.size();
-          return Value(NdArray({rank}, std::move(dims)));
-        }
         DL_ASSIGN_OR_RETURN(NdArray a, AsArray(args[0], ctx, "SHAPE"));
-        std::vector<double> dims(a.shape().begin(), a.shape().end());
-        uint64_t rank = dims.size();
-        return Value(NdArray({rank}, std::move(dims)));
+        return DimsValue(a.shape());
       }
       if (fn == "LEN" || fn == "LENGTH") {
         DL_RETURN_IF_ERROR(need(1));
@@ -580,7 +603,7 @@ int64_t QueryProfile::OperatorWallSumUs() const {
 }
 
 // ---------------------------------------------------------------------------
-// Query execution
+// Query execution: one operator pipeline
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -591,224 +614,366 @@ bool IsAggregateCall(const Expr& e) {
          e.text == "MIN" || e.text == "MAX";
 }
 
-/// GROUP BY execution: one computed row per group, aggregates reduced over
-/// the group's member rows.
-Result<DatasetView> ExecuteGroupBy(std::shared_ptr<tsf::Dataset> ds,
-                                   const Query& q,
-                                   const std::vector<uint64_t>& rows) {
-  // Group rows by the (stringified) group key.
+/// A query's operator list, built once from the parsed `Query`:
+///   version → plan → scan|join → filter → group_by → sort → arrange →
+///   limit → project.
+/// EXPLAIN renders the list; execution and EXPLAIN ANALYZE run it. Every
+/// operator works on one list of row ids and evaluates expressions through
+/// Eval(): an id names a dataset row in a scan, a matched (left, right)
+/// pair after `join`, and a group after `group_by`.
+class Pipeline {
+ public:
+  /// Binds the datasets the query reads — the FROM dataset (pinned by
+  /// VERSION, which is resolved and timed here) and the JOIN dataset — and
+  /// lists the operators. Nothing is validated or read yet.
+  static Result<Pipeline> Build(std::shared_ptr<tsf::Dataset> dataset,
+                                const Query& query,
+                                const QueryOptions& options);
+
+  /// The operator list with names and details only (plain EXPLAIN).
+  std::vector<OperatorProfile> Describe() const;
+
+  /// Runs every operator in order over the FROM dataset's rows; fills
+  /// `prof` (when set) with one measured entry per operator.
+  Result<DatasetView> Run(QueryProfile* prof);
+
+ private:
+  using Step = Status (Pipeline::*)(EvalContext::IoStats* io);
+  struct Operator {
+    OperatorProfile profile;  // name and detail; `version` also its timing
+    Step run = nullptr;       // null: done while the list was built
+  };
+
+  explicit Pipeline(const Query& query) : query_(&query) {}
+
+  void Add(const char* op, std::string detail, Step run) {
+    ops_.push_back({{op, std::move(detail)}, run});
+  }
+  /// JOIN and GROUP BY results are computed rows; a scan stays a lazy
+  /// row-backed view.
+  bool Computed() const {
+    return right_ != nullptr || !query_->group_by.empty();
+  }
+  uint64_t size() const { return view_ ? view_->size() : rows_.size(); }
+
+  /// Context for the FROM row `left`, with the JOIN aliases bound to
+  /// (left, right) when the query joins.
+  EvalContext Context(uint64_t left, uint64_t right,
+                      EvalContext::IoStats* io) const {
+    EvalContext ctx(from_.get(), left, io);
+    if (right_ != nullptr) {
+      ctx.Bind(query_->from_alias, from_.get(), left);
+      ctx.Bind(query_->joins[0].alias, right_.get(), right);
+    }
+    return ctx;
+  }
+  /// `expr` on a scan row or join pair.
+  Result<Value> EvalMember(const Expr& expr, uint64_t id,
+                           EvalContext::IoStats* io) const {
+    EvalContext ctx = right_ == nullptr
+                          ? Context(id, 0, io)
+                          : Context(pairs_[id].first, pairs_[id].second, io);
+    return Evaluate(expr, ctx);
+  }
+  /// `expr` on row `id`. On a group row, an aggregate call reduces over
+  /// the group's members and any other expression reads the first member.
+  Result<Value> Eval(const Expr& expr, uint64_t id,
+                     EvalContext::IoStats* io) const;
+
+  Status Plan(EvalContext::IoStats* io);
+  Status Scan(EvalContext::IoStats* io);
+  Status Join(EvalContext::IoStats* io);
+  Status Filter(EvalContext::IoStats* io);
+  Status GroupBy(EvalContext::IoStats* io);
+  Status Sort(EvalContext::IoStats* io);
+  Status Arrange(EvalContext::IoStats* io);
+  Status Limit(EvalContext::IoStats* io);
+  Status Project(EvalContext::IoStats* io);
+
+  const Query* query_;
+  std::shared_ptr<tsf::Dataset> from_, right_;
+  std::vector<Operator> ops_;
+  std::vector<uint64_t> rows_;
+  std::vector<std::pair<uint64_t, uint64_t>> pairs_;  // after join
+  std::vector<std::vector<uint64_t>> groups_;         // after group_by
+  std::optional<DatasetView> view_;  // set by project
+};
+
+Result<Pipeline> Pipeline::Build(std::shared_ptr<tsf::Dataset> dataset,
+                                 const Query& query,
+                                 const QueryOptions& options) {
+  Pipeline p(query);
+  auto named = options.datasets.find(query.from);
+  p.from_ = named != options.datasets.end() ? named->second : dataset;
+  if (!query.version.empty()) {
+    if (!options.version_resolver) {
+      return Status::NotImplemented(
+          "tql: VERSION queries require a version resolver");
+    }
+    int64_t start = NowMicros();
+    DL_ASSIGN_OR_RETURN(p.from_, options.version_resolver(query.version));
+    p.Add("version", "'" + query.version + "'", nullptr);
+    p.ops_.back().profile.rows_out = p.from_->NumRows();
+    p.ops_.back().profile.wall_us = NowMicros() - start;
+  }
+  if (query.joins.size() > 1) {
+    return Status::NotImplemented("tql: only a single JOIN is supported");
+  }
+  p.Add("plan", "validate expressions", &Pipeline::Plan);
+  if (!query.joins.empty()) {
+    const JoinClause& join = query.joins[0];
+    auto right = options.datasets.find(join.dataset);
+    if (right == options.datasets.end()) {
+      return Status::NotFound("tql: JOIN dataset '" + join.dataset +
+                              "' not registered in QueryOptions::datasets");
+    }
+    p.right_ = right->second;
+    p.Add("join", join.dataset + " ON " + ExprToString(*join.on),
+          &Pipeline::Join);
+  } else if (!query.where) {
+    std::string rows = std::to_string(p.from_->NumRows());
+    p.Add("scan", "full scan of " + rows + " rows", &Pipeline::Scan);
+  }
+  if (query.where) {
+    p.Add("filter", ExprToString(*query.where), &Pipeline::Filter);
+  }
+  if (!query.group_by.empty()) {
+    std::string detail;
+    for (const auto& g : query.group_by) {
+      if (!detail.empty()) detail += ", ";
+      detail += ExprToString(*g);
+    }
+    p.Add("group_by", std::move(detail), &Pipeline::GroupBy);
+  }
+  if (query.order_by) {
+    p.Add("sort",
+          ExprToString(*query.order_by) + (query.order_desc ? " DESC" : " ASC"),
+          &Pipeline::Sort);
+  }
+  if (query.arrange_by) {
+    p.Add("arrange", ExprToString(*query.arrange_by), &Pipeline::Arrange);
+  }
+  if (query.limit >= 0 || query.offset > 0) {
+    std::string detail = query.limit >= 0
+                             ? "limit " + std::to_string(query.limit)
+                             : std::string("limit none");
+    if (query.offset > 0) detail += " offset " + std::to_string(query.offset);
+    p.Add("limit", std::move(detail), &Pipeline::Limit);
+  }
+  p.Add("project",
+        query.SelectsAll()
+            ? std::string("* (lazy)")
+            : std::to_string(query.select.size()) + " column(s)" +
+                  (p.Computed() ? " (computed)" : " (lazy)"),
+        &Pipeline::Project);
+  return p;
+}
+
+std::vector<OperatorProfile> Pipeline::Describe() const {
+  std::vector<OperatorProfile> out;
+  for (const Operator& o : ops_) {
+    out.push_back({o.profile.op, o.profile.detail});
+  }
+  return out;
+}
+
+Result<DatasetView> Pipeline::Run(QueryProfile* prof) {
+  uint64_t n = from_->NumRows();
+  rows_.resize(n);
+  std::iota(rows_.begin(), rows_.end(), uint64_t{0});
+  for (const Operator& o : ops_) {
+    OperatorProfile p = o.profile;
+    if (o.run != nullptr) {
+      EvalContext::IoStats io;
+      p.rows_in = size();
+      int64_t start = NowMicros();
+      DL_RETURN_IF_ERROR((this->*o.run)(prof != nullptr ? &io : nullptr));
+      p.rows_out = size();
+      p.wall_us = NowMicros() - start;
+      p.bytes_read = io.bytes_loaded;
+      p.cache_hits = io.cache_hits;
+    }
+    if (prof != nullptr) prof->operators.push_back(std::move(p));
+  }
+  obs::MetricsRegistry::Global().GetCounter("tql.rows_scanned")->Add(n);
+  return std::move(*view_);
+}
+
+Result<Value> Pipeline::Eval(const Expr& expr, uint64_t id,
+                             EvalContext::IoStats* io) const {
+  // No groups: before group_by, or a group_by of no rows (no ids left).
+  if (groups_.empty()) return EvalMember(expr, id, io);
+  const std::vector<uint64_t>& members = groups_[id];
+  if (!IsAggregateCall(expr)) return EvalMember(expr, members.front(), io);
+  if (expr.text == "COUNT") {
+    return Value::Number(static_cast<double>(members.size()));
+  }
+  if (expr.args.size() != 1) {
+    return Status::InvalidArgument("tql: " + expr.text +
+                                   " expects one argument");
+  }
+  // Reduce the member values (each array by its mean) over the group.
+  double acc = 0;
+  double mn = HUGE_VAL, mx = -HUGE_VAL;
+  for (uint64_t member : members) {
+    DL_ASSIGN_OR_RETURN(Value v, EvalMember(*expr.args[0], member, io));
+    double d = v.is_array() ? ReduceMean(v.array()) : 0.0;
+    acc += d;
+    mn = std::min(mn, d);
+    mx = std::max(mx, d);
+  }
+  if (expr.text == "SUM") return Value::Number(acc);
+  if (expr.text == "MEAN") return Value::Number(acc / members.size());
+  return Value::Number(expr.text == "MIN" ? mn : mx);
+}
+
+/// Static validation of every expression in the query: all schema errors
+/// surface here, before any row is touched. `alias.tensor` resolves
+/// through the JOIN bindings, as it does when rows are evaluated.
+Status Pipeline::Plan(EvalContext::IoStats* /*io*/) {
+  obs::ScopedSpan span("tql.plan", "tql");
+  int64_t start = NowMicros();
+  if (Computed() && query_->SelectsAll()) {
+    return Status::InvalidArgument(
+        right_ != nullptr ? "tql: JOIN queries require an explicit select list"
+                          : "tql: GROUP BY requires an explicit select list");
+  }
+  const EvalContext scope = Context(0, 0, nullptr);
+  std::vector<const Expr*> exprs;
+  if (!query_->SelectsAll()) {
+    for (const auto& item : query_->select) exprs.push_back(item.expr.get());
+  }
+  for (const auto& join : query_->joins) exprs.push_back(join.on.get());
+  for (const auto& g : query_->group_by) exprs.push_back(g.get());
+  for (const Expr* e : {query_->where.get(), query_->order_by.get(),
+                        query_->arrange_by.get()}) {
+    if (e != nullptr) exprs.push_back(e);
+  }
+  for (const Expr* e : exprs) DL_RETURN_IF_ERROR(ValidateExpr(*e, scope));
+  obs::MetricsRegistry::Global().GetHistogram("tql.plan_us")
+      ->ObserveSinceMicros(start);
+  return Status::OK();
+}
+
+/// Every FROM row passes: the pipeline starts with all of them.
+Status Pipeline::Scan(EvalContext::IoStats* /*io*/) { return Status::OK(); }
+
+/// Nested-loop inner join (paper §7.3's "does not support operations such
+/// as *join*" future-work item): one pair per (left, right) rows where ON
+/// holds. Unqualified names resolve against the FROM dataset.
+Status Pipeline::Join(EvalContext::IoStats* io) {
+  const Expr& on = *query_->joins[0].on;
+  uint64_t n_right = right_->NumRows();
+  for (uint64_t left : rows_) {
+    for (uint64_t right = 0; right < n_right; ++right) {
+      EvalContext ctx = Context(left, right, io);
+      DL_ASSIGN_OR_RETURN(Value match, Evaluate(on, ctx));
+      if (match.Truthy()) pairs_.emplace_back(left, right);
+    }
+  }
+  rows_.resize(pairs_.size());
+  std::iota(rows_.begin(), rows_.end(), uint64_t{0});
+  return Status::OK();
+}
+
+Status Pipeline::Filter(EvalContext::IoStats* io) {
+  size_t kept = 0;
+  for (uint64_t id : rows_) {
+    DL_ASSIGN_OR_RETURN(Value v, Eval(*query_->where, id, io));
+    if (v.Truthy()) rows_[kept++] = id;
+  }
+  rows_.resize(kept);
+  return Status::OK();
+}
+
+/// One row per distinct (stringified) group key, in key order.
+Status Pipeline::GroupBy(EvalContext::IoStats* io) {
   std::map<std::string, std::vector<uint64_t>> groups;
-  for (uint64_t row : rows) {
-    EvalContext ctx(ds.get(), row);
+  for (uint64_t id : rows_) {
     std::string key;
-    for (const auto& g : q.group_by) {
-      DL_ASSIGN_OR_RETURN(Value v, Evaluate(*g, ctx));
+    for (const auto& g : query_->group_by) {
+      DL_ASSIGN_OR_RETURN(Value v, Eval(*g, id, io));
       key += v.ToString();
       key += '\x1f';
     }
-    groups[key].push_back(row);
+    groups[key].push_back(id);
   }
-  if (q.SelectsAll()) {
-    return Status::InvalidArgument(
-        "tql: GROUP BY requires an explicit select list");
-  }
-  std::vector<std::string> columns;
-  for (const auto& item : q.select) columns.push_back(item.alias);
-  std::vector<std::vector<Value>> out_rows;
-  for (const auto& [key, members] : groups) {
-    std::vector<Value> out_row;
-    for (const auto& item : q.select) {
-      const Expr& e = *item.expr;
-      if (IsAggregateCall(e)) {
-        if (e.text == "COUNT") {
-          out_row.push_back(
-              Value::Number(static_cast<double>(members.size())));
-          continue;
-        }
-        // Reduce the scalar expression over the group's rows.
-        if (e.args.size() != 1) {
-          return Status::InvalidArgument("tql: " + e.text +
-                                         " expects one argument");
-        }
-        double acc = 0;
-        double mn = HUGE_VAL, mx = -HUGE_VAL;
-        for (uint64_t row : members) {
-          EvalContext ctx(ds.get(), row);
-          DL_ASSIGN_OR_RETURN(Value v, Evaluate(*e.args[0], ctx));
-          double d = v.is_array() ? ReduceMean(v.array()) : 0.0;
-          acc += d;
-          mn = std::min(mn, d);
-          mx = std::max(mx, d);
-        }
-        double result = 0;
-        if (e.text == "SUM") result = acc;
-        if (e.text == "MEAN") result = members.empty() ? 0 : acc / members.size();
-        if (e.text == "MIN") result = members.empty() ? 0 : mn;
-        if (e.text == "MAX") result = members.empty() ? 0 : mx;
-        out_row.push_back(Value::Number(result));
-      } else {
-        // Non-aggregate: value on the group's first row.
-        EvalContext ctx(ds.get(), members.front());
-        DL_ASSIGN_OR_RETURN(Value v, Evaluate(e, ctx));
-        out_row.push_back(std::move(v));
-      }
-    }
-    out_rows.push_back(std::move(out_row));
-  }
-  return DatasetView(std::move(columns), std::move(out_rows));
+  for (auto& [key, members] : groups) groups_.push_back(std::move(members));
+  rows_.resize(groups_.size());
+  std::iota(rows_.begin(), rows_.end(), uint64_t{0});
+  return Status::OK();
 }
 
-}  // namespace
-
-namespace {
-
-/// JOIN execution (paper §7.3's "does not support operations such as
-/// *join*" future-work item): nested-loop inner join producing a computed
-/// view. Column references qualify as `alias.tensor`; unqualified names
-/// resolve against the FROM dataset.
-Result<DatasetView> ExecuteJoin(std::shared_ptr<tsf::Dataset> left,
-                                const Query& query,
-                                const QueryOptions& options) {
-  if (query.joins.size() != 1) {
-    return Status::NotImplemented("tql: only a single JOIN is supported");
+Status Pipeline::Sort(EvalContext::IoStats* io) {
+  std::vector<std::pair<double, uint64_t>> keyed;
+  keyed.reserve(rows_.size());
+  for (uint64_t id : rows_) {
+    DL_ASSIGN_OR_RETURN(Value v, Eval(*query_->order_by, id, io));
+    // The one numeric sort key: an array (a scalar too) by its mean;
+    // strings and null sort as 0.
+    keyed.emplace_back(v.is_array() ? ReduceMean(v.array()) : 0.0, id);
   }
-  if (query.SelectsAll()) {
-    return Status::InvalidArgument(
-        "tql: JOIN queries require an explicit select list");
-  }
-  if (!query.group_by.empty()) {
-    return Status::NotImplemented("tql: GROUP BY with JOIN");
-  }
-  const JoinClause& join = query.joins[0];
-  auto right_it = options.datasets.find(join.dataset);
-  if (right_it == options.datasets.end()) {
-    return Status::NotFound("tql: JOIN dataset '" + join.dataset +
-                            "' not registered in QueryOptions::datasets");
-  }
-  std::shared_ptr<tsf::Dataset> right = right_it->second;
+  bool desc = query_->order_desc;
+  std::stable_sort(keyed.begin(), keyed.end(),
+                   [desc](const auto& a, const auto& b) {
+                     return desc ? a.first > b.first : a.first < b.first;
+                   });
+  for (size_t i = 0; i < keyed.size(); ++i) rows_[i] = keyed[i].second;
+  return Status::OK();
+}
 
-  std::vector<std::string> columns;
-  for (const auto& item : query.select) columns.push_back(item.alias);
-
-  struct Keyed {
-    double key;
-    std::vector<Value> cells;
-  };
-  std::vector<Keyed> rows;
-  uint64_t n_left = left->NumRows();
-  uint64_t n_right = right->NumRows();
-  for (uint64_t i = 0; i < n_left; ++i) {
-    for (uint64_t j = 0; j < n_right; ++j) {
-      EvalContext ctx(left.get(), i);
-      ctx.Bind(query.from_alias, left.get(), i);
-      ctx.Bind(join.alias, right.get(), j);
-      DL_ASSIGN_OR_RETURN(Value on, Evaluate(*join.on, ctx));
-      if (!on.Truthy()) continue;
-      if (query.where) {
-        DL_ASSIGN_OR_RETURN(Value keep, Evaluate(*query.where, ctx));
-        if (!keep.Truthy()) continue;
-      }
-      Keyed row;
-      row.key = 0;
-      if (query.order_by) {
-        DL_ASSIGN_OR_RETURN(Value k, Evaluate(*query.order_by, ctx));
-        row.key = k.is_array() ? ReduceMean(k.array()) : 0.0;
-      }
-      for (const auto& item : query.select) {
-        DL_ASSIGN_OR_RETURN(Value v, Evaluate(*item.expr, ctx));
-        row.cells.push_back(std::move(v));
-      }
-      rows.push_back(std::move(row));
+/// Balancing: bucket by key, then round-robin interleave so every key
+/// appears evenly through the stream.
+Status Pipeline::Arrange(EvalContext::IoStats* io) {
+  std::map<std::string, std::vector<uint64_t>> buckets;
+  std::vector<std::vector<uint64_t>*> bucket_order;
+  for (uint64_t id : rows_) {
+    DL_ASSIGN_OR_RETURN(Value v, Eval(*query_->arrange_by, id, io));
+    std::vector<uint64_t>& bucket = buckets[v.ToString()];
+    if (bucket.empty()) bucket_order.push_back(&bucket);
+    bucket.push_back(id);
+  }
+  size_t out = 0;
+  for (size_t round = 0; out < rows_.size(); ++round) {
+    for (const std::vector<uint64_t>* bucket : bucket_order) {
+      if (round < bucket->size()) rows_[out++] = (*bucket)[round];
     }
   }
-  if (query.order_by) {
-    std::stable_sort(rows.begin(), rows.end(),
-                     [&](const Keyed& a, const Keyed& b) {
-                       return query.order_desc ? a.key > b.key
-                                               : a.key < b.key;
-                     });
+  return Status::OK();
+}
+
+Status Pipeline::Limit(EvalContext::IoStats* /*io*/) {
+  size_t off = std::min<size_t>(rows_.size(),
+                                static_cast<size_t>(query_->offset));
+  rows_.erase(rows_.begin(), rows_.begin() + off);
+  if (query_->limit >= 0 && rows_.size() > static_cast<size_t>(query_->limit)) {
+    rows_.resize(static_cast<size_t>(query_->limit));
   }
-  if (query.offset > 0) {
-    size_t off = std::min<size_t>(rows.size(),
-                                  static_cast<size_t>(query.offset));
-    rows.erase(rows.begin(), rows.begin() + off);
+  return Status::OK();
+}
+
+Status Pipeline::Project(EvalContext::IoStats* io) {
+  if (!Computed()) {
+    view_.emplace(from_, std::move(rows_),
+                  query_->SelectsAll() ? std::vector<SelectItem>{}
+                                       : query_->select,
+                  query_->SelectsAll());
+    return Status::OK();
   }
-  if (query.limit >= 0 && rows.size() > static_cast<size_t>(query.limit)) {
-    rows.resize(static_cast<size_t>(query.limit));
-  }
+  std::vector<std::string> columns;
+  for (const auto& item : query_->select) columns.push_back(item.alias);
   std::vector<std::vector<Value>> out;
-  out.reserve(rows.size());
-  for (auto& r : rows) out.push_back(std::move(r.cells));
-  return DatasetView(std::move(columns), std::move(out));
-}
-
-}  // namespace
-
-namespace {
-
-/// Operator details shared by EXPLAIN (describe) and EXPLAIN ANALYZE
-/// (measure): the two paths must name operators identically.
-std::string GroupByDetail(const Query& query) {
-  std::string detail;
-  for (const auto& g : query.group_by) {
-    if (!detail.empty()) detail += ", ";
-    detail += ExprToString(*g);
+  out.reserve(rows_.size());
+  for (uint64_t id : rows_) {
+    std::vector<Value> cells;
+    for (const auto& item : query_->select) {
+      DL_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, id, io));
+      cells.push_back(std::move(v));
+    }
+    out.push_back(std::move(cells));
   }
-  return detail;
-}
-
-std::string SortDetail(const Query& query) {
-  return ExprToString(*query.order_by) +
-         (query.order_desc ? " DESC" : " ASC");
-}
-
-std::string LimitDetail(const Query& query) {
-  std::string detail = query.limit >= 0
-                           ? "limit " + std::to_string(query.limit)
-                           : std::string("limit none");
-  if (query.offset > 0) detail += " offset " + std::to_string(query.offset);
-  return detail;
-}
-
-std::string ProjectDetail(const Query& query) {
-  return query.SelectsAll()
-             ? std::string("* (lazy)")
-             : std::to_string(query.select.size()) + " column(s) (lazy)";
-}
-
-/// Plain EXPLAIN: describe the operator pipeline without touching a row.
-/// Mirrors the operator names/order the ANALYZE path produces.
-std::vector<OperatorProfile> DescribePlan(const Query& query,
-                                          tsf::Dataset* ds) {
-  std::vector<OperatorProfile> ops;
-  auto add = [&](const char* op, std::string detail) {
-    OperatorProfile p;
-    p.op = op;
-    p.detail = std::move(detail);
-    ops.push_back(std::move(p));
-  };
-  if (!query.joins.empty()) {
-    add("join", query.joins[0].dataset + " ON " +
-                    ExprToString(*query.joins[0].on));
-    add("project", ProjectDetail(query));
-    return ops;
-  }
-  if (!query.version.empty()) add("version", "'" + query.version + "'");
-  add("plan", "validate expressions");
-  if (query.where) {
-    add("filter", ExprToString(*query.where));
-  } else {
-    add("scan", "full scan of " + std::to_string(ds->NumRows()) + " rows");
-  }
-  if (!query.group_by.empty()) {
-    add("group_by", GroupByDetail(query));
-    return ops;
-  }
-  if (query.order_by) add("sort", SortDetail(query));
-  if (query.arrange_by) add("arrange", ExprToString(*query.arrange_by));
-  if (query.limit >= 0 || query.offset > 0) add("limit", LimitDetail(query));
-  add("project", ProjectDetail(query));
-  return ops;
+  view_.emplace(std::move(columns), std::move(out));
+  return Status::OK();
 }
 
 /// Renders a profile as a computed single-column view — what EXPLAIN and
@@ -824,189 +989,6 @@ DatasetView PlanTextView(const QueryProfile& profile) {
     start = nl + 1;
   }
   return DatasetView(std::vector<std::string>{"plan"}, std::move(out_rows));
-}
-
-Result<DatasetView> ExecuteQueryImpl(std::shared_ptr<tsf::Dataset> dataset,
-                                     const Query& query,
-                                     const QueryOptions& options,
-                                     QueryProfile* prof) {
-  std::shared_ptr<tsf::Dataset> ds = dataset;
-  {
-    auto named = options.datasets.find(query.from);
-    if (named != options.datasets.end()) ds = named->second;
-  }
-  auto add_op = [&](const char* op, std::string detail, uint64_t rows_in,
-                    uint64_t rows_out, int64_t wall_us,
-                    EvalContext::IoStats io = {}) {
-    if (prof == nullptr) return;
-    OperatorProfile p;
-    p.op = op;
-    p.detail = std::move(detail);
-    p.rows_in = rows_in;
-    p.rows_out = rows_out;
-    p.wall_us = wall_us;
-    p.bytes_read = io.bytes_loaded;
-    p.cache_hits = io.cache_hits;
-    prof->operators.push_back(std::move(p));
-  };
-  if (!query.joins.empty()) {
-    int64_t join_start = NowMicros();
-    Result<DatasetView> joined = ExecuteJoin(ds, query, options);
-    if (joined.ok()) {
-      add_op("join",
-             query.joins[0].dataset + " ON " +
-                 ExprToString(*query.joins[0].on),
-             ds->NumRows(), joined->size(), NowMicros() - join_start);
-    }
-    return joined;
-  }
-  if (!query.version.empty()) {
-    if (!options.version_resolver) {
-      return Status::NotImplemented(
-          "tql: VERSION queries require a version resolver");
-    }
-    int64_t version_start = NowMicros();
-    DL_ASSIGN_OR_RETURN(ds, options.version_resolver(query.version));
-    add_op("version", "'" + query.version + "'", 0, ds->NumRows(),
-           NowMicros() - version_start);
-  }
-  // Static validation of every expression in the query — the "plan" phase:
-  // all schema errors surface here, before any row is touched.
-  obs::ScopedSpan plan_span("tql.plan", "tql");
-  int64_t plan_start = NowMicros();
-  if (!query.SelectsAll()) {
-    for (const auto& item : query.select) {
-      DL_RETURN_IF_ERROR(ValidateExpr(*item.expr, ds.get()));
-    }
-  }
-  if (query.where) DL_RETURN_IF_ERROR(ValidateExpr(*query.where, ds.get()));
-  if (query.order_by) {
-    DL_RETURN_IF_ERROR(ValidateExpr(*query.order_by, ds.get()));
-  }
-  if (query.arrange_by) {
-    DL_RETURN_IF_ERROR(ValidateExpr(*query.arrange_by, ds.get()));
-  }
-  for (const auto& g : query.group_by) {
-    DL_RETURN_IF_ERROR(ValidateExpr(*g, ds.get()));
-  }
-  auto& registry = obs::MetricsRegistry::Global();
-  registry.GetHistogram("tql.plan_us")->ObserveSinceMicros(plan_start);
-  plan_span.End();
-  add_op("plan", "validate expressions", 0, 0, NowMicros() - plan_start);
-  uint64_t n = ds->NumRows();
-  registry.GetCounter("tql.rows_scanned")->Add(n);
-
-  // Filter.
-  std::vector<uint64_t> rows;
-  rows.reserve(n);
-  EvalContext::IoStats filter_io;
-  int64_t filter_start = NowMicros();
-  for (uint64_t i = 0; i < n; ++i) {
-    if (query.where) {
-      EvalContext ctx(ds.get(), i, prof != nullptr ? &filter_io : nullptr);
-      DL_ASSIGN_OR_RETURN(Value v, Evaluate(*query.where, ctx));
-      if (!v.Truthy()) continue;
-    }
-    rows.push_back(i);
-  }
-  add_op(query.where != nullptr ? "filter" : "scan",
-         query.where != nullptr
-             ? ExprToString(*query.where)
-             : "full scan of " + std::to_string(n) + " rows",
-         n, rows.size(), NowMicros() - filter_start, filter_io);
-
-  if (!query.group_by.empty()) {
-    int64_t group_start = NowMicros();
-    uint64_t group_in = rows.size();
-    Result<DatasetView> grouped = ExecuteGroupBy(ds, query, rows);
-    if (grouped.ok()) {
-      add_op("group_by", GroupByDetail(query), group_in, grouped->size(),
-             NowMicros() - group_start);
-    }
-    return grouped;
-  }
-
-  // Order.
-  if (query.order_by) {
-    EvalContext::IoStats sort_io;
-    int64_t sort_start = NowMicros();
-    std::vector<std::pair<double, uint64_t>> keyed;
-    keyed.reserve(rows.size());
-    for (uint64_t row : rows) {
-      EvalContext ctx(ds.get(), row, prof != nullptr ? &sort_io : nullptr);
-      DL_ASSIGN_OR_RETURN(Value v, Evaluate(*query.order_by, ctx));
-      double key = v.is_array() ? (v.array().IsScalar()
-                                       ? v.array().AsScalar()
-                                       : ReduceMean(v.array()))
-                                : 0.0;
-      keyed.push_back({key, row});
-    }
-    std::stable_sort(keyed.begin(), keyed.end(),
-                     [&](const auto& a, const auto& b) {
-                       return query.order_desc ? a.first > b.first
-                                               : a.first < b.first;
-                     });
-    rows.clear();
-    for (const auto& [k, row] : keyed) rows.push_back(row);
-    add_op("sort", SortDetail(query), rows.size(), rows.size(),
-           NowMicros() - sort_start, sort_io);
-  }
-
-  // Arrange (balancing): bucket by key, then round-robin interleave so
-  // every key appears evenly through the stream.
-  if (query.arrange_by) {
-    EvalContext::IoStats arrange_io;
-    int64_t arrange_start = NowMicros();
-    std::map<std::string, std::vector<uint64_t>> buckets;
-    std::vector<std::string> bucket_order;
-    for (uint64_t row : rows) {
-      EvalContext ctx(ds.get(), row,
-                      prof != nullptr ? &arrange_io : nullptr);
-      DL_ASSIGN_OR_RETURN(Value v, Evaluate(*query.arrange_by, ctx));
-      std::string key = v.ToString();
-      if (buckets.find(key) == buckets.end()) bucket_order.push_back(key);
-      buckets[key].push_back(row);
-    }
-    rows.clear();
-    size_t remaining = 0;
-    for (const auto& [k, b] : buckets) remaining += b.size();
-    std::vector<size_t> cursors(bucket_order.size(), 0);
-    while (remaining > 0) {
-      for (size_t b = 0; b < bucket_order.size(); ++b) {
-        auto& bucket = buckets[bucket_order[b]];
-        if (cursors[b] < bucket.size()) {
-          rows.push_back(bucket[cursors[b]++]);
-          --remaining;
-        }
-      }
-    }
-    add_op("arrange", ExprToString(*query.arrange_by), rows.size(),
-           rows.size(), NowMicros() - arrange_start, arrange_io);
-  }
-
-  // Limit / offset.
-  if (query.offset > 0 || query.limit >= 0) {
-    uint64_t limit_in = rows.size();
-    int64_t limit_start = NowMicros();
-    if (query.offset > 0) {
-      size_t off = std::min<size_t>(rows.size(),
-                                    static_cast<size_t>(query.offset));
-      rows.erase(rows.begin(), rows.begin() + off);
-    }
-    if (query.limit >= 0 && rows.size() > static_cast<size_t>(query.limit)) {
-      rows.resize(static_cast<size_t>(query.limit));
-    }
-    add_op("limit", LimitDetail(query), limit_in, rows.size(),
-           NowMicros() - limit_start);
-  }
-
-  uint64_t out_rows = rows.size();
-  DatasetView view(ds, std::move(rows),
-                   query.SelectsAll() ? std::vector<SelectItem>{}
-                                      : query.select,
-                   query.SelectsAll());
-  add_op("project", ProjectDetail(query), out_rows, out_rows, 0);
-  return view;
 }
 
 /// Shared execution wrapper: spans/metrics, optional profiling, EXPLAIN
@@ -1032,17 +1014,15 @@ Result<DatasetView> ExecuteQueryTimed(std::shared_ptr<tsf::Dataset> dataset,
   }
 
   Result<DatasetView> view = [&]() -> Result<DatasetView> {
+    DL_ASSIGN_OR_RETURN(Pipeline pipeline,
+                        Pipeline::Build(std::move(dataset), query, options));
     if (query.explain == ExplainMode::kPlan) {
-      std::shared_ptr<tsf::Dataset> ds = dataset;
-      auto named = options.datasets.find(query.from);
-      if (named != options.datasets.end()) ds = named->second;
-      profile->operators = DescribePlan(query, ds.get());
+      profile->operators = pipeline.Describe();
       // Placeholder — the rendered plan view is built below, after
       // total_us is known.
       return DatasetView(std::vector<std::string>{"plan"}, {});
     }
-    return ExecuteQueryImpl(std::move(dataset), query, options,
-                            profile != nullptr ? profile.get() : nullptr);
+    return pipeline.Run(profile.get());
   }();
 
   registry.GetHistogram("tql.execute_us")->ObserveSinceMicros(start);

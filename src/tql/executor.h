@@ -22,7 +22,6 @@ class EvalContext {
   /// I/O accounting shared across the contexts of one execution stage —
   /// feeds the per-operator bytes_read / cache_hits of EXPLAIN ANALYZE.
   struct IoStats {
-    uint64_t loads = 0;         // tensor cell reads that hit storage
     uint64_t bytes_loaded = 0;  // sample bytes those reads returned
     uint64_t cache_hits = 0;    // column refs served from the row cache
   };
@@ -31,7 +30,6 @@ class EvalContext {
       : dataset_(dataset), row_(row), io_(io) {}
 
   uint64_t row() const { return row_; }
-  tsf::Dataset* dataset() const { return dataset_; }
 
   /// Binds an additional (alias, dataset, row) for JOIN evaluation:
   /// column references "alias/tensor" resolve against it.
@@ -45,14 +43,28 @@ class EvalContext {
   /// fall back to grouped-tensor paths on the primary dataset.
   Result<Value> Column(const std::string& name);
 
+  /// Shape of tensor `name` at this row, resolved like Column() but read
+  /// from the shape encoder, without loading the sample.
+  Result<tsf::TensorShape> ColumnShape(const std::string& name) const;
+
+  /// True when Column(name) would find a tensor: the same resolution,
+  /// without reading a row (query validation).
+  bool HasColumn(const std::string& name) const;
+
  private:
+  using Binding = std::pair<tsf::Dataset*, uint64_t>;
+
+  /// The JOIN binding a qualified "alias/tensor" name reads from, with
+  /// `*tensor` set to the unqualified name; null when `name` reads the
+  /// primary dataset.
+  const Binding* Bound(const std::string& name, std::string* tensor) const;
   Result<Value> Load(tsf::Dataset* dataset, uint64_t row,
                      const std::string& tensor);
 
   tsf::Dataset* dataset_;
   uint64_t row_;
   IoStats* io_ = nullptr;
-  std::map<std::string, std::pair<tsf::Dataset*, uint64_t>> bindings_;
+  std::map<std::string, Binding> bindings_;
   std::map<std::string, Value> cache_;
 };
 
@@ -95,15 +107,15 @@ Result<Value> Evaluate(const Expr& expr, EvalContext& ctx);
 /// The result of a query: an ordered selection of rows over a dataset plus
 /// a projection (paper §4.4 "constructs views of datasets, which can be
 /// visualized or directly streamed"). Views are lazy — projected cells are
-/// computed on access. GROUP BY queries produce a *computed* view whose
-/// rows live in memory.
+/// computed on access. JOIN and GROUP BY queries produce a *computed* view
+/// whose rows live in memory.
 class DatasetView {
  public:
   /// Row-backed view.
   DatasetView(std::shared_ptr<tsf::Dataset> dataset,
               std::vector<uint64_t> indices, std::vector<SelectItem> select,
               bool selects_all);
-  /// Computed (GROUP BY) view.
+  /// Computed (JOIN / GROUP BY) view.
   DatasetView(std::vector<std::string> columns,
               std::vector<std::vector<Value>> rows);
 

@@ -1,6 +1,7 @@
 #include "tsf/chunk.h"
 
 #include <cstring>
+#include <string>
 
 #include "util/coding.h"
 #include "util/crc32.h"
@@ -68,6 +69,13 @@ Result<ChunkHeader> ChunkHeader::Parse(ByteView chunk_prefix) {
       static_cast<compress::Compression>(chunk_prefix[7]);
   Decoder dec{chunk_prefix.subview(kFixedPrefix, header_len)};
   DL_ASSIGN_OR_RETURN(uint64_t n, dec.GetVarint64());
+  // Each entry takes at least 2 header bytes (a length and a rank), so a
+  // larger count is a forged header, not something to reserve room for.
+  if (n > header_len / 2) {
+    return Status::Corruption("chunk: header claims " + std::to_string(n) +
+                              " samples in " + std::to_string(header_len) +
+                              " bytes");
+  }
   h.stored_lens.reserve(n);
   h.shapes.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {

@@ -1,12 +1,18 @@
 // Property tests for the TQL evaluator: randomly generated arithmetic /
 // comparison expressions are evaluated both by the engine (through a
 // dataset round trip) and by a direct C++ oracle; results must agree.
-// Plus slice-property sweeps against a brute-force slicer.
+// Metamorphic relations between queries (WHERE / WHERE NOT, LIMIT /
+// OFFSET, ARRANGE BY, GROUP BY, JOIN), where one query's answer fixes
+// another's. Plus slice-property sweeps against a brute-force slicer.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "storage/storage.h"
 #include "tql/executor.h"
@@ -168,6 +174,165 @@ TEST_P(TqlOracleTest, OrderByMatchesOracleSort) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TqlOracleTest,
+                         ::testing::Values(1, 2, 3, 5, 8, 13));
+
+// ---------------------------------------------------------------------------
+// Metamorphic relations between queries
+// ---------------------------------------------------------------------------
+
+using Cells = std::vector<std::vector<std::string>>;
+
+/// Every cell of the query's result, row by row, rendered as text.
+Cells RunCells(const std::shared_ptr<Dataset>& ds, const std::string& query,
+               const QueryOptions& options = {}) {
+  auto view = RunQuery(ds, query, options);
+  EXPECT_TRUE(view.ok()) << query << ": " << view.status();
+  if (!view.ok()) return {};
+  Cells out;
+  for (size_t i = 0; i < view->size(); ++i) {
+    std::vector<std::string> row;
+    for (const auto& column : view->columns()) {
+      auto v = view->Cell(i, column);
+      EXPECT_TRUE(v.ok()) << query << ": " << v.status();
+      row.push_back(v.ok() ? v->ToString() : "<error>");
+    }
+    out.push_back(std::move(row));
+  }
+  return out;
+}
+
+/// A random comparison over a and b.
+std::string RandomPredicate(Rng& rng) {
+  const char* ops[] = {">", ">=", "<", "<=", "=", "!="};
+  std::string lhs = RandomExpr(rng, 2).text;
+  std::string rhs = RandomExpr(rng, 1).text;
+  return lhs + " " + ops[rng.Uniform(6)] + " " + rhs;
+}
+
+/// A seeded left fixture (`FROM l`) joined to a smaller seeded right one
+/// registered as `r`, on b (1..9), so most left rows match a few right rows.
+struct JoinFixture {
+  Fixture left, right;
+  QueryOptions options;
+  explicit JoinFixture(uint64_t seed) : left(seed), right(seed ^ 0x77, 10) {
+    options.datasets["r"] = right.ds;
+  }
+};
+
+class TqlMetamorphicTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(TqlMetamorphicTest, WhereAndWhereNotPartitionTheRows) {
+  Fixture f(GetParam());
+  Rng rng(GetParam() * 7919 + 1);
+  for (int trial = 0; trial < 10; ++trial) {
+    std::string p = RandomPredicate(rng);
+    auto yes = RunQuery(f.ds, "SELECT a FROM ds WHERE " + p);
+    auto no = RunQuery(f.ds, "SELECT a FROM ds WHERE NOT (" + p + ")");
+    ASSERT_TRUE(yes.ok()) << p << ": " << yes.status();
+    ASSERT_TRUE(no.ok()) << p << ": " << no.status();
+    std::vector<int> seen(f.a.size(), 0);
+    for (uint64_t row : yes->indices()) ++seen[row];
+    for (uint64_t row : no->indices()) ++seen[row];
+    for (size_t i = 0; i < seen.size(); ++i) {
+      EXPECT_EQ(seen[i], 1) << "row " << i << " under WHERE " << p;
+    }
+  }
+}
+
+TEST_P(TqlMetamorphicTest, LimitOffsetIsASliceOfTheUnlimitedQuery) {
+  JoinFixture j(GetParam());
+  const std::vector<std::string> queries = {
+      "SELECT a, b FROM ds",
+      "SELECT a, b FROM ds ORDER BY a DESC",
+      "SELECT b, COUNT() AS n, SUM(a) AS s FROM ds GROUP BY b",
+      "SELECT l.a AS la, r.a AS ra FROM l JOIN r ON l.b = r.b",
+  };
+  const std::pair<size_t, size_t> cuts[] = {
+      {0, 0}, {3, 0}, {4, 2}, {5, 100}, {100, 1}};
+  for (const std::string& q : queries) {
+    Cells all = RunCells(j.left.ds, q, j.options);
+    for (auto [limit, offset] : cuts) {
+      std::string cut = " LIMIT " + std::to_string(limit) + " OFFSET " +
+                        std::to_string(offset);
+      size_t begin = std::min(offset, all.size());
+      size_t end = std::min(offset + limit, all.size());
+      Cells expected(all.begin() + begin, all.begin() + end);
+      EXPECT_EQ(RunCells(j.left.ds, q + cut, j.options), expected) << q + cut;
+    }
+  }
+}
+
+TEST_P(TqlMetamorphicTest, ArrangeByRoundRobinsTheUnarrangedRows) {
+  // ARRANGE BY k returns the rows of the same query without it, bucketed
+  // by k in first-seen order and interleaved one per bucket per round.
+  // Column 0 of each query is k.
+  JoinFixture j(GetParam());
+  const std::pair<std::string, std::string> queries[] = {
+      {"SELECT b, a FROM ds WHERE a != 0", "b"},
+      {"SELECT l.a AS k, r.a AS ra FROM l JOIN r ON l.b = r.b", "l.a"},
+  };
+  for (const auto& [q, key] : queries) {
+    Cells plain = RunCells(j.left.ds, q, j.options);
+    Cells arranged =
+        RunCells(j.left.ds, q + " ARRANGE BY " + key, j.options);
+    std::map<std::string, Cells> buckets;
+    std::vector<std::string> order;
+    for (const auto& row : plain) {
+      if (buckets[row[0]].empty()) order.push_back(row[0]);
+      buckets[row[0]].push_back(row);
+    }
+    Cells expected;
+    for (size_t round = 0; expected.size() < plain.size(); ++round) {
+      for (const auto& k : order) {
+        if (round < buckets[k].size()) expected.push_back(buckets[k][round]);
+      }
+    }
+    EXPECT_EQ(arranged, expected) << q << " ARRANGE BY " << key;
+    // Hence a permutation of the unarranged rows.
+    std::sort(arranged.begin(), arranged.end());
+    std::sort(plain.begin(), plain.end());
+    EXPECT_EQ(arranged, plain) << q;
+  }
+}
+
+TEST_P(TqlMetamorphicTest, GroupCountsSumToTheFilteredRowCount) {
+  JoinFixture j(GetParam());
+  Rng rng(GetParam() * 104729 + 5);
+  for (int trial = 0; trial < 5; ++trial) {
+    std::string p = RandomPredicate(rng);
+    auto rows = RunQuery(j.left.ds, "SELECT a FROM ds WHERE " + p);
+    ASSERT_TRUE(rows.ok()) << p << ": " << rows.status();
+    Cells groups = RunCells(
+        j.left.ds, "SELECT b, COUNT() AS n FROM ds WHERE " + p + " GROUP BY b");
+    double total = 0;
+    for (const auto& g : groups) total += std::stod(g[1]);
+    EXPECT_EQ(total, static_cast<double>(rows->size())) << "WHERE " << p;
+  }
+  // The same over a JOIN: one count per right-side key.
+  const std::string join = "FROM l JOIN r ON l.b = r.b";
+  Cells pairs = RunCells(j.left.ds, "SELECT l.a AS la " + join, j.options);
+  Cells groups = RunCells(j.left.ds,
+                          "SELECT r.b AS k, COUNT() AS n " + join +
+                              " GROUP BY r.b",
+                          j.options);
+  double total = 0;
+  for (const auto& g : groups) total += std::stod(g[1]);
+  EXPECT_EQ(total, static_cast<double>(pairs.size()));
+}
+
+TEST_P(TqlMetamorphicTest, GroupOrderDescIsTheReverseOfAsc) {
+  // The group keys are distinct, so the two orders are strict.
+  Fixture f(GetParam());
+  const std::string q = "SELECT b, COUNT() AS n, MIN(a) AS lo FROM ds "
+                        "GROUP BY b ORDER BY b";
+  Cells asc = RunCells(f.ds, q + " ASC");
+  Cells desc = RunCells(f.ds, q + " DESC");
+  ASSERT_GT(asc.size(), 1u);
+  std::reverse(desc.begin(), desc.end());
+  EXPECT_EQ(desc, asc);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TqlMetamorphicTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13));
 
 // ---------------------------------------------------------------------------

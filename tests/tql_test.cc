@@ -1,10 +1,12 @@
 // TQL tests: lexer/parser, NdArray kernels, end-to-end queries (including
 // the paper's Fig. 5 query), GROUP BY, ARRANGE BY, version queries,
-// materialization.
+// JOIN, materialization, EXPLAIN [ANALYZE].
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <utility>
 
 #include "storage/storage.h"
 #include "tql/executor.h"
@@ -566,6 +568,175 @@ TEST(QueryTest, ErrorsSurfaceCleanly) {
   EXPECT_FALSE(RunQuery(ds, "SELECT * FROM ds GROUP BY labels").ok());
 }
 
+/// The class table JOIN tests join against: class_id 0, 1, 2 named cat,
+/// dog, bird.
+std::shared_ptr<Dataset> MakeClassTable() {
+  auto meta = Dataset::Create(std::make_shared<storage::MemoryStore>())
+                  .MoveValue();
+  TensorOptions id;
+  id.dtype = "int32";
+  EXPECT_TRUE(meta->CreateTensor("class_id", id).ok());
+  TensorOptions name;
+  name.htype = "text";
+  EXPECT_TRUE(meta->CreateTensor("class_name", name).ok());
+  const char* kNames[] = {"cat", "dog", "bird"};
+  for (int c = 0; c < 3; ++c) {
+    EXPECT_TRUE(meta->Append({{"class_id", Sample::Scalar(c, DType::kInt32)},
+                              {"class_name", Sample::FromString(kNames[c])}})
+                    .ok());
+  }
+  EXPECT_TRUE(meta->Flush().ok());
+  return meta;
+}
+
+/// A labels dataset under version control, labels cycling 0, 1, 2: commit
+/// `v1` holds 3 rows, the head 7. `options` resolves VERSION and registers
+/// the class table as `classes`.
+struct VersionedLabels {
+  std::shared_ptr<version::VersionControl> vc;
+  std::shared_ptr<Dataset> ds;
+  std::string v1;
+  QueryOptions options;
+
+  VersionedLabels() {
+    vc = version::VersionControl::OpenOrInit(
+             std::make_shared<storage::MemoryStore>())
+             .MoveValue();
+    ds = Dataset::Create(vc->working_store()).MoveValue();
+    TensorOptions lbl;
+    lbl.htype = "class_label";
+    EXPECT_TRUE(ds->CreateTensor("labels", lbl).ok());
+    Append(0, 3);
+    v1 = vc->Commit("v1").MoveValue();
+    ds = Dataset::Open(vc->working_store()).MoveValue();
+    Append(3, 7);
+    options.datasets["classes"] = MakeClassTable();
+    auto vcs = vc;
+    options.version_resolver =
+        [vcs](const std::string& commit) -> Result<std::shared_ptr<Dataset>> {
+      DL_ASSIGN_OR_RETURN(auto store, vcs->StoreAt(commit));
+      return Dataset::Open(store);
+    };
+  }
+
+  void Append(int begin, int end) {
+    for (int i = begin; i < end; ++i) {
+      EXPECT_TRUE(
+          ds->Append({{"labels", Sample::Scalar(i % 3, DType::kInt32)}}).ok());
+    }
+    EXPECT_TRUE(ds->Flush().ok());
+  }
+
+  /// Column `column` of the query's result, as numbers.
+  std::vector<double> Numbers(const std::string& query,
+                              const std::string& column) {
+    std::vector<double> out;
+    auto view = RunQuery(ds, query, options);
+    EXPECT_TRUE(view.ok()) << query << ": " << view.status();
+    if (!view.ok()) return out;
+    for (size_t i = 0; i < view->size(); ++i) {
+      out.push_back(view->Cell(i, column)->array().AsScalar());
+    }
+    return out;
+  }
+};
+
+TEST(QueryTest, GroupByComposesWithSortAndLimit) {
+  VersionedLabels lake;  // head labels 0,1,2,0,1,2,0
+  EXPECT_EQ(lake.Numbers("SELECT labels, COUNT() AS n FROM ds "
+                         "GROUP BY labels LIMIT 1",
+                         "labels"),
+            (std::vector<double>{0}));
+  EXPECT_EQ(lake.Numbers("SELECT labels FROM ds GROUP BY labels "
+                         "ORDER BY labels DESC",
+                         "labels"),
+            (std::vector<double>{2, 1, 0}));
+  // A group row's sort key reduces an aggregate over its members.
+  EXPECT_EQ(lake.Numbers("SELECT labels, COUNT() AS n FROM ds "
+                         "GROUP BY labels ORDER BY COUNT() DESC LIMIT 2",
+                         "n"),
+            (std::vector<double>{3, 2}));
+}
+
+TEST(QueryTest, JoinHonorsArrangeAndVersion) {
+  VersionedLabels lake;
+  const std::string join =
+      "SELECT d.labels AS l FROM d JOIN classes "
+      "ON d.labels = classes.class_id";
+  EXPECT_EQ(lake.Numbers(join + " ORDER BY d.labels ARRANGE BY d.labels", "l"),
+            (std::vector<double>{0, 1, 2, 0, 1, 2, 0}));
+  // VERSION pins the FROM dataset before it is joined.
+  EXPECT_EQ(lake.Numbers("SELECT d.labels AS l FROM d JOIN classes "
+                         "ON d.labels = classes.class_id VERSION '" +
+                             lake.v1 + "'",
+                         "l"),
+            (std::vector<double>{0, 1, 2}));
+}
+
+TEST(QueryTest, JoinValidatesExpressionsWhenNoPairMatches) {
+  VersionedLabels lake;
+  const std::string no_match =
+      " FROM d JOIN classes ON d.labels = classes.class_id + 100";
+  auto empty = RunQuery(lake.ds, "SELECT d.labels AS l" + no_match,
+                        lake.options);
+  ASSERT_TRUE(empty.ok()) << empty.status();
+  EXPECT_EQ(empty->size(), 0u);
+  EXPECT_TRUE(RunQuery(lake.ds, "SELECT NOSUCH(d.labels) AS x" + no_match,
+                       lake.options)
+                  .status()
+                  .IsNotImplemented());
+  EXPECT_TRUE(RunQuery(lake.ds, "SELECT classes.nope AS x" + no_match,
+                       lake.options)
+                  .status()
+                  .IsNotFound());
+}
+
+TEST(QueryTest, ShapeReadsTheShapeEncoderThroughJoinBindings) {
+  // SHAPE of a column loads no sample: a filter on it reads zero bytes.
+  auto ds = MakeDetectionDataset(3);
+  QueryProfile profile;
+  QueryOptions opts;
+  opts.profile = &profile;
+  auto view = RunQuery(ds, "SELECT labels FROM ds WHERE SHAPE(images)[0] = 600",
+                       opts);
+  ASSERT_TRUE(view.ok()) << view.status();
+  EXPECT_EQ(view->size(), 3u);
+  for (const auto& op : profile.operators) {
+    if (op.op == "filter") {
+      EXPECT_EQ(op.bytes_read, 0u);
+    }
+  }
+  // In a JOIN, SHAPE(alias.tensor) reads the bound row's shape.
+  VersionedLabels lake;
+  auto joined = RunQuery(lake.ds,
+                         "SELECT SHAPE(d.labels) AS s FROM d JOIN classes "
+                         "ON d.labels = classes.class_id",
+                         lake.options);
+  ASSERT_TRUE(joined.ok()) << joined.status();
+  auto scan = RunQuery(lake.ds, "SELECT SHAPE(labels) AS s FROM ds");
+  ASSERT_TRUE(scan.ok()) << scan.status();
+  ASSERT_EQ(joined->size(), 7u);
+  EXPECT_EQ(joined->Cell(0, "s")->ToString(), scan->Cell(0, "s")->ToString());
+}
+
+TEST(QueryTest, JoinWithGroupBy) {
+  VersionedLabels lake;  // head labels 0,1,2,0,1,2,0: 3 cats
+  auto view = RunQuery(lake.ds,
+                       "SELECT classes.class_name AS name, COUNT() AS n "
+                       "FROM d JOIN classes ON d.labels = classes.class_id "
+                       "GROUP BY classes.class_name ORDER BY COUNT() DESC",
+                       lake.options);
+  ASSERT_TRUE(view.ok()) << view.status();
+  ASSERT_EQ(view->size(), 3u);
+  EXPECT_EQ(view->Cell(0, "name")->str(), "cat");
+  EXPECT_EQ(view->Cell(0, "n")->array().AsScalar(), 3);
+  double total = 0;
+  for (size_t i = 0; i < 3; ++i) {
+    total += view->Cell(i, "n")->array().AsScalar();
+  }
+  EXPECT_EQ(total, 7);
+}
+
 // ---------------------------------------------------------------------------
 // EXPLAIN / EXPLAIN ANALYZE
 // ---------------------------------------------------------------------------
@@ -702,6 +873,58 @@ TEST(ExplainTest, ProfileWithoutExplainReturnsRealRows) {
   ASSERT_FALSE(profile.operators.empty());
   ASSERT_NE(view->profile(), nullptr);
   EXPECT_EQ(view->profile()->operators.size(), profile.operators.size());
+}
+
+/// (op, detail) of each operator in the profile a query's view carries.
+std::vector<std::pair<std::string, std::string>> OperatorList(
+    const DatasetView& view) {
+  std::vector<std::pair<std::string, std::string>> out;
+  if (view.profile() == nullptr) return out;
+  for (const auto& op : view.profile()->operators) {
+    out.emplace_back(op.op, op.detail);
+  }
+  return out;
+}
+
+TEST(ExplainTest, ExplainListsTheOperatorsAnalyzeRuns) {
+  VersionedLabels lake;
+  const std::string version = " VERSION '" + lake.v1 + "'";
+  const std::string join =
+      "SELECT d.labels AS l, classes.class_name AS name FROM d JOIN classes "
+      "ON d.labels = classes.class_id";
+  const std::string queries[] = {
+      "SELECT * FROM ds",
+      "SELECT labels FROM ds WHERE labels = 1",
+      "SELECT labels FROM ds ORDER BY labels DESC ARRANGE BY labels "
+      "LIMIT 3 OFFSET 1",
+      "SELECT labels, COUNT() AS n FROM ds WHERE labels < 2 GROUP BY labels "
+      "ORDER BY labels DESC LIMIT 1",
+      "SELECT * FROM ds" + version,
+      join + " WHERE d.labels > 0 ORDER BY d.labels DESC ARRANGE BY d.labels "
+             "LIMIT 2",
+      join + version,
+      "SELECT classes.class_name AS name, COUNT() AS n FROM d JOIN classes "
+      "ON d.labels = classes.class_id GROUP BY classes.class_name",
+  };
+  for (const std::string& q : queries) {
+    auto plan = RunQuery(lake.ds, "EXPLAIN " + q, lake.options);
+    auto analyzed = RunQuery(lake.ds, "EXPLAIN ANALYZE " + q, lake.options);
+    ASSERT_TRUE(plan.ok()) << q << ": " << plan.status();
+    ASSERT_TRUE(analyzed.ok()) << q << ": " << analyzed.status();
+    EXPECT_FALSE(OperatorList(*plan).empty()) << q;
+    EXPECT_EQ(OperatorList(*plan), OperatorList(*analyzed)) << q;
+  }
+  // A JOIN lists every operator it runs, in pipeline order.
+  auto plan = RunQuery(lake.ds,
+                       "EXPLAIN " + join +
+                           " WHERE d.labels > 0 ORDER BY d.labels "
+                           "ARRANGE BY d.labels LIMIT 2",
+                       lake.options);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  std::vector<std::string> ops;
+  for (const auto& [op, detail] : OperatorList(*plan)) ops.push_back(op);
+  EXPECT_EQ(ops, (std::vector<std::string>{"plan", "join", "filter", "sort",
+                                           "arrange", "limit", "project"}));
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "tsf/shape_encoder.h"
 #include "tsf/tile_encoder.h"
 #include "util/coding.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace dl::tsf {
@@ -160,6 +161,36 @@ TEST(ChunkFormatTest, CrcDetectsCorruption) {
   ByteBuffer bytes = builder.Finish().MoveValue();
   bytes[bytes.size() / 2] ^= 0x40;
   EXPECT_TRUE(Chunk::Parse(std::move(bytes)).status().IsCorruption());
+}
+
+TEST(ChunkFormatTest, ForgedSampleCountIsCorruptionNotAnAllocation) {
+  // A chunk whose header claims 2^40 samples, with a valid CRC: parsing
+  // must reject the count before reserving room for it.
+  ChunkBuilder builder(DType::kUInt8, compress::Compression::kNone,
+                       compress::Compression::kNone);
+  ASSERT_TRUE(builder.Append(MakeSample(8, 8, 3, 1)).ok());
+  ByteBuffer real = builder.Finish().MoveValue();
+  const size_t prefix = ChunkHeader::kFixedPrefix;
+  const uint32_t header_len = DecodeFixed32(real.data() + 8);
+  Decoder dec{ByteView(real).subview(prefix, header_len)};
+  ASSERT_TRUE(dec.GetVarint64().ok());  // the real count, 1
+  ByteBuffer header;
+  PutVarint64(header, uint64_t{1} << 40);
+  header.insert(header.end(), real.begin() + prefix + dec.position(),
+                real.begin() + prefix + header_len);
+  ByteBuffer forged(real.begin(), real.begin() + 8);
+  PutFixed32(forged, static_cast<uint32_t>(header.size()));
+  AppendBytes(forged, ByteView(header));
+  forged.insert(forged.end(), real.begin() + prefix + header_len,
+                real.end() - 4);
+  PutFixed32(forged, Crc32c(ByteView(forged)));
+
+  auto chunk = Chunk::Parse(std::move(forged));
+  ASSERT_FALSE(chunk.ok());
+  EXPECT_TRUE(chunk.status().IsCorruption()) << chunk.status();
+  EXPECT_NE(chunk.status().ToString().find("claims 1099511627776 samples"),
+            std::string::npos)
+      << chunk.status();
 }
 
 TEST(ChunkFormatTest, HeaderOnlyParseGivesRanges) {
