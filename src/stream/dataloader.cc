@@ -1,7 +1,7 @@
 #include "stream/dataloader.h"
 
 #include <algorithm>
-#include <cstring>
+#include <numeric>
 
 #include "obs/export.h"
 #include "obs/trace.h"
@@ -59,27 +59,17 @@ Result<tsf::Sample> Batch::Stacked(const std::string& column) const {
 
 Dataloader::Dataloader(std::shared_ptr<tsf::Dataset> dataset,
                        DataloaderOptions options)
-    : dataset_(std::move(dataset)),
-      options_(std::move(options)),
-      shuffle_rng_(options_.seed) {
-  tensors_ = options_.tensors.empty() ? dataset_->TensorNames()
-                                      : options_.tensors;
+    : dataset_(std::move(dataset)), options_(std::move(options)) {
   std::vector<uint64_t> order(dataset_->NumRows());
-  for (uint64_t i = 0; i < order.size(); ++i) order[i] = i;
-  units_ = PlanUnits(order);
-  Start();
+  std::iota(order.begin(), order.end(), uint64_t{0});
+  Start(order);
 }
 
 Dataloader::Dataloader(std::shared_ptr<tsf::Dataset> dataset,
                        const tql::DatasetView& view,
                        DataloaderOptions options)
-    : dataset_(std::move(dataset)),
-      options_(std::move(options)),
-      shuffle_rng_(options_.seed) {
-  tensors_ = options_.tensors.empty() ? dataset_->TensorNames()
-                                      : options_.tensors;
-  units_ = PlanUnits(view.indices());
-  Start();
+    : dataset_(std::move(dataset)), options_(std::move(options)) {
+  Start(view.indices());
 }
 
 Dataloader::~Dataloader() {
@@ -90,37 +80,22 @@ Dataloader::~Dataloader() {
   gate_cv_.NotifyAll();
   ready_cv_.NotifyAll();
   pool_.reset();  // joins workers
-  // Undeliverable rows still buffered at teardown would otherwise leave
-  // the queue-depth gauge stuck above zero for the next epoch's loader.
-  // Workers are joined, but take the lock anyway — it is free here and
-  // keeps the guarded-access annotations honest.
-  if (queued_gauge_ != nullptr) {
-    MutexLock lock(mu_);
-    double leftover = static_cast<double>(reservoir_.size()) +
-                      static_cast<double>(pending_rows_.size());
-    for (const auto& [seq, p] : completed_) {
-      leftover += static_cast<double>(p.rows.size() - p.taken);
-    }
-    if (leftover > 0) queued_gauge_->Sub(leftover);
-  }
+  // Rows decoded but never delivered would otherwise leave the queue-depth
+  // gauge stuck above zero for the next epoch's loader.
+  MutexLock lock(mu_);
+  queued_gauge_->Sub(static_cast<double>(undelivered_));
 }
 
-std::vector<Dataloader::Unit> Dataloader::PlanUnits(
-    const std::vector<uint64_t>& order) const {
+void Dataloader::PlanEpoch(const std::vector<uint64_t>& order) {
   // Pick the finest-chunked tensor as the primary alignment target: its
   // chunk boundaries dominate fetch cost.
   const tsf::ChunkEncoder* primary = nullptr;
-  for (const auto& name : tensors_) {
-    auto t = dataset_->GetTensor(name);
-    if (!t.ok()) continue;
-    const tsf::ChunkEncoder& enc = (*t)->chunk_encoder();
+  for (const auto& [name, tensor] : columns_) {
+    const tsf::ChunkEncoder& enc = tensor->chunk_encoder();
     if (primary == nullptr || enc.num_chunks() > primary->num_chunks()) {
       primary = &enc;
     }
   }
-  std::vector<Unit> units;
-  Unit current;
-  current.seq = 0;
   size_t current_ordinal = SIZE_MAX;
   for (uint64_t row : order) {
     size_t ordinal = SIZE_MAX;
@@ -132,22 +107,56 @@ std::vector<Dataloader::Unit> Dataloader::PlanUnits(
     // one chunk share one fetch, even when a sparse view skips between
     // them. (The sparse-view penalty of §4.5 remains — the full chunk is
     // fetched however few of its rows the view selects.)
-    bool breaks = current.rows.empty() ? false : ordinal != current_ordinal;
-    if (breaks) {
-      units.push_back(std::move(current));
-      current = Unit{};
-      current.seq = units.size();
-    }
+    if (units_.empty() || ordinal != current_ordinal) units_.emplace_back();
     current_ordinal = ordinal;
-    current.rows.push_back(row);
+    units_.back().rows.push_back(row);
   }
-  if (!current.rows.empty()) units.push_back(std::move(current));
-  return units;
+  // Visit units in shuffled order for shuffled streams (chunk-level
+  // shuffle); the reservoir adds sample-level randomness (§3.5).
+  if (options_.shuffle) {
+    Rng rng(options_.seed ^ 0x5eed);
+    for (size_t i = units_.size(); i > 1; --i) {
+      std::swap(units_[i - 1], units_[rng.Uniform(i)]);
+    }
+  }
+  uint64_t first = 0;
+  for (Unit& unit : units_) {
+    unit.first = first;
+    first += unit.rows.size();
+  }
+
+  const uint64_t batch = options_.batch_size;
+  delivered_rows_ = batch == 0            ? 0
+                    : options_.drop_last ? order.size() / batch * batch
+                                         : order.size();
+  // The ramp (rather than waiting for a full reservoir) keeps the first
+  // batch as fast as the first unit.
+  const size_t cap =
+      options_.shuffle ? std::max<size_t>(1, options_.shuffle_buffer_rows) : 1;
+  Rng rng(options_.seed);
+  std::vector<uint64_t> reservoir;
+  uint64_t admitted = 0;
+  size_t unit = 0;
+  slot_of_.assign(order.size(), kNotDelivered);
+  for (uint64_t d = 0; d < delivered_rows_; ++d) {
+    while (reservoir.size() < std::min<uint64_t>(cap, d + 1) &&
+           admitted < order.size()) {
+      reservoir.push_back(admitted++);
+    }
+    size_t pick = rng.Uniform(reservoir.size());
+    std::swap(reservoir[pick], reservoir.back());
+    slot_of_[reservoir.back()] = d;
+    reservoir.pop_back();
+    if ((d + 1) % batch == 0 || d + 1 == delivered_rows_) {
+      // The batch is whole once the units holding positions
+      // [0, admitted) are done.
+      while (units_[unit].first + units_[unit].rows.size() < admitted) ++unit;
+      units_needed_.push_back(unit + 1);
+    }
+  }
 }
 
-void Dataloader::Start() {
-  if (started_) return;
-  started_ = true;
+void Dataloader::Start(const std::vector<uint64_t>& order) {
   auto& registry = obs::MetricsRegistry::Global();
   fetch_hist_ = registry.GetHistogram("loader.fetch_us");
   decode_hist_ = registry.GetHistogram("loader.decode_us");
@@ -157,31 +166,32 @@ void Dataloader::Start() {
   bytes_copied_counter_ = registry.GetCounter("loader.bytes_copied");
   queued_gauge_ = registry.GetGauge("loader.queued_rows");
   copied_watermark_ = TotalBytesCopied();
-  // Visit units in shuffled order for shuffled streams (chunk-level
-  // shuffle); the reservoir adds sample-level randomness (§3.5).
-  std::vector<size_t> visit(units_.size());
-  for (size_t i = 0; i < visit.size(); ++i) visit[i] = i;
-  if (options_.shuffle) {
-    Rng rng(options_.seed ^ 0x5eed);
-    for (size_t i = visit.size(); i > 1; --i) {
-      std::swap(visit[i - 1], visit[rng.Uniform(i)]);
+  for (const auto& name : options_.tensors.empty() ? dataset_->TensorNames()
+                                                   : options_.tensors) {
+    auto tensor = dataset_->GetTensor(name);
+    if (!tensor.ok()) {
+      // Reported by the first Next(), like any worker error.
+      MutexLock lock(mu_);
+      first_error_ = tensor.status();
+      return;
     }
-    for (size_t k = 0; k < visit.size(); ++k) units_[visit[k]].seq = k;
-    reservoir_cap_ = std::max<size_t>(1, options_.shuffle_buffer_rows);
+    columns_.emplace_back(name, *tensor);
   }
-  start_allowance_ = std::max<size_t>(1, options_.prefetch_units);
+  PlanEpoch(order);
+  const size_t prefetch = std::max<size_t>(1, options_.prefetch_units);
   pool_ = std::make_unique<ThreadPool>(options_.num_workers);
-  for (size_t pos = 0; pos < visit.size(); ++pos) {
-    const Unit* unit = &units_[visit[pos]];
-    pool_->Submit([this, unit, pos] {
+  for (size_t pos = 0; pos < units_.size(); ++pos) {
+    pool_->Submit([this, pos, prefetch] {
       {
         MutexLock lock(mu_);
-        while (!(abort_ || !first_error_.ok() || pos < start_allowance_)) {
+        while (!abort_ && first_error_.ok() &&
+               !(next_batch_ < units_needed_.size() &&
+                 pos + 1 < units_needed_[next_batch_] + prefetch)) {
           gate_cv_.Wait(mu_);
         }
         if (abort_ || !first_error_.ok()) return;
       }
-      ProcessUnit(*unit);
+      ProcessUnit(units_[pos]);
     });
   }
 }
@@ -205,15 +215,26 @@ void Dataloader::ProcessUnit(const Unit& unit) {
     hist->Observe(static_cast<double>(dt));
     return r;
   };
-  // Publishes one decoded row into the unit's progress entry at once, so
-  // consumption overlaps decoding from the first sample.
-  auto publish = [&](Row row) {
+  // Moves a finished row into its slot of batch `delivery / batch_size`,
+  // so consumption overlaps decoding from the first sample.
+  auto place = [&](uint64_t delivery, Row row) {
+    const uint64_t b = delivery / options_.batch_size;
+    const uint64_t rows = BatchRows(b);
+    bool full = false;
     {
       MutexLock lock(mu_);
-      completed_[unit.seq].rows.push_back(std::move(row));
+      Batch& batch = pending_[b];
+      for (auto& [name, sample] : row) {
+        std::vector<tsf::Sample>& column = batch.columns[name];
+        column.resize(rows);
+        column[delivery % options_.batch_size] = std::move(sample);
+      }
+      full = ++batch.size == rows;
+      ++undelivered_;
+      // Under the lock, so the consumer's Sub never precedes this Add.
+      queued_gauge_->Add(1);
     }
-    queued_gauge_->Add(1);
-    ready_cv_.NotifyAll();
+    if (full) ready_cv_.NotifyAll();
   };
   // Runs one storage read. A retryable failure that reaches the loader has
   // outlived any storage::RetryingStore in the chain and poisons the epoch;
@@ -234,15 +255,12 @@ void Dataloader::ProcessUnit(const Unit& unit) {
   // once even when it serves many rows.
   std::map<std::string, std::map<uint64_t, std::shared_ptr<tsf::Chunk>>>
       cache;
-  for (uint64_t row_idx : unit.rows) {
+  for (size_t i = 0; i < unit.rows.size(); ++i) {
+    const uint64_t delivery = slot_of_[unit.first + i];
+    if (delivery == kNotDelivered) continue;  // past the last batch
+    const uint64_t row_idx = unit.rows[i];
     Row row;
-    for (const auto& name : tensors_) {
-      auto tr = dataset_->GetTensor(name);
-      if (!tr.ok()) {
-        status = tr.status();
-        break;
-      }
-      tsf::Tensor* t = *tr;
+    for (const auto& [name, t] : columns_) {
       if (row_idx >= t->NumSamples()) {
         row[name] = tsf::Sample::EmptyOf(t->meta().dtype);
         continue;
@@ -299,18 +317,18 @@ void Dataloader::ProcessUnit(const Unit& unit) {
                      [&] { return options_.transform(row); });
       if (!status.ok()) break;
     }
-    publish(std::move(row));
+    place(delivery, std::move(row));
   }
 
   {
     MutexLock lock(mu_);
     if (!status.ok() && first_error_.ok()) first_error_ = status;
-    completed_[unit.seq].done = true;
+    ++stats_.units;
     stats_.fetch_micros += fetch_us;
     stats_.decode_micros += decode_us;
     stats_.transform_micros += transform_us;
   }
-  ready_cv_.NotifyAll();
+  if (!status.ok()) ready_cv_.NotifyAll();
 }
 
 Result<bool> Dataloader::Next(Batch* out) {
@@ -318,47 +336,22 @@ Result<bool> Dataloader::Next(Batch* out) {
   // spans join the same trace as the worker-side fetches.
   obs::ContextScope context_scope(options_.context);
   obs::ScopedSpan next_span("loader.next", "loader");
-  out->columns.clear();
-  out->size = 0;
+  *out = Batch{};
   int64_t wait_start = NowMicros();
   bool stalled = false;
 
-  // The one delivery loop. Rows enter the reservoir strictly in visit
-  // order; pick k draws (seeded) from exactly min(cap, k + 1) rows, or from
-  // what is left once every unit is admitted. The delivered order is thus
-  // a function of the seed and the unit plan alone, never of worker
-  // timing. With cap 1 it is plain in-order delivery. The ramp (rather
-  // than waiting for a full reservoir) keeps the first batch as fast as
-  // the first unit.
+  // The one delivery loop: batch next_batch_ is handed out once workers
+  // have filled its every slot.
   MutexLock lock(mu_);
-  while (pending_rows_.size() < options_.batch_size) {
+  auto ready = pending_.end();
+  while (true) {
     if (!first_error_.ok()) return first_error_;
-    const size_t target = std::min<uint64_t>(reservoir_cap_, picks_ + 1);
-    while (reservoir_.size() < target && next_seq_ < units_.size()) {
-      auto it = completed_.find(next_seq_);
-      if (it == completed_.end()) break;
-      UnitProgress& p = it->second;
-      if (p.taken < p.rows.size()) {
-        reservoir_.push_back(std::move(p.rows[p.taken++]));
-        continue;
-      }
-      if (!p.done) break;
-      completed_.erase(it);
-      ++next_seq_;
-      ++stats_.units;
-      ++start_allowance_;
-      gate_cv_.NotifyAll();
+    if (next_batch_ == units_needed_.size()) break;  // end of stream
+    ready = pending_.find(next_batch_);
+    if (ready != pending_.end() &&
+        ready->second.size == BatchRows(next_batch_)) {
+      break;
     }
-    const bool drained = next_seq_ == units_.size();
-    if (!reservoir_.empty() && (reservoir_.size() == target || drained)) {
-      size_t pick = shuffle_rng_.Uniform(reservoir_.size());
-      std::swap(reservoir_[pick], reservoir_.back());
-      pending_rows_.push_back(std::move(reservoir_.back()));
-      reservoir_.pop_back();
-      ++picks_;
-      continue;
-    }
-    if (drained) break;
     stalled = true;
     ready_cv_.Wait(mu_);
   }
@@ -384,24 +377,16 @@ Result<bool> Dataloader::Next(Batch* out) {
     bytes_copied_counter_->Add(delta);
   }
 
-  if (pending_rows_.empty()) return false;  // end of stream
-  uint64_t take = std::min<uint64_t>(options_.batch_size,
-                                     pending_rows_.size());
-  if (take < options_.batch_size && options_.drop_last) {
-    pending_rows_.clear();
-    return false;
-  }
-  for (uint64_t i = 0; i < take; ++i) {
-    for (auto& [name, sample] : pending_rows_[i]) {
-      out->columns[name].push_back(std::move(sample));
-    }
-  }
-  pending_rows_.erase(pending_rows_.begin(), pending_rows_.begin() + take);
-  out->size = take;
-  stats_.rows_delivered += take;
+  if (next_batch_ == units_needed_.size()) return false;
+  *out = std::move(ready->second);
+  pending_.erase(ready);
+  ++next_batch_;
+  gate_cv_.NotifyAll();
+  undelivered_ -= out->size;
+  stats_.rows_delivered += out->size;
   stats_.batches_delivered += 1;
-  rows_counter_->Add(take);
-  queued_gauge_->Sub(static_cast<double>(take));
+  rows_counter_->Add(out->size);
+  queued_gauge_->Sub(static_cast<double>(out->size));
   return true;
 }
 

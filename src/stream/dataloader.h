@@ -1,6 +1,7 @@
 #ifndef DEEPLAKE_STREAM_DATALOADER_H_
 #define DEEPLAKE_STREAM_DATALOADER_H_
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
@@ -11,7 +12,6 @@
 #include "obs/metrics.h"
 #include "tql/executor.h"
 #include "tsf/dataset.h"
-#include "util/rng.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 
@@ -40,15 +40,16 @@ struct DataloaderOptions {
   /// Fetch/decode worker threads.
   size_t num_workers = 4;
   /// Streaming shuffle (paper §3.5): work units are visited in random
-  /// order and decoded rows pass through a reservoir buffer. The delivered
+  /// order and rows are drawn through a reservoir buffer. The delivered
   /// order is a function of (seed, dataset, view) alone — worker count and
   /// timing never change it.
   bool shuffle = false;
-  /// Rows held in the shuffle reservoir.
+  /// Capacity of the shuffle reservoir, in rows.
   size_t shuffle_buffer_rows = 512;
   uint64_t seed = 42;
-  /// Max work units (≈ chunks) fetched ahead of consumption; bounds
-  /// memory (paper §4.6 "predicting memory consumption").
+  /// Prefetch window: workers may start the work units (≈ chunks) the
+  /// next batch needs plus prefetch_units - 1 more; bounds memory (paper
+  /// §4.6 "predicting memory consumption").
   size_t prefetch_units = 8;
   bool drop_last = false;
   /// Tensors to stream; empty = all visible tensors.
@@ -74,7 +75,7 @@ struct DataloaderStats {
   uint64_t batches_delivered = 0;
   /// Time Next() spent blocked waiting for the pipeline.
   int64_t stall_micros = 0;
-  /// Work units (chunk-aligned ranges) processed.
+  /// Work units (chunk-aligned ranges) that workers have finished.
   uint64_t units = 0;
   /// Worker time spent in storage reads (chunk Get + tiled/tail reads;
   /// the tiled/tail path folds its decode into this figure).
@@ -95,6 +96,12 @@ struct DataloaderStats {
 /// decompresses in parallel workers, applies user transforms, shuffles via
 /// a buffer, and collates batches — while a bounded prefetch window keeps
 /// memory flat and the consumer (GPU) fed.
+///
+/// The epoch is a plan fixed before any row is decoded: Start() runs the
+/// reservoir rule of the streaming shuffle (§3.5) over admission positions,
+/// which gives every row its batch and slot. Workers decode rows into their
+/// slots; Next() hands out each batch once it is full. Rows in flight stay
+/// below the reservoir capacity plus one batch plus the prefetch window.
 ///
 /// Iterate: `while (loader.Next(&batch)) { ... }`. One pass; construct a
 /// new loader per epoch (cheap).
@@ -126,57 +133,60 @@ class Dataloader {
   }
 
  private:
+  /// Rows that share one primary chunk. rows[i] enters the reservoir at
+  /// admission position first + i.
   struct Unit {
-    uint64_t seq;                  // position in the visit order
-    std::vector<uint64_t> rows;    // dataset row indices
+    std::vector<uint64_t> rows;  // dataset row indices
+    uint64_t first = 0;
   };
+  static constexpr uint64_t kNotDelivered = UINT64_MAX;
 
-  void Start();
+  /// Resolves the tensors, fixes the epoch plan and launches the workers.
+  void Start(const std::vector<uint64_t>& order);
+  /// Cuts `order` into chunk-aligned units, fixes their visit order and
+  /// runs the reservoir rule over admission positions with the seeded draws
+  /// the rule takes: pick d draws uniformly from the min(cap, d + 1)
+  /// positions held, or from what is left once all are admitted. cap is
+  /// shuffle_buffer_rows when shuffling and 1 (in order) otherwise.
+  void PlanEpoch(const std::vector<uint64_t>& order);
   void ProcessUnit(const Unit& unit) DL_EXCLUDES(mu_);
-
-  /// Builds chunk-aligned work units from the ordered row list.
-  std::vector<Unit> PlanUnits(const std::vector<uint64_t>& order) const;
+  uint64_t BatchRows(uint64_t b) const {  // batch_size, less for the last
+    return std::min(options_.batch_size,
+                    delivered_rows_ - b * options_.batch_size);
+  }
 
   std::shared_ptr<tsf::Dataset> dataset_;
   DataloaderOptions options_;
-  std::vector<std::string> tensors_;
-  std::vector<Unit> units_;
+  std::vector<std::pair<std::string, tsf::Tensor*>> columns_;
+  std::vector<Unit> units_;  // in visit order
+  // The plan, read-only once Start() returns. slot_of_[a] is the delivery
+  // index of the row admitted at position a (kNotDelivered past the last
+  // batch under drop_last); units_needed_[b] counts the units, in visit
+  // order, that batch b's picks admit rows from.
+  std::vector<uint64_t> slot_of_;
+  std::vector<size_t> units_needed_;
+  uint64_t delivered_rows_ = 0;
   std::unique_ptr<ThreadPool> pool_;
 
   // Leaf lock (DESIGN.md §8): workers and the consumer never acquire
   // another dl::Mutex while holding it (registry instruments are atomics).
   mutable Mutex mu_{"stream.dataloader.mu"};
-  // Ordered prefetch window: the task at visit position k may start only
-  // once k < start_allowance_. Admission strictly by position prevents
-  // later units from stealing window slots from the unit the (in-order)
-  // consumer is waiting on — a semaphore here can deadlock by priority
-  // inversion. Only the consumer advances it, as it finishes a unit.
-  size_t start_allowance_ DL_GUARDED_BY(mu_) = 0;
   CondVar gate_cv_;
   CondVar ready_cv_;
-  // Per-unit progress keyed by seq: rows stream in as they decode (the
-  // consumer never waits for a whole unit), and the consumer admits them
-  // to the reservoir strictly in seq order.
-  struct UnitProgress {
-    std::vector<Row> rows;
-    size_t taken = 0;
-    bool done = false;
-  };
-  std::map<uint64_t, UnitProgress> completed_ DL_GUARDED_BY(mu_);
-  uint64_t next_seq_ DL_GUARDED_BY(mu_) = 0;
-  // Rows admitted in visit order, awaiting a seeded random pick. Holds at
-  // most reservoir_cap_ rows: shuffle_buffer_rows when shuffling, 1 (plain
-  // in-order delivery) otherwise.
-  std::vector<Row> reservoir_ DL_GUARDED_BY(mu_);
-  size_t reservoir_cap_ = 1;  // set in Start()
-  uint64_t picks_ DL_GUARDED_BY(mu_) = 0;
-  Rng shuffle_rng_ DL_GUARDED_BY(mu_){42};
+  // Batches being filled, keyed by batch number. A batch's `size` counts
+  // its filled slots; Next() takes batch next_batch_ once it is full.
+  std::map<uint64_t, Batch> pending_ DL_GUARDED_BY(mu_);
+  // next_batch_ also sets the ordered prefetch window: the unit at visit
+  // position k may start only once k < units_needed_[next_batch_] - 1 +
+  // prefetch_units. Admission strictly by position prevents later units
+  // from stealing window slots from a unit the consumer is waiting on — a
+  // semaphore here can deadlock by priority inversion. Only the consumer
+  // advances it.
+  uint64_t next_batch_ DL_GUARDED_BY(mu_) = 0;
+  // Decoded-but-undelivered rows.
+  uint64_t undelivered_ DL_GUARDED_BY(mu_) = 0;
   Status first_error_ DL_GUARDED_BY(mu_);
-  bool started_ = false;  // ctor-thread only (Start() runs in the ctor)
   bool abort_ DL_GUARDED_BY(mu_) = false;
-
-  // Carry-over rows between Next() calls (batch boundary inside a unit).
-  std::vector<Row> pending_rows_ DL_GUARDED_BY(mu_);
 
   DataloaderStats stats_ DL_GUARDED_BY(mu_);
   // Registry instruments (family `loader.*`), cached once in Start() so
@@ -191,9 +201,9 @@ class Dataloader {
   // Last TotalBytesCopied() sample; Next() accumulates deltas into
   // stats_.bytes_copied. Consumer-thread only.
   uint64_t copied_watermark_ = 0;
-  // Decoded-but-undelivered rows (reservoir + completed units + pending).
-  // A rising series means the consumer is the bottleneck; pinned at zero
-  // means the loader is — the flight-recorder signal for Fig. 9 plots.
+  // Tracks undelivered_. A rising series means the consumer is the
+  // bottleneck; pinned at zero means the loader is — the flight-recorder
+  // signal for Fig. 9 plots.
   obs::Gauge* queued_gauge_ = nullptr;
 };
 

@@ -75,7 +75,11 @@ bool IsKnownFunction(const std::string& fn) {
 
 /// Static semantic validation: unknown columns and functions fail at query
 /// time, not lazily on first cell access. Columns resolve as in `scope`.
-Status ValidateExpr(const Expr& expr, const EvalContext& scope) {
+/// COUNT() counts a group's members, so it is legal only in an expression
+/// evaluated on group rows. MEAN, SUM, MIN and MAX also reduce an array
+/// within one row, so they are legal anywhere.
+Status ValidateExpr(const Expr& expr, const EvalContext& scope,
+                    bool group_rows) {
   switch (expr.kind) {
     case Expr::Kind::kColumn:
       if (!scope.HasColumn(expr.text)) {
@@ -86,18 +90,25 @@ Status ValidateExpr(const Expr& expr, const EvalContext& scope) {
       if (!IsKnownFunction(expr.text)) {
         return Status::NotImplemented("tql: unknown function " + expr.text);
       }
+      if (expr.text == "COUNT" && !group_rows) {
+        return Status::InvalidArgument(
+            "tql: COUNT() counts group members and needs GROUP BY");
+      }
       break;
     default:
       break;
   }
-  if (expr.lhs) DL_RETURN_IF_ERROR(ValidateExpr(*expr.lhs, scope));
-  if (expr.rhs) DL_RETURN_IF_ERROR(ValidateExpr(*expr.rhs, scope));
-  for (const auto& a : expr.args) DL_RETURN_IF_ERROR(ValidateExpr(*a, scope));
+  auto validate = [&](const ExprPtr& e) {
+    return e ? ValidateExpr(*e, scope, group_rows) : Status::OK();
+  };
+  DL_RETURN_IF_ERROR(validate(expr.lhs));
+  DL_RETURN_IF_ERROR(validate(expr.rhs));
+  for (const auto& a : expr.args) DL_RETURN_IF_ERROR(validate(a));
   for (const auto& s : expr.slices) {
-    if (s.index) DL_RETURN_IF_ERROR(ValidateExpr(*s.index, scope));
-    if (s.start) DL_RETURN_IF_ERROR(ValidateExpr(*s.start, scope));
-    if (s.stop) DL_RETURN_IF_ERROR(ValidateExpr(*s.stop, scope));
-    if (s.step) DL_RETURN_IF_ERROR(ValidateExpr(*s.step, scope));
+    DL_RETURN_IF_ERROR(validate(s.index));
+    DL_RETURN_IF_ERROR(validate(s.start));
+    DL_RETURN_IF_ERROR(validate(s.stop));
+    DL_RETURN_IF_ERROR(validate(s.step));
   }
   return Status::OK();
 }
@@ -839,17 +850,25 @@ Status Pipeline::Plan(EvalContext::IoStats* /*io*/) {
                           : "tql: GROUP BY requires an explicit select list");
   }
   const EvalContext scope = Context(0, 0, nullptr);
-  std::vector<const Expr*> exprs;
+  // The select list and the sort and arrange keys read group rows when
+  // the query groups; JOIN ON, WHERE and the group keys read source rows.
+  const bool grouped = !query_->group_by.empty();
+  std::vector<std::pair<const Expr*, bool>> exprs;  // (expr, on group rows)
   if (!query_->SelectsAll()) {
-    for (const auto& item : query_->select) exprs.push_back(item.expr.get());
+    for (const auto& item : query_->select) {
+      exprs.emplace_back(item.expr.get(), grouped);
+    }
   }
-  for (const auto& join : query_->joins) exprs.push_back(join.on.get());
-  for (const auto& g : query_->group_by) exprs.push_back(g.get());
-  for (const Expr* e : {query_->where.get(), query_->order_by.get(),
-                        query_->arrange_by.get()}) {
-    if (e != nullptr) exprs.push_back(e);
+  for (const auto& join : query_->joins) {
+    exprs.emplace_back(join.on.get(), false);
   }
-  for (const Expr* e : exprs) DL_RETURN_IF_ERROR(ValidateExpr(*e, scope));
+  for (const auto& g : query_->group_by) exprs.emplace_back(g.get(), false);
+  exprs.emplace_back(query_->where.get(), false);
+  exprs.emplace_back(query_->order_by.get(), grouped);
+  exprs.emplace_back(query_->arrange_by.get(), grouped);
+  for (const auto& [e, group_rows] : exprs) {
+    if (e != nullptr) DL_RETURN_IF_ERROR(ValidateExpr(*e, scope, group_rows));
+  }
   obs::MetricsRegistry::Global().GetHistogram("tql.plan_us")
       ->ObserveSinceMicros(start);
   return Status::OK();

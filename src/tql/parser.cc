@@ -200,8 +200,20 @@ class Parser {
     return name;
   }
 
+  // Every recursive descent passes through here: a parenthesis, bracket,
+  // call argument or slice (each a fresh ParseExpr), NOT, and unary -/+.
+  // The one counter bounds the parser's stack and the height of the tree
+  // that ValidateExpr and Eval later recurse over.
+  template <typename Fn>
+  Result<ExprPtr> Nested(Fn&& parse) {
+    if (++depth_ > kMaxDepth) return Err("expression nested too deeply");
+    Result<ExprPtr> e = parse();
+    --depth_;
+    return e;
+  }
+
   // Precedence climbing: OR < AND < NOT < cmp < add < mul < unary < postfix.
-  Result<ExprPtr> ParseExpr() { return ParseOr(); }
+  Result<ExprPtr> ParseExpr() { return Nested([&] { return ParseOr(); }); }
 
   Result<ExprPtr> ParseOr() {
     DL_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd());
@@ -226,7 +238,7 @@ class Parser {
   Result<ExprPtr> ParseNot() {
     if (PeekKeyword("NOT")) {
       Advance();
-      DL_ASSIGN_OR_RETURN(ExprPtr base, ParseNot());
+      DL_ASSIGN_OR_RETURN(ExprPtr base, Nested([&] { return ParseNot(); }));
       return Expr::Unary(UnaryOp::kNot, std::move(base));
     }
     return ParseComparison();
@@ -301,12 +313,13 @@ class Parser {
   Result<ExprPtr> ParseUnary() {
     if (Peek().kind == TokenKind::kMinus) {
       Advance();
-      DL_ASSIGN_OR_RETURN(ExprPtr base, ParseUnary());
+      DL_ASSIGN_OR_RETURN(ExprPtr base,
+                          Nested([&] { return ParseUnary(); }));
       return Expr::Unary(UnaryOp::kNeg, std::move(base));
     }
     if (Peek().kind == TokenKind::kPlus) {
       Advance();
-      return ParseUnary();
+      return Nested([&] { return ParseUnary(); });
     }
     return ParsePostfix();
   }
@@ -437,8 +450,12 @@ class Parser {
     }
   }
 
+  // Far above any hand-written query; 200 nested parentheses still parse.
+  static constexpr int kMaxDepth = 256;
+
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

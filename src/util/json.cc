@@ -89,9 +89,14 @@ class Parser {
     char c = text_[pos_];
     switch (c) {
       case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+      case '[': {
+        // Recursion follows nesting, so forged input could exhaust the
+        // stack; no document this repo writes comes close to the cap.
+        if (++depth_ > kMaxDepth) return Err("nesting too deep");
+        Result<Json> v = c == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return v;
+      }
       case '"': {
         DL_ASSIGN_OR_RETURN(std::string s, ParseString());
         return Json(std::move(s));
@@ -280,8 +285,11 @@ class Parser {
                               std::to_string(pos_));
   }
 
+  static constexpr int kMaxDepth = 256;
+
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

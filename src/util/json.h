@@ -96,7 +96,8 @@ class Json {
   /// Compact serialization ("{"a":1}"). `indent` > 0 pretty-prints.
   std::string Dump(int indent = 0) const;
 
-  /// Parses a JSON document. Returns Corruption on malformed input.
+  /// Parses a JSON document. Returns Corruption on malformed input,
+  /// including nesting deeper than 256 arrays/objects.
   static Result<Json> Parse(std::string_view text);
 
   friend bool operator==(const Json& a, const Json& b);

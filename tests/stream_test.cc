@@ -11,6 +11,7 @@
 #include <string>
 #include <tuple>
 
+#include "obs/metrics.h"
 #include "sim/network_model.h"
 #include "storage/storage.h"
 #include "stream/dataloader.h"
@@ -188,6 +189,121 @@ INSTANTIATE_TEST_SUITE_P(
       return "w" + std::to_string(std::get<0>(info.param)) + "_p" +
              std::to_string(std::get<1>(info.param));
     });
+
+/// Delivered label orders recorded from the reservoir-driven loader that
+/// preceded the precomputed epoch plan. The plan must reproduce them for
+/// every worker count and prefetch depth.
+const std::vector<int> kGoldenShuffled100 = {
+    50, 52, 51, 56, 53, 55, 54, 11, 12, 16, 15, 1,  3,  13, 58, 4,  0,
+    70, 75, 5,  72, 73, 82, 81, 77, 8,  7,  80, 84, 9,  17, 23, 22, 27,
+    87, 78, 83, 20, 89, 44, 6,  24, 57, 88, 48, 49, 41, 85, 79, 42, 86,
+    14, 36, 26, 71, 95, 96, 46, 34, 99, 91, 62, 30, 25, 10, 98, 39, 74,
+    19, 90, 45, 43, 35, 93, 59, 18, 68, 76, 97, 65, 69, 60, 67, 61, 38,
+    29, 64, 2,  37, 32, 94, 28, 47, 66, 21, 33, 63, 31, 40, 92};
+const std::vector<int> kGoldenSparseView = {
+    39, 9, 36, 18, 48, 33, 15, 30, 6, 54, 51, 42, 0, 21, 3, 57, 12, 24, 45, 27};
+
+/// (num_workers, prefetch_units)
+class GoldenOrderTest
+    : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {
+ protected:
+  DataloaderOptions Options(uint64_t batch_size) const {
+    DataloaderOptions opts;
+    opts.batch_size = batch_size;
+    opts.num_workers = std::get<0>(GetParam());
+    opts.prefetch_units = std::get<1>(GetParam());
+    return opts;
+  }
+};
+
+TEST_P(GoldenOrderTest, InOrder) {
+  auto mem = std::make_shared<storage::MemoryStore>();
+  MakeDataset(100, mem, 8 * 1024);
+  auto ds = Dataset::Open(std::make_shared<JitterStore>(mem)).MoveValue();
+  Dataloader loader(ds, Options(7));
+  std::vector<int> expected(100);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(DrainLabels(loader), expected);
+}
+
+TEST_P(GoldenOrderTest, Shuffled) {
+  auto mem = std::make_shared<storage::MemoryStore>();
+  MakeDataset(100, mem, 8 * 1024);
+  auto ds = Dataset::Open(std::make_shared<JitterStore>(mem)).MoveValue();
+  DataloaderOptions opts = Options(10);
+  opts.shuffle = true;
+  opts.shuffle_buffer_rows = 32;
+  opts.seed = 1;
+  Dataloader loader(ds, opts);
+  EXPECT_EQ(DrainLabels(loader), kGoldenShuffled100);
+}
+
+TEST_P(GoldenOrderTest, ShuffledSparseView) {
+  auto mem = std::make_shared<storage::MemoryStore>();
+  MakeDataset(60, mem, 4 * 1024);
+  auto ds = Dataset::Open(std::make_shared<JitterStore>(mem)).MoveValue();
+  auto view = tql::RunQuery(
+      ds, "SELECT * FROM ds WHERE labels % 3 = 0 ORDER BY labels DESC");
+  ASSERT_TRUE(view.ok()) << view.status();
+  DataloaderOptions opts = Options(5);
+  opts.shuffle = true;
+  opts.shuffle_buffer_rows = 512;
+  opts.prefetch_units = 1;
+  Dataloader loader(ds, *view, opts);
+  EXPECT_EQ(DrainLabels(loader), kGoldenSparseView);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WorkersByPrefetch, GoldenOrderTest,
+    ::testing::Combine(::testing::Values(size_t{1}, size_t{4}, size_t{8}),
+                       ::testing::Values(size_t{1}, size_t{8})),
+    [](const ::testing::TestParamInfo<std::tuple<size_t, size_t>>& info) {
+      return "w" + std::to_string(std::get<0>(info.param)) + "_p" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+double QueuedRows() {
+  return obs::MetricsRegistry::Global().GetGauge("loader.queued_rows")->Value();
+}
+
+TEST(DataloaderTest, QueuedRowsReturnsToStartAfterEpochAndTeardown) {
+  auto ds = MakeDataset(100, std::make_shared<storage::MemoryStore>(),
+                        /*chunk_bytes=*/4 * 1024);
+  const double start = QueuedRows();
+  DataloaderOptions opts;
+  opts.batch_size = 8;
+  opts.shuffle = true;
+  opts.shuffle_buffer_rows = 16;
+  {
+    Dataloader loader(ds, opts);
+    EXPECT_EQ(DrainLabels(loader).size(), 100u);
+    EXPECT_EQ(QueuedRows(), start);
+  }
+  EXPECT_EQ(QueuedRows(), start);
+  {
+    // Destroyed mid-epoch, with decoded rows still in flight.
+    Dataloader loader(ds, opts);
+    Batch batch;
+    ASSERT_TRUE(*loader.Next(&batch));
+    SleepMicros(20000);
+  }
+  EXPECT_EQ(QueuedRows(), start);
+}
+
+TEST(DataloaderTest, ShuffledDropLastDeliversWholeBatchesOfDistinctRows) {
+  auto ds = MakeDataset(100, std::make_shared<storage::MemoryStore>(),
+                        /*chunk_bytes=*/8 * 1024);
+  DataloaderOptions opts;
+  opts.batch_size = 16;
+  opts.shuffle = true;
+  opts.shuffle_buffer_rows = 32;
+  opts.drop_last = true;
+  Dataloader loader(ds, opts);
+  std::vector<int> labels = DrainLabels(loader);
+  EXPECT_EQ(labels.size(), 96u);  // floor(100 / 16) * 16
+  EXPECT_EQ(std::set<int>(labels.begin(), labels.end()).size(), 96u);
+  EXPECT_EQ(loader.stats().batches_delivered, 6u);
+}
 
 TEST(DataloaderTest, StreamsQueryViewInViewOrder) {
   // Small chunks: the sparse view spans many work units.
@@ -384,6 +500,15 @@ TEST(DataloaderTest, SelectedTensorsOnly) {
   ASSERT_TRUE(*loader.Next(&batch));
   EXPECT_EQ(batch.columns.count("images"), 0u);
   EXPECT_EQ(batch.columns.at("labels").size(), 10u);
+}
+
+TEST(DataloaderTest, UnknownTensorIsTheFirstNextError) {
+  auto ds = MakeDataset(10, std::make_shared<storage::MemoryStore>());
+  DataloaderOptions opts;
+  opts.tensors = {"labels", "nope"};
+  Dataloader loader(ds, opts);
+  Batch batch;
+  EXPECT_TRUE(loader.Next(&batch).status().IsNotFound());
 }
 
 }  // namespace

@@ -140,6 +140,22 @@ TEST(ParserTest, MalformedQueriesRejected) {
   }
 }
 
+TEST(ParserTest, DeepNestingIsAnErrorNotAStackOverflow) {
+  auto repeat = [](const std::string& s, int n) {
+    std::string out;
+    for (int i = 0; i < n; ++i) out += s;
+    return out;
+  };
+  const int kDeep = 100000;
+  for (const std::string& where :
+       {repeat("(", kDeep) + "1" + repeat(")", kDeep),
+        repeat("NOT ", kDeep) + "1", "labels = " + repeat("- ", kDeep) + "1"}) {
+    auto q = ParseQuery("SELECT * FROM ds WHERE " + where);
+    ASSERT_FALSE(q.ok());
+    EXPECT_TRUE(q.status().IsInvalidArgument()) << q.status();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Kernels
 // ---------------------------------------------------------------------------
@@ -317,6 +333,14 @@ TEST(QueryTest, SelectStarWhereFilter) {
   EXPECT_EQ(view->source_row(0), 1u);
   EXPECT_EQ(view->source_row(2), 7u);
   EXPECT_TRUE(view->IsSparseOver(ds->NumRows()));
+}
+
+TEST(QueryTest, TwoHundredNestedParenthesesParseAndEvaluate) {
+  auto ds = MakeDetectionDataset(9);
+  auto view = RunQuery(ds, "SELECT * FROM ds WHERE " + std::string(200, '(') +
+                               "labels = 1" + std::string(200, ')'));
+  ASSERT_TRUE(view.ok()) << view.status();
+  EXPECT_EQ(view->size(), 3u);
 }
 
 TEST(QueryTest, PaperFigure5EndToEnd) {
@@ -566,6 +590,24 @@ TEST(QueryTest, ErrorsSurfaceCleanly) {
                   .IsNotImplemented());
   // Aggregate without GROUP BY select list restriction.
   EXPECT_FALSE(RunQuery(ds, "SELECT * FROM ds GROUP BY labels").ok());
+}
+
+TEST(QueryTest, CountOutsideGroupRowsFailsAtPlanTime) {
+  auto ds = MakeDetectionDataset(3);
+  for (const char* q :
+       {"SELECT COUNT() AS n FROM ds", "SELECT * FROM ds WHERE COUNT() > 0",
+        "SELECT labels FROM ds ORDER BY COUNT()",
+        "SELECT labels, COUNT() AS n FROM ds WHERE COUNT() > 0 "
+        "GROUP BY labels"}) {
+    auto view = RunQuery(ds, q);
+    EXPECT_TRUE(view.status().IsInvalidArgument()) << q << ": "
+                                                   << view.status();
+  }
+  // MEAN, SUM, MIN and MAX stay per-row reductions outside GROUP BY.
+  auto view = RunQuery(ds, "SELECT MEAN(images) AS m FROM ds");
+  ASSERT_TRUE(view.ok()) << view.status();
+  ASSERT_EQ(view->size(), 3u);
+  EXPECT_TRUE(view->Cell(0, "m").ok());
 }
 
 /// The class table JOIN tests join against: class_id 0, 1, 2 named cat,

@@ -8,10 +8,13 @@
 #include <string>
 #include <vector>
 
+#include "storage/storage.h"
+#include "tsf/dataset.h"
 #include "util/bytes.h"
 #include "util/clock.h"
 #include "util/coding.h"
 #include "util/crc32.h"
+#include "util/envelope.h"
 #include "util/json.h"
 #include "util/macros.h"
 #include "util/result.h"
@@ -20,6 +23,7 @@
 #include "util/string_util.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
+#include "version/fsck.h"
 
 namespace dl {
 namespace {
@@ -294,6 +298,46 @@ TEST(JsonTest, MalformedInputsAreCorruption) {
     EXPECT_FALSE(r.ok()) << "input: " << bad;
     EXPECT_TRUE(r.status().IsCorruption()) << "input: " << bad;
   }
+}
+
+TEST(JsonTest, DeepNestingIsCorruptionNotAStackOverflow) {
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  for (const std::string& deep : {std::string(100000, '['), objects}) {
+    auto r = Json::Parse(deep);
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsCorruption()) << r.status();
+  }
+  // Nesting well inside the cap still parses.
+  auto ok = Json::Parse(std::string(100, '[') + std::string(100, ']'));
+  EXPECT_TRUE(ok.ok()) << ok.status();
+}
+
+TEST(JsonTest, ForgedDeepTensorMetaIsReportedNotFatal) {
+  auto store = std::make_shared<storage::MemoryStore>();
+  {
+    auto ds = tsf::Dataset::Create(store).MoveValue();
+    ASSERT_TRUE(ds->CreateTensor("labels", {}).ok());
+    ASSERT_TRUE(ds->Flush().ok());
+  }
+  // A valid envelope around a payload that nests far too deep.
+  const std::string key = "tensors/labels/tensor_meta.json";
+  ASSERT_TRUE(store->Get(key).ok());
+  const std::string forged(100000, '[');
+  ASSERT_TRUE(store->Put(key, ByteView(EnvelopeWrap(ByteView(forged)))).ok());
+
+  auto opened = tsf::Dataset::Open(store);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_TRUE(opened.status().IsCorruption()) << opened.status();
+
+  auto report = version::FsckScan(store);
+  ASSERT_TRUE(report.ok()) << report.status();
+  bool reported = false;
+  for (const auto& issue : report->issues) {
+    reported |= issue.kind == version::FsckIssueKind::kCorruptObject &&
+                issue.key == key;
+  }
+  EXPECT_TRUE(reported);
 }
 
 TEST(JsonTest, MissingKeyIsSharedNull) {
