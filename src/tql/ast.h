@@ -51,6 +51,9 @@ struct Expr {
     ExprPtr start, stop, step;      // any may be null
   };
   std::vector<SliceExpr> slices;
+  /// Nodes on the longest path from here to a leaf; the parser sets it and
+  /// bounds it (ParseQuery).
+  int height = 1;
 
   static ExprPtr Number_(double v) {
     auto e = std::make_shared<Expr>();

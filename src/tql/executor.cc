@@ -24,15 +24,16 @@ double OpDiv(double a, double b) { return b != 0 ? a / b : 0.0; }
 double OpMod(double a, double b) {
   return b != 0 ? std::fmod(a, b) : 0.0;
 }
-double OpEq(double a, double b) { return a == b ? 1 : 0; }
-double OpNe(double a, double b) { return a != b ? 1 : 0; }
-double OpLt(double a, double b) { return a < b ? 1 : 0; }
-double OpLe(double a, double b) { return a <= b ? 1 : 0; }
-double OpGt(double a, double b) { return a > b ? 1 : 0; }
-double OpGe(double a, double b) { return a >= b ? 1 : 0; }
+bool OpEq(double a, double b) { return a == b; }
+bool OpNe(double a, double b) { return a != b; }
+bool OpLt(double a, double b) { return a < b; }
+bool OpLe(double a, double b) { return a <= b; }
+bool OpGt(double a, double b) { return a > b; }
+bool OpGe(double a, double b) { return a >= b; }
 
 /// Resolves a value that should be an array; string values are treated as
 /// tensor references (the paper's IOU(boxes, "training/boxes") idiom).
+/// Returns a view: the cell's bytes are shared, not copied.
 Result<NdArray> AsArray(const Value& v, EvalContext& ctx,
                         const char* what) {
   if (v.is_array()) return v.array();
@@ -166,17 +167,304 @@ Result<Value> EvalContext::Load(tsf::Dataset* dataset, uint64_t row,
   }
   DL_ASSIGN_OR_RETURN(tsf::Sample s, tensor->Read(row));
   if (io_ != nullptr) io_->bytes_loaded += s.data.size();
-  Value v;
   if (s.shape.IsEmptySample() && s.data.empty() && s.shape.ndim() > 0) {
-    v = Value::Null();
-  } else if (tensor->meta().htype.kind == tsf::HtypeKind::kText ||
-             tensor->meta().htype.is_link) {
-    v = Value(s.AsString());
-  } else {
-    v = Value(NdArray::FromSample(s));
+    return Value::Null();
   }
-  return v;
+  if (tensor->meta().htype.kind == tsf::HtypeKind::kText ||
+      tensor->meta().htype.is_link) {
+    return Value(s.AsString());
+  }
+  // The value is a view over the decoded sample in its stored dtype, so
+  // its bytes must cover the shape.
+  DL_RETURN_IF_ERROR(s.Validate());
+  return Value(NdArray::FromSample(s));
 }
+
+namespace {
+
+// Evaluate recurses once per level of the expression tree, which the
+// parser bounds (ParseQuery). Each kind of node is evaluated out of line, so
+// a recursive frame holds only the locals of the kinds on the path, and a
+// logical chain (p OR q OR ...) recurses through the smallest frames.
+
+[[gnu::noinline]] Result<Value> EvalArrayLiteral(const Expr& expr,
+                                                 EvalContext& ctx) {
+  std::vector<double> data;
+  data.reserve(expr.args.size());
+  for (const auto& arg : expr.args) {
+    DL_ASSIGN_OR_RETURN(Value v, Evaluate(*arg, ctx));
+    if (!v.is_array() || !v.array().IsScalar()) {
+      return Status::InvalidArgument(
+          "tql: array literal elements must be scalars");
+    }
+    data.push_back(v.array().AsScalar());
+  }
+  uint64_t count = data.size();
+  return Value(NdArray({count}, std::move(data)));
+}
+
+[[gnu::noinline]] Result<Value> EvalUnary(const Expr& expr, EvalContext& ctx) {
+  DL_ASSIGN_OR_RETURN(Value v, Evaluate(*expr.lhs, ctx));
+  if (expr.uop == UnaryOp::kNot) {
+    return Value::Bool(!v.Truthy());
+  }
+  DL_ASSIGN_OR_RETURN(NdArray arr, AsArray(v, ctx, "unary -"));
+  return Value(MapToFloat64(arr, [](double d) { return -d; }));
+}
+
+/// AND and OR short-circuit on truthiness.
+[[gnu::noinline]] Result<Value> EvalLogical(const Expr& expr,
+                                            EvalContext& ctx) {
+  DL_ASSIGN_OR_RETURN(Value l, Evaluate(*expr.lhs, ctx));
+  bool lt = l.Truthy();
+  if (expr.bop == BinaryOp::kAnd && !lt) return Value::Bool(false);
+  if (expr.bop == BinaryOp::kOr && lt) return Value::Bool(true);
+  DL_ASSIGN_OR_RETURN(Value r, Evaluate(*expr.rhs, ctx));
+  return Value::Bool(r.Truthy());
+}
+
+/// l `op` r for an arithmetic or comparison operator.
+[[gnu::noinline]] Result<Value> ApplyBinary(BinaryOp bop, const Value& l,
+                                            const Value& r, EvalContext& ctx) {
+  // String comparisons.
+  if (l.is_string() && r.is_string()) {
+    switch (bop) {
+      case BinaryOp::kEq:
+        return Value::Bool(l.str() == r.str());
+      case BinaryOp::kNe:
+        return Value::Bool(l.str() != r.str());
+      case BinaryOp::kLt:
+        return Value::Bool(l.str() < r.str());
+      case BinaryOp::kLe:
+        return Value::Bool(l.str() <= r.str());
+      case BinaryOp::kGt:
+        return Value::Bool(l.str() > r.str());
+      case BinaryOp::kGe:
+        return Value::Bool(l.str() >= r.str());
+      case BinaryOp::kAdd:
+        return Value(l.str() + r.str());
+      default:
+        return Status::InvalidArgument(
+            "tql: unsupported operator on strings");
+    }
+  }
+  if (l.is_null() || r.is_null()) {
+    // SQL-ish null semantics: comparisons with null are false, `=`
+    // against null matches only null.
+    if (bop == BinaryOp::kEq) {
+      return Value::Bool(l.is_null() && r.is_null());
+    }
+    if (bop == BinaryOp::kNe) {
+      return Value::Bool(l.is_null() != r.is_null());
+    }
+    return Value::Null();
+  }
+  DL_ASSIGN_OR_RETURN(NdArray la, AsArray(l, ctx, "binary op"));
+  DL_ASSIGN_OR_RETURN(NdArray ra, AsArray(r, ctx, "binary op"));
+  // Comparisons read both sides in their stored dtypes into a bool
+  // array; arithmetic produces float64. Elementwise results stay
+  // arrays, and Truthy() (ANY) decides them in boolean contexts.
+  bool (*cmp)(double, double) = nullptr;
+  double (*op)(double, double) = nullptr;
+  switch (bop) {
+    case BinaryOp::kAdd:
+      op = OpAdd;
+      break;
+    case BinaryOp::kSub:
+      op = OpSub;
+      break;
+    case BinaryOp::kMul:
+      op = OpMul;
+      break;
+    case BinaryOp::kDiv:
+      op = OpDiv;
+      break;
+    case BinaryOp::kMod:
+      op = OpMod;
+      break;
+    case BinaryOp::kEq:
+      cmp = OpEq;
+      break;
+    case BinaryOp::kNe:
+      cmp = OpNe;
+      break;
+    case BinaryOp::kLt:
+      cmp = OpLt;
+      break;
+    case BinaryOp::kLe:
+      cmp = OpLe;
+      break;
+    case BinaryOp::kGt:
+      cmp = OpGt;
+      break;
+    case BinaryOp::kGe:
+      cmp = OpGe;
+      break;
+    default:
+      return Status::InvalidArgument("tql: bad binary operator");
+  }
+  DL_ASSIGN_OR_RETURN(NdArray out,
+                      cmp != nullptr
+                          ? CompareBinary(la, ra, cmp, "binary")
+                          : ElementwiseBinary(la, ra, op, "binary"));
+  return Value(std::move(out));
+}
+
+[[gnu::noinline]] Result<Value> EvalBinary(const Expr& expr, EvalContext& ctx) {
+  DL_ASSIGN_OR_RETURN(Value l, Evaluate(*expr.lhs, ctx));
+  DL_ASSIGN_OR_RETURN(Value r, Evaluate(*expr.rhs, ctx));
+  return ApplyBinary(expr.bop, l, r, ctx);
+}
+
+/// base[specs of `expr`].
+[[gnu::noinline]] Result<Value> ApplyIndex(const Expr& expr, const Value& base,
+                                           EvalContext& ctx) {
+  DL_ASSIGN_OR_RETURN(NdArray arr, AsArray(base, ctx, "indexing"));
+  std::vector<SliceSpec> specs;
+  specs.reserve(expr.slices.size());
+  for (const auto& se : expr.slices) {
+    SliceSpec spec;
+    if (se.is_index) {
+      DL_ASSIGN_OR_RETURN(Value v, Evaluate(*se.index, ctx));
+      DL_ASSIGN_OR_RETURN(spec.index, AsIndex(v, "index"));
+      spec.is_index = true;
+    } else {
+      if (se.start) {
+        DL_ASSIGN_OR_RETURN(Value v, Evaluate(*se.start, ctx));
+        DL_ASSIGN_OR_RETURN(spec.start, AsIndex(v, "slice start"));
+        spec.has_start = true;
+      }
+      if (se.stop) {
+        DL_ASSIGN_OR_RETURN(Value v, Evaluate(*se.stop, ctx));
+        DL_ASSIGN_OR_RETURN(spec.stop, AsIndex(v, "slice stop"));
+        spec.has_stop = true;
+      }
+      if (se.step) {
+        DL_ASSIGN_OR_RETURN(Value v, Evaluate(*se.step, ctx));
+        DL_ASSIGN_OR_RETURN(spec.step, AsIndex(v, "slice step"));
+        spec.has_step = true;
+      }
+    }
+    specs.push_back(spec);
+  }
+  DL_ASSIGN_OR_RETURN(NdArray out, SliceArray(arr, specs));
+  return Value(std::move(out));
+}
+
+[[gnu::noinline]] Result<Value> EvalIndex(const Expr& expr, EvalContext& ctx) {
+  DL_ASSIGN_OR_RETURN(Value base, Evaluate(*expr.lhs, ctx));
+  return ApplyIndex(expr, base, ctx);
+}
+
+/// The function `expr` names, over its evaluated `args`.
+[[gnu::noinline]] Result<Value> ApplyCall(const Expr& expr,
+                                          const std::vector<Value>& args,
+                                          EvalContext& ctx) {
+  const std::string& fn = expr.text;
+  auto need = [&](size_t n) -> Status {
+    if (args.size() != n) {
+      return Status::InvalidArgument("tql: " + fn + " expects " +
+                                     std::to_string(n) + " argument(s)");
+    }
+    return Status::OK();
+  };
+  if (fn == "MEAN" || fn == "SUM" || fn == "MIN" || fn == "MAX" ||
+      fn == "STD" || fn == "L2" || fn == "ANY" || fn == "ALL") {
+    DL_RETURN_IF_ERROR(need(1));
+    DL_ASSIGN_OR_RETURN(NdArray a, AsArray(args[0], ctx, fn.c_str()));
+    if (fn == "MEAN") return Value::Number(ReduceMean(a));
+    if (fn == "SUM") return Value::Number(ReduceSum(a));
+    if (fn == "MIN") return Value::Number(ReduceMin(a));
+    if (fn == "MAX") return Value::Number(ReduceMax(a));
+    if (fn == "STD") return Value::Number(ReduceStd(a));
+    if (fn == "L2") return Value::Number(ReduceL2(a));
+    if (fn == "ANY") return Value::Bool(ReduceAny(a));
+    return Value::Bool(ReduceAll(a));
+  }
+  if (fn == "ABS") {
+    DL_RETURN_IF_ERROR(need(1));
+    DL_ASSIGN_OR_RETURN(NdArray a, AsArray(args[0], ctx, "ABS"));
+    return Value(MapToFloat64(a, [](double d) { return std::fabs(d); }));
+  }
+  if (fn == "CLIP") {
+    DL_RETURN_IF_ERROR(need(3));
+    DL_ASSIGN_OR_RETURN(NdArray a, AsArray(args[0], ctx, "CLIP"));
+    DL_ASSIGN_OR_RETURN(int64_t lo, AsIndex(args[1], "CLIP lo"));
+    DL_ASSIGN_OR_RETURN(int64_t hi, AsIndex(args[2], "CLIP hi"));
+    return Value(MapToFloat64(a, [lo, hi](double d) {
+      return std::min(std::max(d, static_cast<double>(lo)),
+                      static_cast<double>(hi));
+    }));
+  }
+  if (fn == "SHAPE") {
+    DL_RETURN_IF_ERROR(need(1));
+    DL_ASSIGN_OR_RETURN(NdArray a, AsArray(args[0], ctx, "SHAPE"));
+    return DimsValue(a.shape());
+  }
+  if (fn == "LEN" || fn == "LENGTH") {
+    DL_RETURN_IF_ERROR(need(1));
+    if (args[0].is_string()) {
+      return Value::Number(static_cast<double>(args[0].str().size()));
+    }
+    DL_ASSIGN_OR_RETURN(NdArray a, AsArray(args[0], ctx, "LEN"));
+    return Value::Number(
+        a.ndim() == 0 ? 1.0 : static_cast<double>(a.shape()[0]));
+  }
+  if (fn == "IOU") {
+    DL_RETURN_IF_ERROR(need(2));
+    DL_ASSIGN_OR_RETURN(NdArray a, AsArray(args[0], ctx, "IOU"));
+    DL_ASSIGN_OR_RETURN(NdArray b, AsArray(args[1], ctx, "IOU"));
+    DL_ASSIGN_OR_RETURN(double iou, MeanBestIou(a, b));
+    return Value::Number(iou);
+  }
+  if (fn == "NORMALIZE") {
+    DL_RETURN_IF_ERROR(need(2));
+    DL_ASSIGN_OR_RETURN(NdArray boxes, AsArray(args[0], ctx, "NORMALIZE"));
+    DL_ASSIGN_OR_RETURN(NdArray win, AsArray(args[1], ctx, "NORMALIZE"));
+    DL_ASSIGN_OR_RETURN(NdArray out, NormalizeBoxes(boxes, win));
+    return Value(std::move(out));
+  }
+  if (fn == "CONTAINS") {
+    DL_RETURN_IF_ERROR(need(2));
+    if (!args[0].is_string() || !args[1].is_string()) {
+      return Status::InvalidArgument("tql: CONTAINS expects strings");
+    }
+    return Value::Bool(args[0].str().find(args[1].str()) !=
+                       std::string::npos);
+  }
+  if (fn == "LOWER" || fn == "UPPER") {
+    DL_RETURN_IF_ERROR(need(1));
+    if (!args[0].is_string()) {
+      return Status::InvalidArgument("tql: " + fn + " expects a string");
+    }
+    return Value(fn == "LOWER" ? ToLower(args[0].str())
+                               : ToUpper(args[0].str()));
+  }
+  if (fn == "ROW_NUMBER") {
+    return Value::Number(static_cast<double>(ctx.row()));
+  }
+  return Status::NotImplemented("tql: unknown function " + fn);
+}
+
+[[gnu::noinline]] Result<Value> EvalCall(const Expr& expr, EvalContext& ctx) {
+  // SHAPE of a column is served by the shape encoder — no chunk read,
+  // so its argument is not evaluated.
+  if (expr.text == "SHAPE" && expr.args.size() == 1 &&
+      expr.args[0]->kind == Expr::Kind::kColumn) {
+    DL_ASSIGN_OR_RETURN(tsf::TensorShape sh,
+                        ctx.ColumnShape(expr.args[0]->text));
+    return DimsValue(sh.dims());
+  }
+  std::vector<Value> args;
+  args.reserve(expr.args.size());
+  for (const auto& a : expr.args) {
+    DL_ASSIGN_OR_RETURN(Value v, Evaluate(*a, ctx));
+    args.push_back(std::move(v));
+  }
+  return ApplyCall(expr, args, ctx);
+}
+
+}  // namespace
 
 Result<Value> Evaluate(const Expr& expr, EvalContext& ctx) {
   switch (expr.kind) {
@@ -188,257 +476,18 @@ Result<Value> Evaluate(const Expr& expr, EvalContext& ctx) {
       return ctx.Column(expr.text);
     case Expr::Kind::kStarAll:
       return Status::InvalidArgument("tql: '*' is only valid in SELECT");
-    case Expr::Kind::kArray: {
-      std::vector<double> data;
-      data.reserve(expr.args.size());
-      for (const auto& arg : expr.args) {
-        DL_ASSIGN_OR_RETURN(Value v, Evaluate(*arg, ctx));
-        if (!v.is_array() || !v.array().IsScalar()) {
-          return Status::InvalidArgument(
-              "tql: array literal elements must be scalars");
-        }
-        data.push_back(v.array().AsScalar());
-      }
-      uint64_t count = data.size();
-      return Value(NdArray({count}, std::move(data)));
-    }
-    case Expr::Kind::kUnary: {
-      DL_ASSIGN_OR_RETURN(Value v, Evaluate(*expr.lhs, ctx));
-      if (expr.uop == UnaryOp::kNot) {
-        return Value::Bool(!v.Truthy());
-      }
-      DL_ASSIGN_OR_RETURN(NdArray arr, AsArray(v, ctx, "unary -"));
-      for (double& d : arr.data()) d = -d;
-      return Value(std::move(arr));
-    }
-    case Expr::Kind::kBinary: {
-      // Short-circuit logical operators on truthiness.
-      if (expr.bop == BinaryOp::kAnd || expr.bop == BinaryOp::kOr) {
-        DL_ASSIGN_OR_RETURN(Value l, Evaluate(*expr.lhs, ctx));
-        bool lt = l.Truthy();
-        if (expr.bop == BinaryOp::kAnd && !lt) return Value::Bool(false);
-        if (expr.bop == BinaryOp::kOr && lt) return Value::Bool(true);
-        DL_ASSIGN_OR_RETURN(Value r, Evaluate(*expr.rhs, ctx));
-        return Value::Bool(r.Truthy());
-      }
-      DL_ASSIGN_OR_RETURN(Value l, Evaluate(*expr.lhs, ctx));
-      DL_ASSIGN_OR_RETURN(Value r, Evaluate(*expr.rhs, ctx));
-      // String comparisons.
-      if (l.is_string() && r.is_string()) {
-        switch (expr.bop) {
-          case BinaryOp::kEq:
-            return Value::Bool(l.str() == r.str());
-          case BinaryOp::kNe:
-            return Value::Bool(l.str() != r.str());
-          case BinaryOp::kLt:
-            return Value::Bool(l.str() < r.str());
-          case BinaryOp::kLe:
-            return Value::Bool(l.str() <= r.str());
-          case BinaryOp::kGt:
-            return Value::Bool(l.str() > r.str());
-          case BinaryOp::kGe:
-            return Value::Bool(l.str() >= r.str());
-          case BinaryOp::kAdd:
-            return Value(l.str() + r.str());
-          default:
-            return Status::InvalidArgument(
-                "tql: unsupported operator on strings");
-        }
-      }
-      if (l.is_null() || r.is_null()) {
-        // SQL-ish null semantics: comparisons with null are false, `=`
-        // against null matches only null.
-        if (expr.bop == BinaryOp::kEq) {
-          return Value::Bool(l.is_null() && r.is_null());
-        }
-        if (expr.bop == BinaryOp::kNe) {
-          return Value::Bool(l.is_null() != r.is_null());
-        }
-        return Value::Null();
-      }
-      DL_ASSIGN_OR_RETURN(NdArray la, AsArray(l, ctx, "binary op"));
-      DL_ASSIGN_OR_RETURN(NdArray ra, AsArray(r, ctx, "binary op"));
-      double (*op)(double, double) = nullptr;
-      switch (expr.bop) {
-        case BinaryOp::kAdd:
-          op = OpAdd;
-          break;
-        case BinaryOp::kSub:
-          op = OpSub;
-          break;
-        case BinaryOp::kMul:
-          op = OpMul;
-          break;
-        case BinaryOp::kDiv:
-          op = OpDiv;
-          break;
-        case BinaryOp::kMod:
-          op = OpMod;
-          break;
-        case BinaryOp::kEq:
-          op = OpEq;
-          break;
-        case BinaryOp::kNe:
-          op = OpNe;
-          break;
-        case BinaryOp::kLt:
-          op = OpLt;
-          break;
-        case BinaryOp::kLe:
-          op = OpLe;
-          break;
-        case BinaryOp::kGt:
-          op = OpGt;
-          break;
-        case BinaryOp::kGe:
-          op = OpGe;
-          break;
-        default:
-          return Status::InvalidArgument("tql: bad binary operator");
-      }
-      DL_ASSIGN_OR_RETURN(
-          NdArray out, ElementwiseBinary(la, ra, op, "binary"));
-      // Whole-array comparisons used as predicates collapse to ALL(...)
-      // for equality-style checks when both sides are arrays of equal
-      // shape; scalar results stay as-is. We keep elementwise results and
-      // let Truthy() (ANY) decide in boolean contexts.
-      return Value(std::move(out));
-    }
-    case Expr::Kind::kIndex: {
-      DL_ASSIGN_OR_RETURN(Value base, Evaluate(*expr.lhs, ctx));
-      DL_ASSIGN_OR_RETURN(NdArray arr, AsArray(base, ctx, "indexing"));
-      std::vector<SliceSpec> specs;
-      specs.reserve(expr.slices.size());
-      for (const auto& se : expr.slices) {
-        SliceSpec spec;
-        if (se.is_index) {
-          DL_ASSIGN_OR_RETURN(Value v, Evaluate(*se.index, ctx));
-          DL_ASSIGN_OR_RETURN(spec.index, AsIndex(v, "index"));
-          spec.is_index = true;
-        } else {
-          if (se.start) {
-            DL_ASSIGN_OR_RETURN(Value v, Evaluate(*se.start, ctx));
-            DL_ASSIGN_OR_RETURN(spec.start, AsIndex(v, "slice start"));
-            spec.has_start = true;
-          }
-          if (se.stop) {
-            DL_ASSIGN_OR_RETURN(Value v, Evaluate(*se.stop, ctx));
-            DL_ASSIGN_OR_RETURN(spec.stop, AsIndex(v, "slice stop"));
-            spec.has_stop = true;
-          }
-          if (se.step) {
-            DL_ASSIGN_OR_RETURN(Value v, Evaluate(*se.step, ctx));
-            DL_ASSIGN_OR_RETURN(spec.step, AsIndex(v, "slice step"));
-            spec.has_step = true;
-          }
-        }
-        specs.push_back(spec);
-      }
-      DL_ASSIGN_OR_RETURN(NdArray out, SliceArray(arr, specs));
-      return Value(std::move(out));
-    }
-    case Expr::Kind::kCall: {
-      const std::string& fn = expr.text;
-      // SHAPE of a column is served by the shape encoder — no chunk read,
-      // so its argument is not evaluated.
-      if (fn == "SHAPE" && expr.args.size() == 1 &&
-          expr.args[0]->kind == Expr::Kind::kColumn) {
-        DL_ASSIGN_OR_RETURN(tsf::TensorShape sh,
-                            ctx.ColumnShape(expr.args[0]->text));
-        return DimsValue(sh.dims());
-      }
-      std::vector<Value> args;
-      args.reserve(expr.args.size());
-      for (const auto& a : expr.args) {
-        DL_ASSIGN_OR_RETURN(Value v, Evaluate(*a, ctx));
-        args.push_back(std::move(v));
-      }
-      auto need = [&](size_t n) -> Status {
-        if (args.size() != n) {
-          return Status::InvalidArgument("tql: " + fn + " expects " +
-                                         std::to_string(n) + " argument(s)");
-        }
-        return Status::OK();
-      };
-      if (fn == "MEAN" || fn == "SUM" || fn == "MIN" || fn == "MAX" ||
-          fn == "STD" || fn == "L2" || fn == "ANY" || fn == "ALL") {
-        DL_RETURN_IF_ERROR(need(1));
-        DL_ASSIGN_OR_RETURN(NdArray a, AsArray(args[0], ctx, fn.c_str()));
-        if (fn == "MEAN") return Value::Number(ReduceMean(a));
-        if (fn == "SUM") return Value::Number(ReduceSum(a));
-        if (fn == "MIN") return Value::Number(ReduceMin(a));
-        if (fn == "MAX") return Value::Number(ReduceMax(a));
-        if (fn == "STD") return Value::Number(ReduceStd(a));
-        if (fn == "L2") return Value::Number(ReduceL2(a));
-        if (fn == "ANY") return Value::Bool(ReduceAny(a));
-        return Value::Bool(ReduceAll(a));
-      }
-      if (fn == "ABS") {
-        DL_RETURN_IF_ERROR(need(1));
-        DL_ASSIGN_OR_RETURN(NdArray a, AsArray(args[0], ctx, "ABS"));
-        for (double& d : a.data()) d = std::fabs(d);
-        return Value(std::move(a));
-      }
-      if (fn == "CLIP") {
-        DL_RETURN_IF_ERROR(need(3));
-        DL_ASSIGN_OR_RETURN(NdArray a, AsArray(args[0], ctx, "CLIP"));
-        DL_ASSIGN_OR_RETURN(int64_t lo, AsIndex(args[1], "CLIP lo"));
-        DL_ASSIGN_OR_RETURN(int64_t hi, AsIndex(args[2], "CLIP hi"));
-        for (double& d : a.data()) {
-          d = std::min(std::max(d, static_cast<double>(lo)),
-                       static_cast<double>(hi));
-        }
-        return Value(std::move(a));
-      }
-      if (fn == "SHAPE") {
-        DL_RETURN_IF_ERROR(need(1));
-        DL_ASSIGN_OR_RETURN(NdArray a, AsArray(args[0], ctx, "SHAPE"));
-        return DimsValue(a.shape());
-      }
-      if (fn == "LEN" || fn == "LENGTH") {
-        DL_RETURN_IF_ERROR(need(1));
-        if (args[0].is_string()) {
-          return Value::Number(static_cast<double>(args[0].str().size()));
-        }
-        DL_ASSIGN_OR_RETURN(NdArray a, AsArray(args[0], ctx, "LEN"));
-        return Value::Number(
-            a.ndim() == 0 ? 1.0 : static_cast<double>(a.shape()[0]));
-      }
-      if (fn == "IOU") {
-        DL_RETURN_IF_ERROR(need(2));
-        DL_ASSIGN_OR_RETURN(NdArray a, AsArray(args[0], ctx, "IOU"));
-        DL_ASSIGN_OR_RETURN(NdArray b, AsArray(args[1], ctx, "IOU"));
-        DL_ASSIGN_OR_RETURN(double iou, MeanBestIou(a, b));
-        return Value::Number(iou);
-      }
-      if (fn == "NORMALIZE") {
-        DL_RETURN_IF_ERROR(need(2));
-        DL_ASSIGN_OR_RETURN(NdArray boxes, AsArray(args[0], ctx, "NORMALIZE"));
-        DL_ASSIGN_OR_RETURN(NdArray win, AsArray(args[1], ctx, "NORMALIZE"));
-        DL_ASSIGN_OR_RETURN(NdArray out, NormalizeBoxes(boxes, win));
-        return Value(std::move(out));
-      }
-      if (fn == "CONTAINS") {
-        DL_RETURN_IF_ERROR(need(2));
-        if (!args[0].is_string() || !args[1].is_string()) {
-          return Status::InvalidArgument("tql: CONTAINS expects strings");
-        }
-        return Value::Bool(args[0].str().find(args[1].str()) !=
-                           std::string::npos);
-      }
-      if (fn == "LOWER" || fn == "UPPER") {
-        DL_RETURN_IF_ERROR(need(1));
-        if (!args[0].is_string()) {
-          return Status::InvalidArgument("tql: " + fn + " expects a string");
-        }
-        return Value(fn == "LOWER" ? ToLower(args[0].str())
-                                   : ToUpper(args[0].str()));
-      }
-      if (fn == "ROW_NUMBER") {
-        return Value::Number(static_cast<double>(ctx.row()));
-      }
-      return Status::NotImplemented("tql: unknown function " + fn);
-    }
+    case Expr::Kind::kArray:
+      return EvalArrayLiteral(expr, ctx);
+    case Expr::Kind::kUnary:
+      return EvalUnary(expr, ctx);
+    case Expr::Kind::kBinary:
+      return expr.bop == BinaryOp::kAnd || expr.bop == BinaryOp::kOr
+                 ? EvalLogical(expr, ctx)
+                 : EvalBinary(expr, ctx);
+    case Expr::Kind::kIndex:
+      return EvalIndex(expr, ctx);
+    case Expr::Kind::kCall:
+      return EvalCall(expr, ctx);
   }
   return Status::InvalidArgument("tql: bad expression node");
 }
@@ -905,17 +954,58 @@ Status Pipeline::Filter(EvalContext::IoStats* io) {
   return Status::OK();
 }
 
-/// One row per distinct (stringified) group key, in key order.
+/// Total order on one group-key value: null first, then numbers
+/// numerically (NaN after every other number), then strings
+/// lexicographically, then non-scalar arrays by their rendering (so arrays
+/// of one shape share a group). Returns <0, 0 or >0.
+int CompareKey(const Value& a, const Value& b) {
+  auto rank = [](const Value& v) {
+    if (v.is_null()) return 0;
+    if (v.is_array()) return v.array().IsScalar() ? 1 : 3;
+    return 2;
+  };
+  int ra = rank(a), rb = rank(b);
+  if (ra != rb) return ra < rb ? -1 : 1;
+  switch (ra) {
+    case 1: {
+      double x = a.array().AsScalar(), y = b.array().AsScalar();
+      if (std::isnan(x) || std::isnan(y)) {
+        return static_cast<int>(std::isnan(x)) -
+               static_cast<int>(std::isnan(y));
+      }
+      return x < y ? -1 : (y < x ? 1 : 0);
+    }
+    case 2:
+      return a.str().compare(b.str());
+    case 3:
+      return a.ToString().compare(b.ToString());
+    default:
+      return 0;
+  }
+}
+
+struct KeyLess {
+  bool operator()(const std::vector<Value>& a,
+                  const std::vector<Value>& b) const {
+    for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
+      int c = CompareKey(a[i], b[i]);
+      if (c != 0) return c < 0;
+    }
+    return a.size() < b.size();
+  }
+};
+
+/// One row per distinct group key, in typed key order (CompareKey).
 Status Pipeline::GroupBy(EvalContext::IoStats* io) {
-  std::map<std::string, std::vector<uint64_t>> groups;
+  std::map<std::vector<Value>, std::vector<uint64_t>, KeyLess> groups;
   for (uint64_t id : rows_) {
-    std::string key;
+    std::vector<Value> key;
+    key.reserve(query_->group_by.size());
     for (const auto& g : query_->group_by) {
       DL_ASSIGN_OR_RETURN(Value v, Eval(*g, id, io));
-      key += v.ToString();
-      key += '\x1f';
+      key.push_back(std::move(v));
     }
-    groups[key].push_back(id);
+    groups[std::move(key)].push_back(id);
   }
   for (auto& [key, members] : groups) groups_.push_back(std::move(members));
   rows_.resize(groups_.size());

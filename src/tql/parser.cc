@@ -1,5 +1,6 @@
 #include "tql/parser.h"
 
+#include <algorithm>
 #include <cstdint>
 
 #include "tql/lexer.h"
@@ -212,6 +213,33 @@ class Parser {
     return e;
   }
 
+  // Every node with operands passes through here. A left-deep chain
+  // (a + b + c ..., a OR b OR ...) is parsed by a loop, not by recursion,
+  // so Nested() does not see it, yet each operand adds a level that the
+  // Expr destructor, ValidateExpr and Evaluate recurse over. The height
+  // bound covers chains and nesting alike.
+  Result<ExprPtr> Grown(ExprPtr e) {
+    int below = 0;
+    auto see = [&below](const ExprPtr& child) {
+      if (child) below = std::max(below, child->height);
+    };
+    see(e->lhs);
+    see(e->rhs);
+    for (const auto& a : e->args) see(a);
+    for (const auto& sl : e->slices) {
+      see(sl.index);
+      see(sl.start);
+      see(sl.stop);
+      see(sl.step);
+    }
+    e->height = below + 1;
+    if (e->height > kMaxHeight) {
+      return Err("expression tree taller than " + std::to_string(kMaxHeight) +
+                 " levels");
+    }
+    return e;
+  }
+
   // Precedence climbing: OR < AND < NOT < cmp < add < mul < unary < postfix.
   Result<ExprPtr> ParseExpr() { return Nested([&] { return ParseOr(); }); }
 
@@ -220,7 +248,8 @@ class Parser {
     while (PeekKeyword("OR")) {
       Advance();
       DL_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAnd());
-      lhs = Expr::Binary(BinaryOp::kOr, std::move(lhs), std::move(rhs));
+      DL_ASSIGN_OR_RETURN(lhs, Grown(Expr::Binary(BinaryOp::kOr, std::move(lhs),
+                                                  std::move(rhs))));
     }
     return lhs;
   }
@@ -230,7 +259,9 @@ class Parser {
     while (PeekKeyword("AND")) {
       Advance();
       DL_ASSIGN_OR_RETURN(ExprPtr rhs, ParseNot());
-      lhs = Expr::Binary(BinaryOp::kAnd, std::move(lhs), std::move(rhs));
+      DL_ASSIGN_OR_RETURN(lhs, Grown(Expr::Binary(BinaryOp::kAnd,
+                                                  std::move(lhs),
+                                                  std::move(rhs))));
     }
     return lhs;
   }
@@ -239,7 +270,7 @@ class Parser {
     if (PeekKeyword("NOT")) {
       Advance();
       DL_ASSIGN_OR_RETURN(ExprPtr base, Nested([&] { return ParseNot(); }));
-      return Expr::Unary(UnaryOp::kNot, std::move(base));
+      return Grown(Expr::Unary(UnaryOp::kNot, std::move(base)));
     }
     return ParseComparison();
   }
@@ -271,7 +302,7 @@ class Parser {
     }
     Advance();
     DL_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAdditive());
-    return Expr::Binary(op, std::move(lhs), std::move(rhs));
+    return Grown(Expr::Binary(op, std::move(lhs), std::move(rhs)));
   }
 
   Result<ExprPtr> ParseAdditive() {
@@ -287,7 +318,8 @@ class Parser {
       }
       Advance();
       DL_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
-      lhs = Expr::Binary(op, std::move(lhs), std::move(rhs));
+      DL_ASSIGN_OR_RETURN(
+          lhs, Grown(Expr::Binary(op, std::move(lhs), std::move(rhs))));
     }
   }
 
@@ -306,7 +338,8 @@ class Parser {
       }
       Advance();
       DL_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnary());
-      lhs = Expr::Binary(op, std::move(lhs), std::move(rhs));
+      DL_ASSIGN_OR_RETURN(
+          lhs, Grown(Expr::Binary(op, std::move(lhs), std::move(rhs))));
     }
   }
 
@@ -315,7 +348,7 @@ class Parser {
       Advance();
       DL_ASSIGN_OR_RETURN(ExprPtr base,
                           Nested([&] { return ParseUnary(); }));
-      return Expr::Unary(UnaryOp::kNeg, std::move(base));
+      return Grown(Expr::Unary(UnaryOp::kNeg, std::move(base)));
     }
     if (Peek().kind == TokenKind::kPlus) {
       Advance();
@@ -337,7 +370,7 @@ class Parser {
       if (!Accept(TokenKind::kRBracket)) {
         return Err("expected ']'");
       }
-      base = std::move(idx);
+      DL_ASSIGN_OR_RETURN(base, Grown(std::move(idx)));
     }
     return base;
   }
@@ -403,7 +436,7 @@ class Parser {
           } while (Accept(TokenKind::kComma));
           if (!Accept(TokenKind::kRBracket)) return Err("expected ']'");
         }
-        return arr;
+        return Grown(std::move(arr));
       }
       case TokenKind::kIdent: {
         std::string upper = ToUpper(t.text);
@@ -440,7 +473,7 @@ class Parser {
             } while (Accept(TokenKind::kComma));
             if (!Accept(TokenKind::kRParen)) return Err("expected ')'");
           }
-          return std::static_pointer_cast<Expr>(call);
+          return Grown(std::move(call));
         }
         DL_ASSIGN_OR_RETURN(std::string name, ParseDottedName());
         return Expr::Column(std::move(name));
@@ -452,6 +485,9 @@ class Parser {
 
   // Far above any hand-written query; 200 nested parentheses still parse.
   static constexpr int kMaxDepth = 256;
+  // A 1,000-operand OR or + chain still parses; a generated query with a
+  // million operands is an error, not a stack overflow in evaluation.
+  static constexpr int kMaxHeight = 2048;
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;

@@ -22,6 +22,11 @@ namespace dl::tql {
 /// (`images[100:500, 100:500, 0:2]`), array literals (`[100, 100, 400,
 /// 400]`), function calls, and dotted tensor paths (`training.boxes` maps
 /// to the grouped tensor "training/boxes").
+///
+/// Hostile input is an InvalidArgument, not a stack overflow: expressions
+/// nest at most 256 deep (parentheses, brackets, calls, NOT, unary signs),
+/// and no expression tree is more than 2,048 levels tall, which bounds
+/// long operator chains such as `a + 1 + 1 ...`.
 Result<Query> ParseQuery(const std::string& text);
 
 /// Parses a standalone expression (used by tests and the dataloader's

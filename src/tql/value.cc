@@ -2,29 +2,194 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <type_traits>
 
 #include "util/macros.h"
 
 namespace dl::tql {
 
+namespace {
+
+uint64_t NumElements(const std::vector<uint64_t>& shape) {
+  uint64_t n = 1;
+  for (uint64_t d : shape) n *= d;
+  return n;
+}
+
+std::vector<uint64_t> RowMajorStrides(const std::vector<uint64_t>& shape) {
+  std::vector<uint64_t> strides(shape.size(), 1);
+  for (size_t d = shape.size(); d-- > 1;) {
+    strides[d - 1] = strides[d] * shape[d];
+  }
+  return strides;
+}
+
+/// True when `strides` step through `shape` row-major without gaps. A
+/// dimension of extent 1 is never stepped, so its stride does not matter.
+bool IsRowMajor(const std::vector<uint64_t>& shape,
+                const std::vector<uint64_t>& strides) {
+  uint64_t expected = 1;
+  for (size_t d = shape.size(); d-- > 0;) {
+    if (shape[d] != 1 && strides[d] != expected) return false;
+    expected *= shape[d];
+  }
+  return true;
+}
+
+/// The accumulator SUM uses for stored type T: an exact integer for the
+/// integer dtypes (128-bit for the 64-bit ones), double for the floats.
+template <typename T>
+using SumType = std::conditional_t<
+    std::is_floating_point_v<T>, double,
+    std::conditional_t<
+        sizeof(T) == 8,
+        std::conditional_t<std::is_signed_v<T>, __int128, unsigned __int128>,
+        std::conditional_t<std::is_signed_v<T>, int64_t, uint64_t>>>;
+
+/// MIN (kMax false) or MAX over the stored type. Integers compare in their
+/// own type and convert once, which is monotone and so equals comparing
+/// converted values; floats compare as doubles from ±HUGE_VAL, skipping
+/// NaNs as std::min/std::max do.
+template <bool kMax>
+double ReduceExtreme(const NdArray& a) {
+  if (a.size() == 0) return 0.0;
+  return VisitDType(a.dtype(), [&](auto tag) -> double {
+    using T = decltype(tag);
+    if constexpr (std::is_integral_v<T>) {
+      T m = kMax ? std::numeric_limits<T>::lowest()
+                 : std::numeric_limits<T>::max();
+      ForEachAs<T>(a, [&](T v) { m = kMax ? std::max(m, v) : std::min(m, v); });
+      return static_cast<double>(m);
+    } else {
+      double m = kMax ? -HUGE_VAL : HUGE_VAL;
+      ForEachAs<T>(a, [&](T v) {
+        double d = v;
+        m = kMax ? std::max(m, d) : std::min(m, d);
+      });
+      return m;
+    }
+  });
+}
+
+/// out[i] = op(a[i], b[i]) as type Out, broadcasting a scalar side; a
+/// scalar result is an inline float64 scalar.
+template <typename Out, typename Op>
+Result<NdArray> Combine(const NdArray& a, const NdArray& b, Op op,
+                        const char* op_name, tsf::DType out_dtype) {
+  if (a.IsScalar() && b.IsScalar()) {
+    return NdArray::Scalar(static_cast<double>(op(a.AsScalar(), b.AsScalar())));
+  }
+  bool scalar_lhs = a.IsScalar();
+  if (!scalar_lhs && !b.IsScalar() && a.shape() != b.shape()) {
+    return Status::InvalidArgument(std::string("tql: shape mismatch in '") +
+                                   op_name + "': " + a.ToString() + " vs " +
+                                   b.ToString());
+  }
+  const NdArray& shaped = scalar_lhs ? b : a;
+  std::shared_ptr<Buffer> out = Buffer::Allocate(shaped.size() * sizeof(Out));
+  uint8_t* o = out->mutable_data();
+  auto put = [&o](auto r) {
+    Out v = static_cast<Out>(r);
+    std::memcpy(o, &v, sizeof(Out));
+    o += sizeof(Out);
+  };
+  if (scalar_lhs) {
+    double av = a.AsScalar();
+    ForEachDouble(b, [&](double v) { put(op(av, v)); });
+  } else if (b.IsScalar()) {
+    double bv = b.AsScalar();
+    ForEachDouble(a, [&](double v) { put(op(v, bv)); });
+  } else {
+    std::vector<double> lhs = a.data();
+    size_t i = 0;
+    ForEachDouble(b, [&](double v) { put(op(lhs[i++], v)); });
+  }
+  return NdArray::Contiguous(out_dtype, shaped.shape(),
+                             Slice(SharedBuffer(std::move(out))));
+}
+
+int64_t ClampIndex(int64_t idx, uint64_t dim) {
+  if (idx < 0) idx += static_cast<int64_t>(dim);
+  if (idx < 0) idx = 0;
+  if (idx > static_cast<int64_t>(dim)) idx = static_cast<int64_t>(dim);
+  return idx;
+}
+
+}  // namespace
+
+NdArray::NdArray(std::vector<uint64_t> shape, std::vector<double> data) {
+  std::shared_ptr<Buffer> bytes =
+      Buffer::Allocate(data.size() * sizeof(double));
+  if (!data.empty()) {
+    std::memcpy(bytes->mutable_data(), data.data(),
+                data.size() * sizeof(double));
+  }
+  *this = Contiguous(tsf::DType::kFloat64, std::move(shape),
+                     Slice(SharedBuffer(std::move(bytes))));
+}
+
+NdArray NdArray::Scalar(double v) {
+  NdArray a;
+  a.inline_ = true;
+  a.scalar_ = v;
+  a.size_ = 1;
+  return a;
+}
+
 NdArray NdArray::FromSample(const tsf::Sample& s) {
-  if (s.shape.IsEmptySample()) {
-    return NdArray(s.shape.dims(), {});
-  }
-  std::vector<double> data(s.NumElements());
-  size_t es = tsf::DTypeSize(s.dtype);
-  for (size_t i = 0; i < data.size(); ++i) {
-    data[i] = tsf::Sample::LoadValue(s.data.data() + i * es, s.dtype);
-  }
-  return NdArray(s.shape.dims(), std::move(data));
+  return Contiguous(s.dtype, s.shape.dims(), s.data);
+}
+
+NdArray NdArray::Contiguous(tsf::DType dtype, std::vector<uint64_t> shape,
+                            Slice bytes) {
+  NdArray a;
+  a.dtype_ = dtype;
+  a.size_ = std::min<uint64_t>(NumElements(shape),
+                               bytes.size() / tsf::DTypeSize(dtype));
+  a.bytes_ = std::move(bytes);
+  a.strides_ = RowMajorStrides(shape);
+  a.shape_ = std::move(shape);
+  return a;
+}
+
+NdArray NdArray::Restrided(std::vector<uint64_t> shape,
+                           std::vector<uint64_t> strides,
+                           uint64_t offset) const {
+  NdArray a = *this;
+  a.size_ = NumElements(shape);
+  a.contiguous_ = IsRowMajor(shape, strides);
+  a.shape_ = std::move(shape);
+  a.strides_ = std::move(strides);
+  a.offset_ += offset;
+  return a;
+}
+
+double NdArray::AsScalar() const {
+  if (size_ == 0) return 0.0;
+  return VisitDType(dtype_, [&](auto tag) {
+    using T = decltype(tag);
+    T v;
+    std::memcpy(&v, base(), sizeof(T));
+    return static_cast<double>(v);
+  });
+}
+
+std::vector<double> NdArray::data() const {
+  std::vector<double> out;
+  out.reserve(size_);
+  ForEachDouble(*this, [&](double v) { out.push_back(v); });
+  return out;
 }
 
 tsf::Sample NdArray::ToSample(tsf::DType dtype) const {
   size_t es = tsf::DTypeSize(dtype);
-  ByteBuffer staging(data_.size() * es);
-  for (size_t i = 0; i < data_.size(); ++i) {
-    tsf::Sample::StoreValue(staging.data() + i * es, data_[i], dtype);
-  }
+  ByteBuffer staging(size_ * es);
+  uint8_t* p = staging.data();
+  ForEachDouble(*this, [&](double v) {
+    tsf::Sample::StoreValue(p, v, dtype);
+    p += es;
+  });
   return tsf::Sample(dtype, tsf::TensorShape(shape_),
                      Slice(std::move(staging)));
 }
@@ -73,40 +238,14 @@ std::string Value::ToString() const {
 Result<NdArray> ElementwiseBinary(const NdArray& a, const NdArray& b,
                                   double (*op)(double, double),
                                   const char* op_name) {
-  if (a.IsScalar() && !b.IsScalar()) {
-    NdArray out({b.shape()}, std::vector<double>(b.size()));
-    double av = a.AsScalar();
-    for (size_t i = 0; i < b.size(); ++i) out.data()[i] = op(av, b.data()[i]);
-    return out;
-  }
-  if (b.IsScalar()) {
-    NdArray out({a.shape()}, std::vector<double>(a.size()));
-    double bv = b.AsScalar();
-    for (size_t i = 0; i < a.size(); ++i) out.data()[i] = op(a.data()[i], bv);
-    return out;
-  }
-  if (a.shape() != b.shape()) {
-    return Status::InvalidArgument(std::string("tql: shape mismatch in '") +
-                                   op_name + "': " + a.ToString() + " vs " +
-                                   b.ToString());
-  }
-  NdArray out({a.shape()}, std::vector<double>(a.size()));
-  for (size_t i = 0; i < a.size(); ++i) {
-    out.data()[i] = op(a.data()[i], b.data()[i]);
-  }
-  return out;
+  return Combine<double>(a, b, op, op_name, tsf::DType::kFloat64);
 }
 
-namespace {
-
-int64_t ClampIndex(int64_t idx, uint64_t dim) {
-  if (idx < 0) idx += static_cast<int64_t>(dim);
-  if (idx < 0) idx = 0;
-  if (idx > static_cast<int64_t>(dim)) idx = static_cast<int64_t>(dim);
-  return idx;
+Result<NdArray> CompareBinary(const NdArray& a, const NdArray& b,
+                              bool (*op)(double, double),
+                              const char* op_name) {
+  return Combine<uint8_t>(a, b, op, op_name, tsf::DType::kBool);
 }
-
-}  // namespace
 
 Result<NdArray> SliceArray(const NdArray& arr,
                            const std::vector<SliceSpec>& specs) {
@@ -115,122 +254,93 @@ Result<NdArray> SliceArray(const NdArray& arr,
                                    std::to_string(arr.ndim()));
   }
   size_t nd = arr.ndim();
-  // Per-dim: start, count, step; and whether the dim is dropped.
-  std::vector<int64_t> start(nd, 0), count(nd), step(nd, 1);
-  std::vector<bool> dropped(nd, false);
+  // The view's first element and, per kept dim, its extent and stride.
+  uint64_t offset = 0;
+  std::vector<uint64_t> shape, strides;
   for (size_t d = 0; d < nd; ++d) {
     uint64_t dim = arr.shape()[d];
-    if (d < specs.size()) {
-      const SliceSpec& s = specs[d];
-      if (s.is_index) {
-        int64_t idx = s.index;
-        if (idx < 0) idx += static_cast<int64_t>(dim);
-        if (idx < 0 || idx >= static_cast<int64_t>(dim)) {
-          return Status::OutOfRange("tql: index " + std::to_string(s.index) +
-                                    " out of bounds for dim " +
-                                    std::to_string(dim));
-        }
-        start[d] = idx;
-        count[d] = 1;
-        dropped[d] = true;
-        continue;
-      }
-      int64_t st = s.has_step ? s.step : 1;
-      if (st == 0) return Status::InvalidArgument("tql: slice step 0");
-      if (st < 0) {
-        return Status::NotImplemented("tql: negative slice steps");
-      }
-      int64_t lo = s.has_start ? ClampIndex(s.start, dim) : 0;
-      int64_t hi = s.has_stop ? ClampIndex(s.stop, dim)
-                              : static_cast<int64_t>(dim);
-      if (hi < lo) hi = lo;
-      start[d] = lo;
-      step[d] = st;
-      count[d] = (hi - lo + st - 1) / st;
-    } else {
-      count[d] = static_cast<int64_t>(dim);
+    uint64_t stride = arr.strides()[d];
+    if (d >= specs.size()) {
+      shape.push_back(dim);
+      strides.push_back(stride);
+      continue;
     }
-  }
-  // Output shape drops indexed dims.
-  std::vector<uint64_t> out_shape;
-  uint64_t out_elems = 1;
-  for (size_t d = 0; d < nd; ++d) {
-    out_elems *= static_cast<uint64_t>(count[d]);
-    if (!dropped[d]) out_shape.push_back(static_cast<uint64_t>(count[d]));
-  }
-  // Strides of the input.
-  std::vector<uint64_t> strides(nd, 1);
-  for (size_t d = nd; d-- > 1;) strides[d - 1] = strides[d] * arr.shape()[d];
-
-  std::vector<double> out_data;
-  out_data.reserve(out_elems);
-  std::vector<int64_t> idx(nd, 0);
-  if (out_elems > 0) {
-    while (true) {
-      uint64_t off = 0;
-      for (size_t d = 0; d < nd; ++d) {
-        off += static_cast<uint64_t>(start[d] + idx[d] * step[d]) * strides[d];
+    const SliceSpec& s = specs[d];
+    if (s.is_index) {
+      int64_t idx = s.index;
+      if (idx < 0) idx += static_cast<int64_t>(dim);
+      if (idx < 0 || idx >= static_cast<int64_t>(dim)) {
+        return Status::OutOfRange("tql: index " + std::to_string(s.index) +
+                                  " out of bounds for dim " +
+                                  std::to_string(dim));
       }
-      out_data.push_back(arr.data()[off]);
-      ptrdiff_t d = static_cast<ptrdiff_t>(nd) - 1;
-      while (d >= 0) {
-        if (++idx[d] < count[d]) break;
-        idx[d] = 0;
-        --d;
-      }
-      if (d < 0) break;
+      offset += static_cast<uint64_t>(idx) * stride;
+      continue;
     }
+    int64_t st = s.has_step ? s.step : 1;
+    if (st == 0) return Status::InvalidArgument("tql: slice step 0");
+    if (st < 0) {
+      return Status::NotImplemented("tql: negative slice steps");
+    }
+    int64_t lo = s.has_start ? ClampIndex(s.start, dim) : 0;
+    int64_t hi = s.has_stop ? ClampIndex(s.stop, dim)
+                            : static_cast<int64_t>(dim);
+    if (hi < lo) hi = lo;
+    offset += static_cast<uint64_t>(lo) * stride;
+    shape.push_back(static_cast<uint64_t>((hi - lo + st - 1) / st));
+    strides.push_back(stride * static_cast<uint64_t>(st));
   }
-  return NdArray(std::move(out_shape), std::move(out_data));
+  // An empty view addresses nothing; keep its offset inside the bytes.
+  if (NumElements(shape) == 0 || arr.size() == 0) offset = 0;
+  return arr.Restrided(std::move(shape), std::move(strides), offset);
 }
 
 double ReduceSum(const NdArray& a) {
-  double s = 0;
-  for (double v : a.data()) s += v;
-  return s;
+  return VisitDType(a.dtype(), [&](auto tag) {
+    using T = decltype(tag);
+    SumType<T> s = 0;
+    ForEachAs<T>(a, [&](T v) { s += v; });
+    return static_cast<double>(s);
+  });
 }
 
-double ReduceMin(const NdArray& a) {
-  double m = HUGE_VAL;
-  for (double v : a.data()) m = std::min(m, v);
-  return a.data().empty() ? 0.0 : m;
-}
+double ReduceMin(const NdArray& a) { return ReduceExtreme<false>(a); }
 
-double ReduceMax(const NdArray& a) {
-  double m = -HUGE_VAL;
-  for (double v : a.data()) m = std::max(m, v);
-  return a.data().empty() ? 0.0 : m;
-}
+double ReduceMax(const NdArray& a) { return ReduceExtreme<true>(a); }
 
 double ReduceMean(const NdArray& a) {
-  return a.data().empty() ? 0.0 : ReduceSum(a) / a.data().size();
+  return a.size() == 0 ? 0.0 : ReduceSum(a) / a.size();
 }
 
 double ReduceStd(const NdArray& a) {
-  if (a.data().size() < 2) return 0.0;
+  if (a.size() < 2) return 0.0;
   double mean = ReduceMean(a);
   double ss = 0;
-  for (double v : a.data()) ss += (v - mean) * (v - mean);
-  return std::sqrt(ss / a.data().size());
+  ForEachDouble(a, [&](double v) { ss += (v - mean) * (v - mean); });
+  return std::sqrt(ss / a.size());
 }
 
 bool ReduceAny(const NdArray& a) {
-  for (double v : a.data()) {
-    if (v != 0.0) return true;
-  }
-  return false;
+  return VisitDType(a.dtype(), [&](auto tag) {
+    using T = decltype(tag);
+    bool any = false;
+    ForEachAs<T>(a, [&](T v) { any |= v != 0; });
+    return any;
+  });
 }
 
 bool ReduceAll(const NdArray& a) {
-  for (double v : a.data()) {
-    if (v == 0.0) return false;
-  }
-  return true;
+  return VisitDType(a.dtype(), [&](auto tag) {
+    using T = decltype(tag);
+    bool all = true;
+    ForEachAs<T>(a, [&](T v) { all &= v != 0; });
+    return all;
+  });
 }
 
 double ReduceL2(const NdArray& a) {
   double ss = 0;
-  for (double v : a.data()) ss += v * v;
+  ForEachDouble(a, [&](double v) { ss += v * v; });
   return std::sqrt(ss);
 }
 
@@ -266,12 +376,12 @@ Result<double> MeanBestIou(const NdArray& a, const NdArray& b) {
   DL_RETURN_IF_ERROR(CheckBoxes(b, "IOU rhs"));
   size_t na = NumBoxes(a), nb = NumBoxes(b);
   if (na == 0 || nb == 0) return 0.0;
+  std::vector<double> ad = a.data(), bd = b.data();
   double total = 0;
   for (size_t i = 0; i < na; ++i) {
     double best = 0;
     for (size_t j = 0; j < nb; ++j) {
-      best = std::max(best, BoxIou(a.data().data() + i * 4,
-                                   b.data().data() + j * 4));
+      best = std::max(best, BoxIou(ad.data() + i * 4, bd.data() + j * 4));
     }
     total += best;
   }
@@ -284,22 +394,23 @@ Result<NdArray> NormalizeBoxes(const NdArray& boxes, const NdArray& window) {
     return Status::InvalidArgument(
         "tql: NORMALIZE window must have 4 values [x, y, w, h]");
   }
-  double wx = window.data()[0], wy = window.data()[1];
-  double ww = window.data()[2], wh = window.data()[3];
+  std::vector<double> win = window.data();
+  double wx = win[0], wy = win[1], ww = win[2], wh = win[3];
   if (ww == 0 || wh == 0) {
     return Status::InvalidArgument("tql: NORMALIZE window has zero extent");
   }
-  NdArray out({boxes.shape()}, std::vector<double>(boxes.size()));
+  std::vector<double> in = boxes.data();
+  std::vector<double> out(in.size());
   size_t n = NumBoxes(boxes);
   for (size_t i = 0; i < n; ++i) {
-    const double* in = boxes.data().data() + i * 4;
-    double* o = out.data().data() + i * 4;
-    o[0] = (in[0] - wx) / ww;
-    o[1] = (in[1] - wy) / wh;
-    o[2] = in[2] / ww;
-    o[3] = in[3] / wh;
+    const double* b = in.data() + i * 4;
+    double* o = out.data() + i * 4;
+    o[0] = (b[0] - wx) / ww;
+    o[1] = (b[1] - wy) / wh;
+    o[2] = b[2] / ww;
+    o[3] = b[3] / wh;
   }
-  return out;
+  return NdArray(boxes.shape(), std::move(out));
 }
 
 }  // namespace dl::tql

@@ -134,13 +134,18 @@ TEST(LockStatsTest, ContendedMutexRecordsWaitAndName) {
   lockstats::ResetForTest();
   Mutex mu("test.contended.mu");
   std::atomic<bool> holder_has_lock{false};
+  std::atomic<bool> main_about_to_lock{false};
   std::thread holder([&] {
     mu.Lock();
     holder_has_lock.store(true);
+    // The hold starts only once the main thread is about to lock, so a
+    // slow wake-up of the main thread cannot outlast it.
+    while (!main_about_to_lock.load()) std::this_thread::yield();
     SleepMicros(20'000);  // hold so the main thread must block
     mu.Unlock();
   });
-  while (!holder_has_lock.load()) SleepMicros(100);
+  while (!holder_has_lock.load()) std::this_thread::yield();
+  main_about_to_lock.store(true);
   mu.Lock();  // contended: records ~20ms of wait
   mu.Unlock();
   holder.join();

@@ -156,6 +156,40 @@ TEST(ParserTest, DeepNestingIsAnErrorNotAStackOverflow) {
   }
 }
 
+TEST(ParserTest, LongOperatorChainsAreBoundedNotAStackOverflow) {
+  // A left-deep chain is parsed by a loop, but each operand is one more
+  // level of the tree that destruction, validation and evaluation recurse
+  // over.
+  std::string chain = "labels = 1";
+  chain.reserve(chain.size() + 4 * 1000000);
+  for (int i = 0; i < 1000000; ++i) chain += " + 1";
+  auto q = ParseQuery("SELECT * FROM ds WHERE " + chain);
+  ASSERT_FALSE(q.ok());
+  EXPECT_TRUE(q.status().IsInvalidArgument()) << q.status();
+}
+
+TEST(ParserTest, ThousandTermOrChainParsesAndEvaluates) {
+  // labels cycle 0, 1, 2; only the chain's last term, labels = 1, matches.
+  auto ds = Dataset::Create(std::make_shared<storage::MemoryStore>())
+                .MoveValue();
+  TensorOptions lbl;
+  lbl.htype = "class_label";
+  ASSERT_TRUE(ds->CreateTensor("labels", lbl).ok());
+  for (int i = 0; i < 9; ++i) {
+    ASSERT_TRUE(
+        ds->Append({{"labels", Sample::Scalar(i % 3, DType::kInt32)}}).ok());
+  }
+  ASSERT_TRUE(ds->Flush().ok());
+  std::string where;
+  for (int k = 1001; k >= 3; --k) {
+    where += "labels = " + std::to_string(k) + " OR ";
+  }
+  where += "labels = 1";
+  auto view = RunQuery(ds, "SELECT * FROM ds WHERE " + where);
+  ASSERT_TRUE(view.ok()) << view.status();
+  EXPECT_EQ(view->indices(), (std::vector<uint64_t>{1, 4, 7}));
+}
+
 // ---------------------------------------------------------------------------
 // Kernels
 // ---------------------------------------------------------------------------
@@ -450,6 +484,50 @@ TEST(QueryTest, GroupByAggregates) {
     EXPECT_DOUBLE_EQ(lbl->array().AsScalar(), mean->array().AsScalar());
   }
   EXPECT_DOUBLE_EQ(total, 9);
+}
+
+TEST(QueryTest, GroupByOrdersGroupsByTheTypedKey) {
+  // Numbers order numerically (2 before 10), strings lexicographically,
+  // and a null key (an empty cell) comes first.
+  auto ds = Dataset::Create(std::make_shared<storage::MemoryStore>())
+                .MoveValue();
+  TensorOptions lbl;
+  lbl.htype = "class_label";
+  ASSERT_TRUE(ds->CreateTensor("labels", lbl).ok());
+  TensorOptions txt;
+  txt.htype = "text";
+  ASSERT_TRUE(ds->CreateTensor("names", txt).ok());
+  TensorOptions opt;
+  opt.dtype = "float64";
+  ASSERT_TRUE(ds->CreateTensor("score", opt).ok());
+  const char* names[] = {"b", "B", "a", "ab"};
+  for (int i = 23; i >= 0; --i) {
+    std::map<std::string, Sample> row;
+    row["labels"] = Sample::Scalar(i % 12, DType::kInt32);
+    row["names"] = Sample::FromString(names[i % 4]);
+    // Rows of label 3 leave score empty.
+    if (i % 12 != 3) row["score"] = Sample::Scalar(-(i % 12), DType::kFloat64);
+    ASSERT_TRUE(ds->Append(row).ok());
+  }
+  ASSERT_TRUE(ds->Flush().ok());
+
+  auto keys = [&](const std::string& column) {
+    auto view = RunQuery(ds, "SELECT " + column + ", COUNT() AS n FROM ds "
+                             "GROUP BY " + column);
+    EXPECT_TRUE(view.ok()) << view.status();
+    std::vector<std::string> out;
+    for (size_t i = 0; view.ok() && i < view->size(); ++i) {
+      out.push_back(view->Cell(i, column)->ToString());
+    }
+    return out;
+  };
+  EXPECT_EQ(keys("labels"),
+            (std::vector<std::string>{"0", "1", "2", "3", "4", "5", "6", "7",
+                                      "8", "9", "10", "11"}));
+  EXPECT_EQ(keys("names"), (std::vector<std::string>{"B", "a", "ab", "b"}));
+  EXPECT_EQ(keys("score"),
+            (std::vector<std::string>{"null", "-11", "-10", "-9", "-8", "-7",
+                                      "-6", "-5", "-4", "-2", "-1", "0"}));
 }
 
 TEST(QueryTest, ArithmeticAndLogicInWhere) {
