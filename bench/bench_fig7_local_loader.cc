@@ -271,7 +271,8 @@ int main(int argc, char** argv) {
   stages.Set("images_per_sec", dl_run.ips);
   stages.Set("rows_delivered", dl_run.stats.rows_delivered);
   stages.Set("batches_delivered", dl_run.stats.batches_delivered);
-  stages.Set("units", dl_run.stats.units);
+  stages.Set("fetches", dl_run.stats.fetches);
+  stages.Set("consumer_micros", dl_run.stats.consumer_micros);
   stages.Set("fetch_micros", dl_run.stats.fetch_micros);
   stages.Set("decode_micros", dl_run.stats.decode_micros);
   stages.Set("transform_micros", dl_run.stats.transform_micros);

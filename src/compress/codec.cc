@@ -59,6 +59,17 @@ Result<ByteBuffer> DecompressBytes(Compression c, ByteView frame) {
   return GetCodec(c)->Decompress(frame);
 }
 
+Status Codec::DecompressInto(ByteView frame, ByteBuffer& out,
+                             uint64_t expected_size) const {
+  out.clear();
+  DL_ASSIGN_OR_RETURN(uint64_t raw_size, DeclaredSize(frame));
+  DL_RETURN_IF_ERROR(CheckDeclaredSize(name(), raw_size, expected_size));
+  out.resize(static_cast<size_t>(raw_size));
+  Status st = DecompressExact(frame, out);
+  if (!st.ok()) out.clear();
+  return st;
+}
+
 Result<ByteBuffer> Codec::Decompress(ByteView frame) const {
   ByteBuffer out;
   DL_RETURN_IF_ERROR(DecompressInto(frame, out));
@@ -86,8 +97,8 @@ Result<Slice> DecompressToSlice(Compression c, ByteView frame,
         std::to_string(raw_size) + " implausible for a " +
         std::to_string(frame.size()) + "-byte frame");
   }
-  ByteBuffer out = pool.Acquire(static_cast<size_t>(raw_size));
-  DL_RETURN_IF_ERROR(GetCodec(c)->DecompressInto(frame, out, raw_size));
+  ByteBuffer out = pool.AcquireSized(static_cast<size_t>(raw_size));
+  DL_RETURN_IF_ERROR(GetCodec(c)->DecompressExact(frame, out));
   return pool.Seal(std::move(out));
 }
 

@@ -2,6 +2,7 @@
 #define DEEPLAKE_COMPRESS_CODEC_H_
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 #include "util/buffer.h"
@@ -59,12 +60,26 @@ class Codec {
   /// plausibility ratio.
   static constexpr uint64_t kUnknownSize = UINT64_MAX;
 
+  /// The raw size `frame` declares, read from its header. Corruption when
+  /// the header is malformed or the size exceeds the codec's own
+  /// expansion bound for a frame of this length, so callers may allocate
+  /// it.
+  virtual Result<uint64_t> DeclaredSize(ByteView frame) const = 0;
+
+  /// The codec's one decoder: decompresses a frame that must hold exactly
+  /// `out.size()` bytes into `out`, writing every byte on success. A frame
+  /// that declares another size is Corruption before anything is written;
+  /// a malformed frame is Corruption and may leave `out` partly written.
+  virtual Status DecompressExact(ByteView frame,
+                                 std::span<uint8_t> out) const = 0;
+
   /// Decompresses a frame produced by `Compress` into `out` (cleared first;
-  /// pre-reserved capacity — e.g. from a BufferPool — is kept). A frame that
-  /// declares a raw size other than a known `expected_size` is Corruption
-  /// before `out` grows. Returns Corruption on a malformed frame.
-  virtual Status DecompressInto(ByteView frame, ByteBuffer& out,
-                                uint64_t expected_size) const = 0;
+  /// pre-reserved capacity — e.g. from a BufferPool — is kept), through
+  /// DecompressExact. A frame that declares a raw size other than a known
+  /// `expected_size` is Corruption before `out` grows. Returns Corruption
+  /// on a malformed frame.
+  Status DecompressInto(ByteView frame, ByteBuffer& out,
+                        uint64_t expected_size) const;
   Status DecompressInto(ByteView frame, ByteBuffer& out) const {
     return DecompressInto(frame, out, kUnknownSize);
   }
@@ -83,7 +98,8 @@ Result<ByteBuffer> CompressBytes(Compression c, ByteView raw,
 Result<ByteBuffer> DecompressBytes(Compression c, ByteView frame);
 
 /// Decompresses a frame that must hold exactly `raw_size` bytes into a
-/// buffer of that size recycled from `pool`, and seals it into an owning
+/// buffer of that size recycled from `pool` (BufferPool::AcquireSized, so
+/// a recycled buffer is not zero-filled first), and seals it into an owning
 /// Slice — the chunk-decode hot path: steady-state epoch loops hit the
 /// pool's free list instead of the allocator (DESIGN.md §10). A frame that
 /// declares another size is Corruption.

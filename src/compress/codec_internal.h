@@ -4,6 +4,7 @@
 #define DEEPLAKE_COMPRESS_CODEC_INTERNAL_H_
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 #include "util/bytes.h"
@@ -34,10 +35,13 @@ inline uint8_t PaethPredict(uint8_t left, uint8_t up, uint8_t upleft) {
 /// entropy stage straight into its own frame this way.
 void Lz77CompressAppend(ByteView raw, ByteBuffer& out);
 
-/// Decodes the LZ77 frame `frame` into `out`, which ends up exactly the
-/// declared raw size. See Codec::DecompressInto for `expected_size`.
-Status Lz77DecompressInto(ByteView frame, ByteBuffer& out,
-                          uint64_t expected_size);
+/// The raw size an LZ77 frame declares, bounded by the 255x expansion
+/// limit; `*header_len` receives the bytes of its header.
+Result<uint64_t> Lz77DeclaredSize(ByteView frame, size_t* header_len);
+
+/// Decodes the LZ77 frame `frame` into exactly `out.size()` bytes. See
+/// Codec::DecompressExact.
+Status Lz77DecompressExact(ByteView frame, std::span<uint8_t> out);
 
 }  // namespace dl::compress
 

@@ -207,36 +207,60 @@ class ImageCodec : public Codec {
     return out;
   }
 
-  Status DecompressInto(ByteView frame, ByteBuffer& out,
-                        uint64_t expected_size) const override {
-    out.clear();
-    Decoder dec{frame};
-    DL_ASSIGN_OR_RETURN(uint8_t magic, dec.GetByte());
-    if (magic != kMagic) return Status::Corruption("image: bad magic");
-    DL_ASSIGN_OR_RETURN(uint8_t mode, dec.GetByte());
-    DL_ASSIGN_OR_RETURN(uint8_t shift, dec.GetByte());
-    DL_ASSIGN_OR_RETURN(uint64_t bpp, dec.GetVarint64());
-    DL_ASSIGN_OR_RETURN(uint64_t stride, dec.GetVarint64());
-    DL_ASSIGN_OR_RETURN(uint64_t raw_size, dec.GetVarint64());
-    if (stride == 0 || bpp == 0) {
-      return Status::Corruption("image: zero stride");
-    }
-    if (mode == 1 && shift > kMaxShift) {
-      return Status::Corruption("image: quantization shift " +
-                                std::to_string(shift) + " out of range");
-    }
-    DL_RETURN_IF_ERROR(CheckDeclaredSize("image", raw_size, expected_size));
+  Result<uint64_t> DeclaredSize(ByteView frame) const override {
+    DL_ASSIGN_OR_RETURN(Header h, ParseHeader(frame));
+    return h.raw_size;
+  }
+
+  Status DecompressExact(ByteView frame,
+                         std::span<uint8_t> out) const override {
+    DL_ASSIGN_OR_RETURN(Header h, ParseHeader(frame));
+    DL_RETURN_IF_ERROR(CheckDeclaredSize("image", h.raw_size, out.size()));
     // The embedded LZ77 stage unpacks the residual plane straight into the
-    // caller's (possibly pooled) buffer, and must declare the same size;
-    // unfiltering then runs in place.
-    DL_RETURN_IF_ERROR(Lz77DecompressInto(frame.subview(dec.position()), out,
-                                          raw_size));
-    UnfilterPlane(out.data(), out.size(), static_cast<size_t>(stride),
-                  static_cast<size_t>(bpp), mode == 1 ? shift : 0);
+    // caller's span, and must declare the same size; unfiltering then runs
+    // in place.
+    DL_RETURN_IF_ERROR(Lz77DecompressExact(frame.subview(h.lz77_offset), out));
+    UnfilterPlane(out.data(), out.size(), static_cast<size_t>(h.stride),
+                  static_cast<size_t>(h.bpp), h.mode == 1 ? h.shift : 0);
     return Status::OK();
   }
 
  private:
+  struct Header {
+    uint8_t mode = 0;
+    uint8_t shift = 0;
+    uint64_t bpp = 0;
+    uint64_t stride = 0;
+    uint64_t raw_size = 0;
+    size_t lz77_offset = 0;  // where the embedded LZ77 frame starts
+  };
+
+  static Result<Header> ParseHeader(ByteView frame) {
+    Decoder dec{frame};
+    Header h;
+    DL_ASSIGN_OR_RETURN(uint8_t magic, dec.GetByte());
+    if (magic != kMagic) return Status::Corruption("image: bad magic");
+    DL_ASSIGN_OR_RETURN(h.mode, dec.GetByte());
+    DL_ASSIGN_OR_RETURN(h.shift, dec.GetByte());
+    DL_ASSIGN_OR_RETURN(h.bpp, dec.GetVarint64());
+    DL_ASSIGN_OR_RETURN(h.stride, dec.GetVarint64());
+    DL_ASSIGN_OR_RETURN(h.raw_size, dec.GetVarint64());
+    if (h.stride == 0 || h.bpp == 0) {
+      return Status::Corruption("image: zero stride");
+    }
+    if (h.mode == 1 && h.shift > kMaxShift) {
+      return Status::Corruption("image: quantization shift " +
+                                std::to_string(h.shift) + " out of range");
+    }
+    // The residual plane is one LZ77 frame, so the same expansion bound
+    // holds for the whole image frame.
+    if (h.raw_size > static_cast<uint64_t>(frame.size()) * 255 + 255) {
+      return Status::Corruption("image: raw size implausible for frame");
+    }
+    h.lz77_offset = dec.position();
+    return h;
+  }
+
   bool lossy_;
 };
 

@@ -131,9 +131,14 @@ class Lz77Codec final : public Codec {
     return out;
   }
 
-  Status DecompressInto(ByteView frame, ByteBuffer& out,
-                        uint64_t expected_size) const override {
-    return Lz77DecompressInto(frame, out, expected_size);
+  Result<uint64_t> DeclaredSize(ByteView frame) const override {
+    size_t header_len = 0;
+    return Lz77DeclaredSize(frame, &header_len);
+  }
+
+  Status DecompressExact(ByteView frame,
+                         std::span<uint8_t> out) const override {
+    return Lz77DecompressExact(frame, out);
   }
 };
 
@@ -152,7 +157,13 @@ void Lz77CompressAppend(ByteView raw, ByteBuffer& out) {
   out.resize(start + n + n / 255 + 16);
   uint8_t* op = out.data() + start;
 
-  std::vector<uint32_t> table(kHashSize, UINT32_MAX);
+  // The match table is per-thread scratch kept across calls. At 128 KiB it
+  // sits exactly at glibc's default mmap threshold, so a table allocated
+  // per call was mapped and unmapped on every compress (each image Append,
+  // each chunk-compressed Flush), at a cost that followed glibc's dynamic
+  // threshold rather than this code.
+  thread_local std::vector<uint32_t> table;
+  table.assign(kHashSize, UINT32_MAX);
   size_t i = 0;
   size_t anchor = 0;  // start of pending literals
   // A match may start no later than n - kMinMatch - 1; it then extends to
@@ -188,24 +199,28 @@ void Lz77CompressAppend(ByteView raw, ByteBuffer& out) {
   out.resize(static_cast<size_t>(op - out.data()));
 }
 
-Status Lz77DecompressInto(ByteView frame, ByteBuffer& out,
-                          uint64_t expected_size) {
-  out.clear();
+Result<uint64_t> Lz77DeclaredSize(ByteView frame, size_t* header_len) {
   Decoder dec{frame};
   DL_ASSIGN_OR_RETURN(uint64_t raw_size, dec.GetVarint64());
-  DL_RETURN_IF_ERROR(CheckDeclaredSize("lz77", raw_size, expected_size));
-  // raw_size comes off the wire: sanity-bound it before allocating.
-  // Each frame byte can contribute at most 255 output bytes (a match
+  // raw_size comes off the wire: sanity-bound it before anyone allocates
+  // it. Each frame byte can contribute at most 255 output bytes (a match
   // length extension byte of 255), so anything beyond that ratio is a
-  // corrupt header — reject it instead of attempting a huge allocation.
+  // corrupt header.
   if (raw_size > static_cast<uint64_t>(frame.size()) * 255 + 255) {
     return Status::Corruption("lz77: raw size implausible for frame");
   }
-  out.resize(static_cast<size_t>(raw_size));
+  *header_len = dec.position();
+  return raw_size;
+}
+
+Status Lz77DecompressExact(ByteView frame, std::span<uint8_t> out) {
+  size_t header_len = 0;
+  DL_ASSIGN_OR_RETURN(uint64_t raw_size, Lz77DeclaredSize(frame, &header_len));
+  DL_RETURN_IF_ERROR(CheckDeclaredSize("lz77", raw_size, out.size()));
   uint8_t* const out_start = out.data();
   uint8_t* op = out_start;
   uint8_t* const out_end = out_start + raw_size;
-  const uint8_t* ip = frame.data() + dec.position();
+  const uint8_t* ip = frame.data() + header_len;
   const uint8_t* const ip_end = frame.data() + frame.size();
   while (op < out_end) {
     if (ip == ip_end) {

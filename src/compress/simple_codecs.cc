@@ -19,11 +19,13 @@ class NoneCodec final : public Codec {
                               const CodecContext& /*ctx*/) const override {
     return raw.ToBuffer();
   }
-  Status DecompressInto(ByteView frame, ByteBuffer& out,
-                        uint64_t expected_size) const override {
-    out.clear();
-    DL_RETURN_IF_ERROR(CheckDeclaredSize("none", frame.size(), expected_size));
-    AppendBytes(out, frame);
+  Result<uint64_t> DeclaredSize(ByteView frame) const override {
+    return frame.size();
+  }
+  Status DecompressExact(ByteView frame,
+                         std::span<uint8_t> out) const override {
+    DL_RETURN_IF_ERROR(CheckDeclaredSize("none", frame.size(), out.size()));
+    if (!out.empty()) std::memcpy(out.data(), frame.data(), out.size());
     return Status::OK();
   }
 };
@@ -72,31 +74,39 @@ class RleCodec final : public Codec {
     return out;
   }
 
-  Status DecompressInto(ByteView frame, ByteBuffer& out,
-                        uint64_t expected_size) const override {
-    out.clear();
+  Result<uint64_t> DeclaredSize(ByteView frame) const override {
     Decoder dec{frame};
     DL_ASSIGN_OR_RETURN(uint64_t raw_size, dec.GetVarint64());
-    DL_RETURN_IF_ERROR(CheckDeclaredSize("rle", raw_size, expected_size));
-    // raw_size is wire-controlled: bound it before allocating. A run
-    // sequence is two frame bytes producing at most 129 output bytes, so
-    // >129x expansion means a corrupt header, not a real frame.
+    // raw_size is wire-controlled: bound it before anyone allocates it. A
+    // run sequence is two frame bytes producing at most 129 output bytes,
+    // so >129x expansion means a corrupt header, not a real frame.
     if (raw_size > static_cast<uint64_t>(frame.size()) * 129 + 129) {
       return Status::Corruption("rle: raw size implausible for frame");
     }
-    out.reserve(static_cast<size_t>(raw_size));
-    while (out.size() < raw_size) {
+    return raw_size;
+  }
+
+  Status DecompressExact(ByteView frame,
+                         std::span<uint8_t> out) const override {
+    Decoder dec{frame};
+    DL_ASSIGN_OR_RETURN(uint64_t raw_size, dec.GetVarint64());
+    DL_RETURN_IF_ERROR(CheckDeclaredSize("rle", raw_size, out.size()));
+    uint8_t* op = out.data();
+    uint8_t* const end = op + out.size();
+    while (op != end) {
       DL_ASSIGN_OR_RETURN(uint8_t c, dec.GetByte());
+      const size_t n = c < 128 ? c + 1u : c - 126u;
+      if (n > static_cast<size_t>(end - op)) {
+        return Status::Corruption("rle: output overruns declared size");
+      }
       if (c < 128) {
-        DL_ASSIGN_OR_RETURN(ByteView lits, dec.GetBytes(c + 1));
-        out.insert(out.end(), lits.begin(), lits.end());
+        DL_ASSIGN_OR_RETURN(ByteView lits, dec.GetBytes(n));
+        std::memcpy(op, lits.data(), n);
       } else {
         DL_ASSIGN_OR_RETURN(uint8_t b, dec.GetByte());
-        out.insert(out.end(), c - 126, b);
+        std::memset(op, b, n);
       }
-    }
-    if (out.size() != raw_size) {
-      return Status::Corruption("rle: output overruns declared size");
+      op += n;
     }
     return Status::OK();
   }
@@ -133,36 +143,31 @@ class DeltaCodec final : public Codec {
     return out;
   }
 
-  Status DecompressInto(ByteView frame, ByteBuffer& out,
-                        uint64_t expected_size) const override {
-    out.clear();
+  Result<uint64_t> DeclaredSize(ByteView frame) const override {
     Decoder dec{frame};
-    DL_ASSIGN_OR_RETURN(uint8_t es, dec.GetByte());
-    if (es != 1 && es != 2 && es != 4 && es != 8) {
-      return Status::Corruption("delta: bad element size");
-    }
-    DL_ASSIGN_OR_RETURN(uint64_t count, dec.GetVarint64());
-    DL_ASSIGN_OR_RETURN(uint64_t tail, dec.GetVarint64());
-    // count/tail are wire-controlled: each element costs at least one delta
-    // varint byte and the tail is stored raw, so both are bounded by the
-    // remaining frame bytes. Checking before the multiply also keeps
-    // count * es from overflowing.
-    if (count > dec.remaining() || tail > dec.remaining()) {
-      return Status::Corruption("delta: counts implausible for frame");
-    }
-    DL_RETURN_IF_ERROR(
-        CheckDeclaredSize("delta", count * es + tail, expected_size));
-    out.reserve(static_cast<size_t>(count * es + tail));
+    DL_ASSIGN_OR_RETURN(Counts counts, ParseCounts(dec));
+    return counts.count * counts.es + counts.tail;
+  }
+
+  Status DecompressExact(ByteView frame,
+                         std::span<uint8_t> out) const override {
+    Decoder dec{frame};
+    DL_ASSIGN_OR_RETURN(Counts counts, ParseCounts(dec));
+    const uint32_t es = counts.es;
+    DL_RETURN_IF_ERROR(CheckDeclaredSize(
+        "delta", counts.count * es + counts.tail, out.size()));
+    uint8_t* op = out.data();
     int64_t prev = 0;
-    for (uint64_t i = 0; i < count; ++i) {
+    for (uint64_t i = 0; i < counts.count; ++i) {
       DL_ASSIGN_OR_RETURN(int64_t d, dec.GetVarintSigned64());
       // Mirror of the encoder: accumulate with defined unsigned wraparound.
       prev = static_cast<int64_t>(static_cast<uint64_t>(prev) +
                                   static_cast<uint64_t>(d));
-      StoreSigned(out, prev, es);
+      StoreSigned(op, prev, es);
+      op += es;
     }
-    DL_ASSIGN_OR_RETURN(ByteView rest, dec.GetBytes(tail));
-    AppendBytes(out, rest);
+    DL_ASSIGN_OR_RETURN(ByteView rest, dec.GetBytes(counts.tail));
+    if (!rest.empty()) std::memcpy(op, rest.data(), rest.size());
     return Status::OK();
   }
 
@@ -178,11 +183,34 @@ class DeltaCodec final : public Codec {
     return static_cast<int64_t>(v);
   }
 
-  static void StoreSigned(ByteBuffer& out, int64_t v, uint32_t es) {
+  static void StoreSigned(uint8_t* p, int64_t v, uint32_t es) {
     uint64_t u = static_cast<uint64_t>(v);
-    for (uint32_t i = 0; i < es; ++i) {
-      out.push_back(static_cast<uint8_t>(u >> (8 * i)));
+    for (uint32_t i = 0; i < es; ++i) p[i] = static_cast<uint8_t>(u >> (8 * i));
+  }
+
+  struct Counts {
+    uint32_t es = 1;
+    uint64_t count = 0;
+    uint64_t tail = 0;
+  };
+
+  static Result<Counts> ParseCounts(Decoder& dec) {
+    Counts c;
+    DL_ASSIGN_OR_RETURN(uint8_t es, dec.GetByte());
+    if (es != 1 && es != 2 && es != 4 && es != 8) {
+      return Status::Corruption("delta: bad element size");
     }
+    c.es = es;
+    DL_ASSIGN_OR_RETURN(c.count, dec.GetVarint64());
+    DL_ASSIGN_OR_RETURN(c.tail, dec.GetVarint64());
+    // count/tail are wire-controlled: each element costs at least one delta
+    // varint byte and the tail is stored raw, so both are bounded by the
+    // remaining frame bytes. Checking before the multiply also keeps
+    // count * es from overflowing.
+    if (c.count > dec.remaining() || c.tail > dec.remaining()) {
+      return Status::Corruption("delta: counts implausible for frame");
+    }
+    return c;
   }
 };
 

@@ -1,7 +1,9 @@
 #include "stream/dataloader.h"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
+#include <span>
 
 #include "obs/export.h"
 #include "obs/trace.h"
@@ -41,13 +43,30 @@ Result<tsf::Sample> Batch::Stacked(const std::string& column) const {
     return tsf::Sample(samples[0].dtype, std::move(out_shape),
                        samples[0].data);
   }
+  // Samples the loader decoded into one batch-major buffer are consecutive
+  // subslices of it: the stacked column is a view of that buffer.
+  const size_t n = samples[0].data.size();
+  const SharedBuffer& owner = samples[0].data.owner();
+  bool contiguous = owner != nullptr && n > 0;
+  for (size_t i = 1; contiguous && i < samples.size(); ++i) {
+    contiguous = samples[i].data.owner() == owner &&
+                 samples[i].data.data() == samples[0].data.data() + i * n;
+  }
+  if (contiguous) {
+    const size_t offset =
+        static_cast<size_t>(samples[0].data.data() - owner->data());
+    return tsf::Sample(samples[0].dtype, std::move(out_shape),
+                       Slice(owner, offset, samples.size() * n));
+  }
   ByteBuffer staging;
   staging.reserve(samples.size() * samples[0].data.size());
   for (const auto& s : samples) {
     staging.insert(staging.end(), s.data.begin(), s.data.end());
   }
-  // Collation is the one copy the batch-major layout forces; account for it
-  // so loader.bytes_copied stays an honest end-to-end figure.
+  // A uniform column the loader did not decode into one buffer (a tensor
+  // whose shapes vary across the dataset, or a batch built by hand) is
+  // copied; account for it so loader.bytes_copied stays an honest
+  // end-to-end figure.
   internal::AddBytesCopied(staging.size());
   return tsf::Sample(samples[0].dtype, std::move(out_shape),
                      Slice(std::move(staging)));
@@ -56,6 +75,39 @@ Result<tsf::Sample> Batch::Stacked(const std::string& column) const {
 // ---------------------------------------------------------------------------
 // Dataloader
 // ---------------------------------------------------------------------------
+
+namespace {
+
+// Runs `fn`, adding its wall time to `*acc` and `hist` under a span.
+template <typename Fn>
+auto Timed(obs::Histogram* hist, int64_t* acc, const char* span_name,
+           Fn&& fn) {
+  obs::ScopedSpan span(span_name, "loader");
+  int64_t t0 = NowMicros();
+  auto r = fn();
+  int64_t dt = NowMicros() - t0;
+  *acc += dt;
+  hist->Observe(static_cast<double>(dt));
+  return r;
+}
+
+// A retryable failure that reaches the loader has outlived any
+// storage::RetryingStore in the chain and poisons the epoch; it lands on
+// the error-event timeline labeled with the op and key.
+void ReportFetchFailure(const char* op, const std::string& key,
+                        const Status& status) {
+  if (!status.IsRetryable()) return;
+  obs::RecordErrorEvent(obs::TraceRecorder::Global(), "loader.fetch_failed",
+                        "op=" + std::string(op) + " key=" + key + " " +
+                            status.ToString());
+}
+
+// Bytes of a sample of this dtype and shape; 0 for an empty sample.
+uint64_t SampleBytes(tsf::DType dtype, const tsf::TensorShape& shape) {
+  return tsf::Sample(dtype, shape, {}).ExpectedBytes();
+}
+
+}  // namespace
 
 Dataloader::Dataloader(std::shared_ptr<tsf::Dataset> dataset,
                        DataloaderOptions options)
@@ -77,9 +129,8 @@ Dataloader::~Dataloader() {
     MutexLock lock(mu_);
     abort_ = true;
   }
-  gate_cv_.NotifyAll();
-  ready_cv_.NotifyAll();
-  pool_.reset();  // joins workers
+  cv_.NotifyAll();
+  for (std::thread& worker : workers_) worker.join();
   // Rows decoded but never delivered would otherwise leave the queue-depth
   // gauge stuck above zero for the next epoch's loader.
   MutexLock lock(mu_);
@@ -89,40 +140,41 @@ Dataloader::~Dataloader() {
 void Dataloader::PlanEpoch(const std::vector<uint64_t>& order) {
   // Pick the finest-chunked tensor as the primary alignment target: its
   // chunk boundaries dominate fetch cost.
-  const tsf::ChunkEncoder* primary = nullptr;
-  for (const auto& [name, tensor] : columns_) {
-    const tsf::ChunkEncoder& enc = tensor->chunk_encoder();
-    if (primary == nullptr || enc.num_chunks() > primary->num_chunks()) {
-      primary = &enc;
+  size_t primary = SIZE_MAX;
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    const tsf::ChunkEncoder& enc = columns_[c].second->chunk_encoder();
+    if (primary == SIZE_MAX ||
+        enc.num_chunks() >
+            columns_[primary].second->chunk_encoder().num_chunks()) {
+      primary = c;
     }
   }
+  // Rows that share one primary chunk form a unit, even when a sparse view
+  // skips between them. Units are visited in order, or in a seeded
+  // permutation when shuffling (chunk-level shuffle); the reservoir adds
+  // sample-level randomness (§3.5).
+  std::vector<std::vector<uint64_t>> units;
   size_t current_ordinal = SIZE_MAX;
   for (uint64_t row : order) {
     size_t ordinal = SIZE_MAX;
-    if (primary != nullptr) {
-      auto loc = primary->Find(row);
+    if (primary != SIZE_MAX) {
+      auto loc = columns_[primary].second->chunk_encoder().Find(row);
       if (loc.ok()) ordinal = loc->chunk_ordinal;
     }
-    // A new unit starts when the primary chunk changes: all rows served by
-    // one chunk share one fetch, even when a sparse view skips between
-    // them. (The sparse-view penalty of §4.5 remains — the full chunk is
-    // fetched however few of its rows the view selects.)
-    if (units_.empty() || ordinal != current_ordinal) units_.emplace_back();
+    if (units.empty() || ordinal != current_ordinal) units.emplace_back();
     current_ordinal = ordinal;
-    units_.back().rows.push_back(row);
+    units.back().push_back(row);
   }
-  // Visit units in shuffled order for shuffled streams (chunk-level
-  // shuffle); the reservoir adds sample-level randomness (§3.5).
   if (options_.shuffle) {
     Rng rng(options_.seed ^ 0x5eed);
-    for (size_t i = units_.size(); i > 1; --i) {
-      std::swap(units_[i - 1], units_[rng.Uniform(i)]);
+    for (size_t i = units.size(); i > 1; --i) {
+      std::swap(units[i - 1], units[rng.Uniform(i)]);
     }
   }
-  uint64_t first = 0;
-  for (Unit& unit : units_) {
-    unit.first = first;
-    first += unit.rows.size();
+  std::vector<uint64_t> admitted_rows;  // dataset row at each position
+  admitted_rows.reserve(order.size());
+  for (const auto& unit : units) {
+    admitted_rows.insert(admitted_rows.end(), unit.begin(), unit.end());
   }
 
   const uint64_t batch = options_.batch_size;
@@ -130,14 +182,13 @@ void Dataloader::PlanEpoch(const std::vector<uint64_t>& order) {
                     : options_.drop_last ? order.size() / batch * batch
                                          : order.size();
   // The ramp (rather than waiting for a full reservoir) keeps the first
-  // batch as fast as the first unit.
+  // batch as fast as the first chunk.
   const size_t cap =
       options_.shuffle ? std::max<size_t>(1, options_.shuffle_buffer_rows) : 1;
   Rng rng(options_.seed);
   std::vector<uint64_t> reservoir;
   uint64_t admitted = 0;
-  size_t unit = 0;
-  slot_of_.assign(order.size(), kNotDelivered);
+  std::vector<uint64_t> delivered(delivered_rows_);  // dataset row per index
   for (uint64_t d = 0; d < delivered_rows_; ++d) {
     while (reservoir.size() < std::min<uint64_t>(cap, d + 1) &&
            admitted < order.size()) {
@@ -145,14 +196,66 @@ void Dataloader::PlanEpoch(const std::vector<uint64_t>& order) {
     }
     size_t pick = rng.Uniform(reservoir.size());
     std::swap(reservoir[pick], reservoir.back());
-    slot_of_[reservoir.back()] = d;
+    delivered[d] = admitted_rows[reservoir.back()];
     reservoir.pop_back();
-    if ((d + 1) % batch == 0 || d + 1 == delivered_rows_) {
-      // The batch is whole once the units holding positions
-      // [0, admitted) are done.
-      while (units_[unit].first + units_[unit].rows.size() < admitted) ++unit;
-      units_needed_.push_back(unit + 1);
+  }
+
+  // One fetch task per distinct chunk (or whole-sample read), created in
+  // delivery order, so in the order batches first need them.
+  const size_t ncols = columns_.size();
+  sources_.assign(delivered_rows_ * ncols, Source{});
+  std::map<std::pair<size_t, uint64_t>, uint64_t> chunk_fetch;
+  for (uint64_t d = 0; d < delivered_rows_; ++d) {
+    const uint64_t row = delivered[d];
+    for (size_t c = 0; c < ncols; ++c) {
+      tsf::Tensor* t = columns_[c].second;
+      if (row >= t->NumSamples()) continue;  // an empty cell
+      Source& source = sources_[d * ncols + c];
+      auto loc = t->chunk_encoder().Find(row);
+      if (!loc.ok() || t->tile_encoder().IsTiled(row)) {
+        // Tiled samples and the buffered (unflushed) tail are read whole
+        // through the tensor, which fetches and decodes in one call.
+        source.fetch = fetches_.size();
+        fetches_.push_back(Fetch{c, row, /*read=*/true, {}});
+      } else {
+        auto [it, fresh] =
+            chunk_fetch.try_emplace({c, loc->chunk_id}, fetches_.size());
+        if (fresh) fetches_.push_back(Fetch{c, loc->chunk_id, false, {}});
+        source.fetch = it->second;
+        source.local = loc->local_index;
+      }
+      fetches_[source.fetch].readers.push_back(d);
     }
+  }
+  // Within one batch's new fetches the primary tensor's chunks go first,
+  // so the large Gets start before the small ones (labels, ids) that other
+  // workers fetch alongside them. fetches_needed_[b] then counts the
+  // fetches batches 0..b need.
+  auto first_batch = [&](const Fetch& f) { return f.readers[0] / batch; };
+  std::vector<uint64_t> rank(fetches_.size());
+  std::iota(rank.begin(), rank.end(), uint64_t{0});
+  std::stable_sort(rank.begin(), rank.end(), [&](uint64_t a, uint64_t b) {
+    const uint64_t ba = first_batch(fetches_[a]);
+    const uint64_t bb = first_batch(fetches_[b]);
+    if (ba != bb) return ba < bb;
+    return fetches_[a].column == primary && fetches_[b].column != primary;
+  });
+  std::vector<uint64_t> position(fetches_.size());
+  std::vector<Fetch> sorted;
+  sorted.reserve(fetches_.size());
+  for (uint64_t f : rank) {
+    position[f] = sorted.size();
+    sorted.push_back(std::move(fetches_[f]));
+  }
+  fetches_ = std::move(sorted);
+  for (Source& source : sources_) {
+    if (source.fetch != kNoFetch) source.fetch = position[source.fetch];
+  }
+  const uint64_t batches = batch == 0 ? 0 : (delivered_rows_ + batch - 1) / batch;
+  size_t f = 0;
+  for (uint64_t b = 0; b < batches; ++b) {
+    while (f < fetches_.size() && first_batch(fetches_[f]) <= b) ++f;
+    fetches_needed_.push_back(f);
   }
 }
 
@@ -176,159 +279,335 @@ void Dataloader::Start(const std::vector<uint64_t>& order) {
       return;
     }
     columns_.emplace_back(name, *tensor);
+    stackable_.push_back(options_.transform != nullptr ||
+                         (*tensor)->shape_encoder().num_rows() <= 1);
   }
   PlanEpoch(order);
-  const size_t prefetch = std::max<size_t>(1, options_.prefetch_units);
-  pool_ = std::make_unique<ThreadPool>(options_.num_workers);
-  for (size_t pos = 0; pos < units_.size(); ++pos) {
-    pool_->Submit([this, pos, prefetch] {
-      {
-        MutexLock lock(mu_);
-        while (!abort_ && first_error_.ok() &&
-               !(next_batch_ < units_needed_.size() &&
-                 pos + 1 < units_needed_[next_batch_] + prefetch)) {
-          gate_cv_.Wait(mu_);
-        }
-        if (abort_ || !first_error_.ok()) return;
-      }
-      ProcessUnit(units_[pos]);
-    });
+
+  MutexLock lock(mu_);
+  fetched_.resize(fetches_.size());
+  readers_left_.reserve(fetches_.size());
+  for (const Fetch& fetch : fetches_) {
+    readers_left_.push_back(static_cast<uint32_t>(fetch.readers.size()));
+  }
+  missing_.assign(delivered_rows_, 0);
+  for (uint64_t d = 0; d < delivered_rows_; ++d) {
+    for (size_t c = 0; c < columns_.size(); ++c) {
+      if (sources_[d * columns_.size() + c].fetch != kNoFetch) ++missing_[d];
+    }
+    if (missing_[d] == 0) ready_.push(d);
+  }
+  if (!WorkLeft()) return;
+  const size_t workers = std::max<size_t>(1, options_.num_workers);
+  workers_.reserve(workers);
+  for (size_t i = 0; i < workers; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
-void Dataloader::ProcessUnit(const Unit& unit) {
-  // Worker threads adopt the job's trace context for the unit's duration:
-  // every span below (loader.fetch → storage.op) inherits its trace id.
+bool Dataloader::FetchClaimable() const {
+  const size_t prefetch = std::max<size_t>(1, options_.prefetch_units);
+  return next_fetch_ < fetches_.size() &&
+         next_batch_ < fetches_needed_.size() &&
+         next_fetch_ + 1 < fetches_needed_[next_batch_] + prefetch;
+}
+
+bool Dataloader::DecodeClaimable() const {
+  // Only rows of batch next_batch_: the batch the consumer holds and the
+  // one being filled are the only batch buffers alive, so decode overlaps
+  // the consumer's step one batch deep.
+  return !ready_.empty() && ready_.top() / options_.batch_size <= next_batch_;
+}
+
+Dataloader::DecodeTask Dataloader::ClaimDecode() {
+  DecodeTask task;
+  task.delivery = ready_.top();
+  ready_.pop();
+  ++claimed_rows_;
+  task.inputs.resize(columns_.size());
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    const Source& source = sources_[task.delivery * columns_.size() + c];
+    if (source.fetch != kNoFetch) task.inputs[c] = fetched_[source.fetch];
+  }
+  if (!WorkLeft()) cv_.NotifyAll();  // idle workers may exit
+  return task;
+}
+
+void Dataloader::WorkerLoop() {
+  MutexLock lock(mu_);
+  while (!abort_ && first_error_.ok() && WorkLeft()) {
+    // Workers decode, and fetch otherwise; but while there is decode work
+    // one worker keeps a fetch in flight, so the next chunk arrives while
+    // the current one is decoded.
+    const bool fetch = FetchClaimable() &&
+                       (fetches_in_flight_ == 0 || !DecodeClaimable());
+    if (fetch) {
+      const size_t f = next_fetch_++;
+      ++fetches_in_flight_;
+      lock.Unlock();
+      RunFetch(f);
+      lock.Lock();
+    } else if (DecodeClaimable()) {
+      DecodeTask task = ClaimDecode();
+      lock.Unlock();
+      RunDecode(std::move(task));
+      lock.Lock();
+    } else {
+      cv_.Wait(mu_);
+    }
+  }
+}
+
+void Dataloader::RunFetch(size_t f) {
+  // Tasks adopt the job's trace context: every span below (loader.fetch →
+  // storage.op) inherits its trace id.
   obs::ContextScope context_scope(options_.context);
+  const Fetch& fetch = fetches_[f];
+  const std::string& name = columns_[fetch.column].first;
+  tsf::Tensor* t = columns_[fetch.column].second;
+  int64_t fetch_us = 0, decode_us = 0;
+  Fetched got;
   Status status;
-  // Per-stage timing, accumulated locally and merged into stats_ once at
-  // unit end (workers never contend on the mutex per sample). Each op also
-  // lands in a registry histogram and, when tracing is on, a span.
-  int64_t fetch_us = 0, decode_us = 0, transform_us = 0;
-  auto timed = [](obs::Histogram* hist, int64_t* acc, const char* span_name,
-                  auto&& fn) {
-    obs::ScopedSpan span(span_name, "loader");
-    int64_t t0 = NowMicros();
-    auto r = fn();
-    int64_t dt = NowMicros() - t0;
-    *acc += dt;
-    hist->Observe(static_cast<double>(dt));
-    return r;
-  };
-  // Moves a finished row into its slot of batch `delivery / batch_size`,
-  // so consumption overlaps decoding from the first sample.
-  auto place = [&](uint64_t delivery, Row row) {
-    const uint64_t b = delivery / options_.batch_size;
-    const uint64_t rows = BatchRows(b);
-    bool full = false;
-    {
-      MutexLock lock(mu_);
-      Batch& batch = pending_[b];
-      for (auto& [name, sample] : row) {
-        std::vector<tsf::Sample>& column = batch.columns[name];
-        column.resize(rows);
-        column[delivery % options_.batch_size] = std::move(sample);
+  if (fetch.read) {
+    auto sample = Timed(fetch_hist_, &fetch_us, "loader.fetch",
+                        [&] { return t->Read(fetch.key); });
+    if (sample.ok()) {
+      got.sample = std::move(sample).value();
+    } else {
+      status = sample.status();
+      ReportFetchFailure("read", name + "[" + std::to_string(fetch.key) + "]",
+                         status);
+    }
+  } else {
+    const std::string key = t->ChunkKey(fetch.key);
+    auto bytes = Timed(fetch_hist_, &fetch_us, "loader.fetch",
+                       [&] { return t->store()->Get(key); });
+    if (!bytes.ok()) {
+      status = bytes.status();
+      ReportFetchFailure("chunk_get", key, status);
+    } else {
+      auto chunk = Timed(decode_hist_, &decode_us, "loader.decode", [&] {
+        return tsf::Chunk::Parse(std::move(bytes).value(),
+                                 /*verify_checksum=*/false);
+      });
+      if (chunk.ok()) {
+        got.chunk =
+            std::make_shared<const tsf::Chunk>(std::move(chunk).value());
+      } else {
+        status = chunk.status();
       }
-      full = ++batch.size == rows;
+    }
+  }
+  {
+    MutexLock lock(mu_);
+    --fetches_in_flight_;
+    ++stats_.fetches;
+    stats_.fetch_micros += fetch_us;
+    stats_.decode_micros += decode_us;
+    if (!status.ok()) {
+      if (first_error_.ok()) first_error_ = status;
+    } else {
+      fetched_[f] = std::move(got);
+      for (uint64_t d : fetch.readers) {
+        if (--missing_[d] == 0) ready_.push(d);
+      }
+    }
+  }
+  cv_.NotifyAll();
+}
+
+uint8_t* Dataloader::Slot(uint64_t delivery, size_t column, tsf::DType dtype,
+                          const tsf::TensorShape& shape) {
+  const uint64_t b = delivery / options_.batch_size;
+  const uint64_t rows = BatchRows(b);
+  const uint64_t stride = SampleBytes(dtype, shape);
+  // A one-row batch aliases its sample's own buffer (no copy at all).
+  if (rows < 2 || stride == 0 || stride > SIZE_MAX / rows) return nullptr;
+  const size_t offset = (delivery % options_.batch_size) * stride;
+  {
+    MutexLock lock(mu_);
+    Stack* stack = &FillingFor(b).stacks[column];
+    // One buffer per batch and column: a row that finds another thread
+    // allocating it waits for that buffer rather than taking a second one.
+    while (stack->state == Stack::kAllocating) {
+      cv_.Wait(mu_);
+      stack = &FillingFor(b).stacks[column];
+    }
+    if (stack->state == Stack::kReady) {
+      if (stack->dtype != dtype || !(stack->shape == shape)) return nullptr;
+      return stack->bytes.data() + offset;
+    }
+    stack->state = Stack::kAllocating;
+  }
+  // The pool takes its own lock, so the buffer is acquired outside ours.
+  ByteBuffer bytes = BufferPool::Default().AcquireSized(rows * stride);
+  uint8_t* slot = bytes.data() + offset;
+  {
+    MutexLock lock(mu_);
+    Stack& stack = FillingFor(b).stacks[column];
+    stack.state = Stack::kReady;
+    stack.bytes = std::move(bytes);
+    stack.dtype = dtype;
+    stack.shape = shape;
+    stack.stride = stride;
+    stack.filled.assign(rows, 0);
+  }
+  cv_.NotifyAll();
+  return slot;
+}
+
+Dataloader::Filling& Dataloader::FillingFor(uint64_t batch) {
+  auto [it, fresh] = pending_.try_emplace(batch);
+  if (fresh) it->second.stacks.resize(columns_.size());
+  return it->second;
+}
+
+Status Dataloader::DecodeCells(const DecodeTask& task,
+                               std::vector<Cell>* cells,
+                               int64_t* decode_us) {
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    Cell& cell = (*cells)[c];
+    cell.column = c;
+    const Source& source = sources_[task.delivery * columns_.size() + c];
+    const Fetched& input = task.inputs[c];
+    if (source.fetch == kNoFetch) {
+      cell.sample = tsf::Sample::EmptyOf(columns_[c].second->meta().dtype);
+      continue;
+    }
+    if (input.chunk == nullptr) {
+      cell.sample = input.sample;
+      CopyIntoSlot(task.delivery, &cell);
+      continue;
+    }
+    const tsf::Chunk& chunk = *input.chunk;
+    const tsf::ChunkHeader& header = chunk.header();
+    uint8_t* slot = nullptr;
+    if (stackable_[c] && source.local < header.num_samples()) {
+      // The header gives the shape before decode. Only a size the stored
+      // frame can plausibly hold gets a slot: a forged shape falls through
+      // to ReadSample, which reports it.
+      const tsf::TensorShape& shape = header.shapes[source.local];
+      const uint64_t bytes = SampleBytes(header.dtype, shape);
+      const uint64_t stored = header.stored_lens[source.local];
+      const bool compressed =
+          header.sample_compression != compress::Compression::kNone &&
+          stored > 0;
+      if (compressed ? bytes <= stored * 255 + 255 : bytes == stored) {
+        slot = Slot(task.delivery, c, header.dtype, shape);
+      }
+      if (slot != nullptr) {
+        Status st = Timed(decode_hist_, decode_us, "loader.decode", [&] {
+          return chunk.ReadSampleInto(source.local,
+                                      std::span<uint8_t>(slot, bytes));
+        });
+        if (!st.ok()) return st;
+        cell.sample = tsf::Sample(header.dtype, shape, Slice());
+        cell.in_stack = true;
+        continue;
+      }
+    }
+    auto sample = Timed(decode_hist_, decode_us, "loader.decode",
+                        [&] { return chunk.ReadSample(source.local); });
+    if (!sample.ok()) return sample.status();
+    cell.sample = std::move(sample).value();
+  }
+  return Status::OK();
+}
+
+Status Dataloader::TransformCells(const DecodeTask& task,
+                                  std::vector<Cell>* cells,
+                                  int64_t* decode_us,
+                                  int64_t* transform_us) {
+  Row row;
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    const Source& source = sources_[task.delivery * columns_.size() + c];
+    const Fetched& input = task.inputs[c];
+    tsf::Sample& cell = row[columns_[c].first];
+    if (source.fetch == kNoFetch) {
+      cell = tsf::Sample::EmptyOf(columns_[c].second->meta().dtype);
+    } else if (input.chunk == nullptr) {
+      cell = input.sample;
+    } else {
+      auto sample = Timed(decode_hist_, decode_us, "loader.decode", [&] {
+        return input.chunk->ReadSample(source.local);
+      });
+      if (!sample.ok()) return sample.status();
+      cell = std::move(sample).value();
+    }
+  }
+  DL_RETURN_IF_ERROR(Timed(transform_hist_, transform_us, "loader.transform",
+                           [&] { return options_.transform(row); }));
+  // The one copy a transform forces: each transformed cell into its slot.
+  cells->clear();
+  for (auto& [name, sample] : row) {
+    Cell& cell = cells->emplace_back();
+    cell.name = name;
+    for (size_t c = 0; c < columns_.size(); ++c) {
+      if (columns_[c].first == name) cell.column = c;
+    }
+    cell.sample = std::move(sample);
+    CopyIntoSlot(task.delivery, &cell);
+  }
+  return Status::OK();
+}
+
+void Dataloader::CopyIntoSlot(uint64_t delivery, Cell* cell) {
+  if (cell->column == SIZE_MAX || !stackable_[cell->column] ||
+      !cell->sample.Validate().ok()) {
+    return;
+  }
+  uint8_t* slot = Slot(delivery, cell->column, cell->sample.dtype,
+                       cell->sample.shape);
+  if (slot == nullptr) return;
+  std::memcpy(slot, cell->sample.data.data(), cell->sample.nbytes());
+  internal::AddBytesCopied(cell->sample.nbytes());
+  cell->sample.data = Slice();
+  cell->in_stack = true;
+}
+
+void Dataloader::RunDecode(DecodeTask task) {
+  obs::ContextScope context_scope(options_.context);
+  int64_t decode_us = 0, transform_us = 0;
+  std::vector<Cell> cells(columns_.size());
+  Status status = options_.transform
+                      ? TransformCells(task, &cells, &decode_us, &transform_us)
+                      : DecodeCells(task, &cells, &decode_us);
+  const uint64_t d = task.delivery;
+  const uint64_t b = d / options_.batch_size;
+  const uint64_t slot = d % options_.batch_size;
+  const uint64_t rows = BatchRows(b);
+  // Fetch results whose last reader this row was; dropped after unlocking,
+  // since freeing a pooled buffer takes the pool's lock.
+  std::vector<Fetched> drop;
+  bool wake = !status.ok();
+  {
+    MutexLock lock(mu_);
+    stats_.decode_micros += decode_us;
+    stats_.transform_micros += transform_us;
+    if (!status.ok()) {
+      if (first_error_.ok()) first_error_ = status;
+    } else {
+      Filling& filling = FillingFor(b);
+      for (Cell& cell : cells) {
+        std::vector<tsf::Sample>& column = filling.batch.columns[
+            cell.column == SIZE_MAX ? cell.name : columns_[cell.column].first];
+        column.resize(rows);
+        column[slot] = std::move(cell.sample);
+        if (cell.in_stack) filling.stacks[cell.column].filled[slot] = 1;
+      }
+      wake = ++filling.batch.size == rows;
       ++undelivered_;
       // Under the lock, so the consumer's Sub never precedes this Add.
       queued_gauge_->Add(1);
     }
-    if (full) ready_cv_.NotifyAll();
-  };
-  // Runs one storage read. A retryable failure that reaches the loader has
-  // outlived any storage::RetryingStore in the chain and poisons the epoch;
-  // it lands on the error-event timeline labeled with the op and key
-  // (`describe` is only invoked on failure — the hot path never builds the
-  // label string).
-  auto fetch = [&](const char* op, auto&& describe, auto&& read) {
-    auto r = timed(fetch_hist_, &fetch_us, "loader.fetch", read);
-    if (!r.ok() && r.status().IsRetryable()) {
-      obs::RecordErrorEvent(
-          obs::TraceRecorder::Global(), "loader.fetch_failed",
-          "op=" + std::string(op) + " key=" + describe() + " " +
-              r.status().ToString());
+    for (size_t c = 0; c < columns_.size(); ++c) {
+      const uint64_t f = sources_[d * columns_.size() + c].fetch;
+      if (f != kNoFetch && --readers_left_[f] == 0) {
+        drop.push_back(std::move(fetched_[f]));
+      }
     }
-    return r;
-  };
-  // Per-unit, per-tensor chunk cache: each chunk is fetched and parsed
-  // once even when it serves many rows.
-  std::map<std::string, std::map<uint64_t, std::shared_ptr<tsf::Chunk>>>
-      cache;
-  for (size_t i = 0; i < unit.rows.size(); ++i) {
-    const uint64_t delivery = slot_of_[unit.first + i];
-    if (delivery == kNotDelivered) continue;  // past the last batch
-    const uint64_t row_idx = unit.rows[i];
-    Row row;
-    for (const auto& [name, t] : columns_) {
-      if (row_idx >= t->NumSamples()) {
-        row[name] = tsf::Sample::EmptyOf(t->meta().dtype);
-        continue;
-      }
-      auto loc = t->chunk_encoder().Find(row_idx);
-      if (t->tile_encoder().IsTiled(row_idx) || !loc.ok()) {
-        // Tiled samples and the buffered (unflushed) tail are served
-        // through the tensor, which fetches and decodes in one call; the
-        // whole cost is attributed to fetch (see DataloaderStats doc).
-        auto s = fetch("read", [&] {
-          return name + "[" + std::to_string(row_idx) + "]";
-        }, [&] { return t->Read(row_idx); });
-        if (!s.ok()) {
-          status = s.status();
-          break;
-        }
-        row[name] = std::move(s).value();
-        continue;
-      }
-      auto& tensor_cache = cache[name];
-      auto it = tensor_cache.find(loc->chunk_id);
-      if (it == tensor_cache.end()) {
-        auto bytes = fetch("chunk_get", [&] {
-          return t->ChunkKey(loc->chunk_id);
-        }, [&] { return t->store()->Get(t->ChunkKey(loc->chunk_id)); });
-        if (!bytes.ok()) {
-          status = bytes.status();
-          break;
-        }
-        auto chunk = timed(decode_hist_, &decode_us, "loader.decode",
-                           [&] { return tsf::Chunk::Parse(
-                               std::move(bytes).value(),
-                               /*verify_checksum=*/false); });
-        if (!chunk.ok()) {
-          status = chunk.status();
-          break;
-        }
-        it = tensor_cache
-                 .emplace(loc->chunk_id, std::make_shared<tsf::Chunk>(
-                                             std::move(chunk).value()))
-                 .first;
-      }
-      auto s = timed(decode_hist_, &decode_us, "loader.decode",
-                     [&] { return it->second->ReadSample(loc->local_index); });
-      if (!s.ok()) {
-        status = s.status();
-        break;
-      }
-      row[name] = std::move(s).value();
-    }
-    if (!status.ok()) break;
-    if (options_.transform) {
-      status = timed(transform_hist_, &transform_us, "loader.transform",
-                     [&] { return options_.transform(row); });
-      if (!status.ok()) break;
-    }
-    place(delivery, std::move(row));
   }
-
-  {
-    MutexLock lock(mu_);
-    if (!status.ok() && first_error_.ok()) first_error_ = status;
-    ++stats_.units;
-    stats_.fetch_micros += fetch_us;
-    stats_.decode_micros += decode_us;
-    stats_.transform_micros += transform_us;
-  }
-  if (!status.ok()) ready_cv_.NotifyAll();
+  if (wake) cv_.NotifyAll();
 }
 
 Result<bool> Dataloader::Next(Batch* out) {
@@ -337,34 +616,49 @@ Result<bool> Dataloader::Next(Batch* out) {
   obs::ContextScope context_scope(options_.context);
   obs::ScopedSpan next_span("loader.next", "loader");
   *out = Batch{};
-  int64_t wait_start = NowMicros();
+  int64_t stalled_us = 0;
   bool stalled = false;
 
-  // The one delivery loop: batch next_batch_ is handed out once workers
-  // have filled its every slot.
+  // The one delivery loop: batch next_batch_ is handed out once its every
+  // slot is filled. Until then the consumer decodes rows itself, and waits
+  // only when no decode task is claimable.
   MutexLock lock(mu_);
   auto ready = pending_.end();
   while (true) {
     if (!first_error_.ok()) return first_error_;
-    if (next_batch_ == units_needed_.size()) break;  // end of stream
+    if (next_batch_ == fetches_needed_.size()) break;  // end of stream
     ready = pending_.find(next_batch_);
     if (ready != pending_.end() &&
-        ready->second.size == BatchRows(next_batch_)) {
+        ready->second.batch.size == BatchRows(next_batch_)) {
       break;
     }
+    if (DecodeClaimable()) {
+      const int64_t start = NowMicros();
+      DecodeTask task = ClaimDecode();
+      lock.Unlock();
+      RunDecode(std::move(task));
+      lock.Lock();
+      stats_.consumer_micros += NowMicros() - start;
+      continue;
+    }
+    const int64_t wait_start = NowMicros();
+    cv_.Wait(mu_);
+    const int64_t waited = NowMicros() - wait_start;
     stalled = true;
-    ready_cv_.Wait(mu_);
-  }
-  if (stalled) {
-    int64_t stall = NowMicros() - wait_start;
-    stats_.stall_micros += stall;
-    stall_hist_->Observe(static_cast<double>(stall));
+    stalled_us += waited;
     // The consumer-starved interval the paper's utilization plots hinge
-    // on: visible as a gap-filling span on the consumer thread's track.
+    // on: a gap-filling span on the consumer thread's track, recorded
+    // outside the loader lock (the trace ring has a lock of its own).
     auto& recorder = obs::TraceRecorder::Global();
     if (recorder.enabled()) {
-      recorder.Record("loader.stall", "loader", wait_start, stall);
+      lock.Unlock();
+      recorder.Record("loader.stall", "loader", wait_start, waited);
+      lock.Lock();
     }
+  }
+  if (stalled) {
+    stats_.stall_micros += stalled_us;
+    stall_hist_->Observe(static_cast<double>(stalled_us));
   }
 
   // Fold the copy-accounting delta since the last Next() into the epoch
@@ -377,11 +671,28 @@ Result<bool> Dataloader::Next(Batch* out) {
     bytes_copied_counter_->Add(delta);
   }
 
-  if (next_batch_ == units_needed_.size()) return false;
-  *out = std::move(ready->second);
+  if (next_batch_ == fetches_needed_.size()) return false;
+  Filling filling = std::move(ready->second);
   pending_.erase(ready);
+  // Seal each batch-major buffer, now filled, and point its slots' samples
+  // at their subslices of it.
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    Stack& stack = filling.stacks[c];
+    if (std::find(stack.filled.begin(), stack.filled.end(), 1) ==
+        stack.filled.end()) {
+      continue;
+    }
+    Slice whole = BufferPool::Default().Seal(std::move(stack.bytes));
+    std::vector<tsf::Sample>& column = filling.batch.columns[columns_[c].first];
+    for (size_t i = 0; i < stack.filled.size(); ++i) {
+      if (stack.filled[i]) {
+        column[i].data = whole.subslice(i * stack.stride, stack.stride);
+      }
+    }
+  }
+  *out = std::move(filling.batch);
   ++next_batch_;
-  gate_cv_.NotifyAll();
+  cv_.NotifyAll();  // the fetch window and the decode lookahead moved
   undelivered_ -= out->size;
   stats_.rows_delivered += out->size;
   stats_.batches_delivered += 1;

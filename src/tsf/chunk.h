@@ -2,6 +2,7 @@
 #define DEEPLAKE_TSF_CHUNK_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "compress/codec.h"
@@ -114,6 +115,13 @@ class Chunk {
   /// data slice keeps the chunk's buffer (or the pooled decode buffer)
   /// alive on its own — the Chunk object may be destroyed first.
   Result<Sample> ReadSample(size_t local_index) const;
+
+  /// Decodes sample `local_index` into `out`, which must be exactly its
+  /// size (shape × dtype): the dataloader's decode-into-the-batch path.
+  /// Compressed samples decompress straight into `out`; uncompressed ones
+  /// are copied, and the copy is counted in TotalBytesCopied(). A stored
+  /// size or frame that disagrees with `out.size()` is Corruption.
+  Status ReadSampleInto(size_t local_index, std::span<uint8_t> out) const;
 
   /// Raw stored bytes of sample `local_index` (compressed frame when the
   /// chunk uses sample compression). Shares the chunk's keep-alive.

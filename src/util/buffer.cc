@@ -55,20 +55,25 @@ void BufferPool::State::Release(ByteBuffer bytes) {
   MutexLock lock(mu);
   if (retained + bytes.capacity() > max_retained) return;  // frees on return
   retained += bytes.capacity();
-  bytes.clear();
+  // The size is kept, so AcquireSized of a recycled buffer resizes without
+  // zero-filling; Acquire clears it instead.
   free_list.push_back(std::move(bytes));
 }
 
-ByteBuffer BufferPool::Acquire(size_t capacity_hint) {
+ByteBuffer BufferPool::Take(size_t capacity) {
   state_->acquires.fetch_add(1, std::memory_order_relaxed);
   {
     MutexLock lock(state_->mu);
-    // Smallest retained buffer that fits; the list is short (bounded by
+    // Smallest retained buffer that fits without wasting most of itself: a
+    // small request must not take a large buffer, which would leave the
+    // next large request to allocate afresh. The list is short (bounded by
     // max_retained / typical chunk size), so a linear scan is fine.
+    const size_t limit =
+        std::max<size_t>(kMinWastedBytes, capacity) + capacity;
     size_t best = SIZE_MAX;
     for (size_t i = 0; i < state_->free_list.size(); ++i) {
       size_t cap = state_->free_list[i].capacity();
-      if (cap < capacity_hint) continue;
+      if (cap < capacity || cap > limit) continue;
       if (best == SIZE_MAX ||
           cap < state_->free_list[best].capacity()) {
         best = i;
@@ -84,8 +89,22 @@ ByteBuffer BufferPool::Acquire(size_t capacity_hint) {
     }
   }
   ByteBuffer fresh;
-  fresh.reserve(capacity_hint);
+  fresh.reserve(capacity);
   return fresh;
+}
+
+ByteBuffer BufferPool::Acquire(size_t capacity_hint) {
+  ByteBuffer out = Take(capacity_hint);
+  out.clear();
+  return out;
+}
+
+ByteBuffer BufferPool::AcquireSized(size_t size) {
+  // A recycled buffer keeps its old size, so shrinking to `size` writes
+  // nothing; only growth past the old size value-initializes bytes.
+  ByteBuffer out = Take(size);
+  out.resize(size);
+  return out;
 }
 
 Slice BufferPool::Seal(ByteBuffer bytes) {

@@ -206,9 +206,15 @@ class BufferPool {
   /// beyond the cap are freed normally.
   explicit BufferPool(size_t max_retained_bytes = kDefaultRetainedBytes);
 
-  /// A vector with capacity >= `capacity_hint`, recycled when possible.
-  /// Returned empty (size 0).
+  /// A vector with capacity >= `capacity_hint`, recycled when a retained
+  /// one is not much larger (see kMinWastedBytes). Returned empty (size 0).
   ByteBuffer Acquire(size_t capacity_hint);
+
+  /// A vector of exactly `size` bytes, recycled when possible. The bytes
+  /// are unspecified: a recycled buffer keeps what it held, so only the
+  /// part beyond its old size is zero-filled. For decoders that write
+  /// every byte (Codec::DecompressExact).
+  ByteBuffer AcquireSized(size_t size);
 
   /// Wraps a filled buffer into an owning Slice whose backing allocation
   /// returns to this pool when the last reference drops.
@@ -228,8 +234,15 @@ class BufferPool {
   uint64_t bytes_in_use() const;
 
   static constexpr size_t kDefaultRetainedBytes = 64ull << 20;
+  /// A retained buffer serves a request of n bytes only if its capacity is
+  /// at most n + max(n, kMinWastedBytes).
+  static constexpr size_t kMinWastedBytes = 64ull << 10;
 
  private:
+  /// The smallest retained buffer of capacity >= `capacity`, as released
+  /// (contents and size kept), or a fresh empty one reserved to it.
+  ByteBuffer Take(size_t capacity);
+
   struct State {
     explicit State(size_t cap) : max_retained(cap) {}
     const size_t max_retained;

@@ -27,17 +27,9 @@ void ThreadPool::Submit(std::function<void()> task) {
   work_cv_.NotifyOne();
 }
 
-void ThreadPool::SubmitPriority(std::function<void()> task) {
-  {
-    MutexLock lock(mu_);
-    priority_queue_.push_back(std::move(task));
-  }
-  work_cv_.NotifyOne();
-}
-
 void ThreadPool::Wait() {
   MutexLock lock(mu_);
-  while (!(queue_.empty() && priority_queue_.empty() && active_ == 0)) {
+  while (!(queue_.empty() && active_ == 0)) {
     idle_cv_.Wait(mu_);
   }
 }
@@ -47,24 +39,17 @@ void ThreadPool::WorkerLoop() {
     std::function<void()> task;
     {
       MutexLock lock(mu_);
-      while (!shutdown_ && queue_.empty() && priority_queue_.empty()) {
-        work_cv_.Wait(mu_);
-      }
-      if (shutdown_ && queue_.empty() && priority_queue_.empty()) return;
-      if (!priority_queue_.empty()) {
-        task = std::move(priority_queue_.front());
-        priority_queue_.pop_front();
-      } else {
-        task = std::move(queue_.front());
-        queue_.pop_front();
-      }
+      while (!shutdown_ && queue_.empty()) work_cv_.Wait(mu_);
+      if (shutdown_ && queue_.empty()) return;
+      task = std::move(queue_.front());
+      queue_.pop_front();
       ++active_;
     }
     task();
     {
       MutexLock lock(mu_);
       --active_;
-      if (queue_.empty() && priority_queue_.empty() && active_ == 0) {
+      if (queue_.empty() && active_ == 0) {
         idle_cv_.NotifyAll();
       }
     }

@@ -11,12 +11,7 @@
 
 namespace dl {
 
-/// Fixed-size worker pool with a FIFO queue and optional high-priority lane.
-///
-/// The streaming dataloader's "smart scheduler" (paper §4.6) classifies
-/// decode jobs as CPU-intensive and fetch jobs as IO-bound; CPU-intensive
-/// jobs are submitted on the priority lane so decoding never starves behind
-/// a deep prefetch queue.
+/// Fixed-size worker pool with a FIFO queue.
 class ThreadPool {
  public:
   explicit ThreadPool(size_t num_threads);
@@ -27,9 +22,6 @@ class ThreadPool {
 
   /// Enqueues a task. Thread-safe.
   void Submit(std::function<void()> task) DL_EXCLUDES(mu_);
-
-  /// Enqueues a task ahead of normal-priority tasks.
-  void SubmitPriority(std::function<void()> task) DL_EXCLUDES(mu_);
 
   /// Blocks until every submitted task has finished and the queue is empty.
   void Wait() DL_EXCLUDES(mu_);
@@ -43,7 +35,6 @@ class ThreadPool {
   CondVar work_cv_;
   CondVar idle_cv_;
   std::deque<std::function<void()>> queue_ DL_GUARDED_BY(mu_);
-  std::deque<std::function<void()>> priority_queue_ DL_GUARDED_BY(mu_);
   size_t active_ DL_GUARDED_BY(mu_) = 0;
   bool shutdown_ DL_GUARDED_BY(mu_) = false;
   std::vector<std::thread> threads_;  // written only in the constructor

@@ -99,6 +99,25 @@ TEST(BufferPoolTest, SealedBufferReturnsToPoolAndIsReused) {
   EXPECT_EQ(pool.reuses(), 1u);
 }
 
+TEST(BufferPoolTest, AcquireSizedRecyclesOnlyBuffersThatFit) {
+  BufferPool pool(4 << 20);
+  const size_t big = 1 << 20;
+  ByteBuffer first = pool.AcquireSized(big);
+  EXPECT_EQ(first.size(), big);
+  const uint8_t* alloc = first.data();
+  { Slice sealed = pool.Seal(std::move(first)); }
+  // A small request does not take the parked 1 MiB buffer...
+  ByteBuffer small = pool.AcquireSized(1000);
+  EXPECT_EQ(small.size(), 1000u);
+  EXPECT_NE(small.data(), alloc);
+  EXPECT_EQ(pool.reuses(), 0u);
+  // ...a request it fits does, at exactly the requested size.
+  ByteBuffer again = pool.AcquireSized(big - 10);
+  EXPECT_EQ(again.size(), big - 10);
+  EXPECT_EQ(again.data(), alloc);
+  EXPECT_EQ(pool.reuses(), 1u);
+}
+
 TEST(BufferPoolTest, SealedSliceSurvivesPoolDestruction) {
   Slice survivor;
   {

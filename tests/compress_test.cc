@@ -271,6 +271,65 @@ TEST(ImageCodecTest, BadMagicIsCorruption) {
   EXPECT_TRUE(r.status().IsCorruption());
 }
 
+// The span entry point is each codec's one decoder. Its output must match
+// the reference codecs (LZ77 and both image modes) and, for the codecs with
+// no reference, the raw input they compressed.
+TEST(DecompressExactTest, MatchesReferenceForEveryCodec) {
+  const Compression codecs[] = {Compression::kNone, Compression::kLz77,
+                                Compression::kRle, Compression::kDelta,
+                                Compression::kImage, Compression::kImageLossy};
+  for (Compression c : codecs) {
+    for (const char* profile : {"zeros", "random", "runs", "gradient"}) {
+      ByteBuffer raw = MakeData(profile, 7 * 96 * 3 + 5, 17);
+      CodecContext ctx;
+      ctx.row_stride = 96 * 3;
+      ctx.elem_size = c == Compression::kDelta ? 4 : 3;
+      auto frame = GetCodec(c)->Compress(ByteView(raw), ctx);
+      ASSERT_TRUE(frame.ok()) << frame.status();
+      ByteBuffer expected = raw;
+      if (c == Compression::kLz77 || c == Compression::kImage ||
+          c == Compression::kImageLossy) {
+        auto ref = reference::Decompress(c, ByteView(*frame));
+        ASSERT_TRUE(ref.ok()) << ref.status();
+        expected = std::move(ref).value();
+      }
+      ByteBuffer out(expected.size(), 0xab);
+      Status st = GetCodec(c)->DecompressExact(ByteView(*frame), out);
+      ASSERT_TRUE(st.ok()) << CompressionName(c) << " " << profile << ": "
+                           << st;
+      EXPECT_EQ(out, expected) << CompressionName(c) << " " << profile;
+      // The ByteBuffer overload wraps the same decoder.
+      ByteBuffer wrapped;
+      ASSERT_TRUE(GetCodec(c)->DecompressInto(ByteView(*frame), wrapped).ok());
+      EXPECT_EQ(wrapped, expected) << CompressionName(c) << " " << profile;
+      auto declared = GetCodec(c)->DeclaredSize(ByteView(*frame));
+      ASSERT_TRUE(declared.ok()) << declared.status();
+      EXPECT_EQ(*declared, expected.size());
+    }
+  }
+}
+
+TEST(DecompressExactTest, OtherDeclaredSizeIsCorruptionBeforeAnyWrite) {
+  const Compression codecs[] = {Compression::kNone, Compression::kLz77,
+                                Compression::kRle, Compression::kDelta,
+                                Compression::kImage, Compression::kImageLossy};
+  ByteBuffer raw = MakeData("gradient", 4 * 64 * 3, 5);
+  CodecContext ctx;
+  ctx.row_stride = 64 * 3;
+  ctx.elem_size = 3;
+  for (Compression c : codecs) {
+    auto frame = GetCodec(c)->Compress(ByteView(raw), ctx);
+    ASSERT_TRUE(frame.ok()) << frame.status();
+    for (size_t n : {raw.size() - 1, raw.size() + 1, size_t{0}}) {
+      ByteBuffer out(n, 0xab);
+      Status st = GetCodec(c)->DecompressExact(ByteView(*frame), out);
+      EXPECT_TRUE(st.IsCorruption()) << CompressionName(c) << " n=" << n;
+      EXPECT_EQ(out, ByteBuffer(n, 0xab))
+          << CompressionName(c) << " wrote into a span of the wrong size";
+    }
+  }
+}
+
 TEST(RegistryTest, NamesRoundTrip) {
   for (Compression c :
        {Compression::kNone, Compression::kLz77, Compression::kRle,

@@ -418,38 +418,6 @@ TEST(ThreadPoolTest, RunsAllTasks) {
   EXPECT_EQ(counter.load(), 200);
 }
 
-TEST(ThreadPoolTest, PriorityLaneRunsEarlier) {
-  // With a single worker, submit a blocker, then queue normal tasks, then a
-  // priority task: the priority task must run before the queued ones.
-  ThreadPool pool(1);
-  Mutex mu("test.priority_lane");
-  CondVar cv;
-  bool release = false;
-  std::vector<int> order;
-  pool.Submit([&] {
-    MutexLock lock(mu);
-    while (!release) cv.Wait(mu);
-  });
-  for (int i = 0; i < 3; ++i) {
-    pool.Submit([&, i] {
-      MutexLock lock(mu);
-      order.push_back(i);
-    });
-  }
-  pool.SubmitPriority([&] {
-    MutexLock lock(mu);
-    order.push_back(99);
-  });
-  {
-    MutexLock lock(mu);
-    release = true;
-  }
-  cv.NotifyAll();
-  pool.Wait();
-  ASSERT_EQ(order.size(), 4u);
-  EXPECT_EQ(order[0], 99);
-}
-
 TEST(ThreadPoolTest, WaitIsReusable) {
   ThreadPool pool(2);
   std::atomic<int> counter{0};
