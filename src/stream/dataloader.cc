@@ -129,7 +129,7 @@ Dataloader::~Dataloader() {
     MutexLock lock(mu_);
     abort_ = true;
   }
-  cv_.NotifyAll();
+  work_cv_.NotifyAll();
   for (std::thread& worker : workers_) worker.join();
   // Rows decoded but never delivered would otherwise leave the queue-depth
   // gauge stuck above zero for the next epoch's loader.
@@ -312,11 +312,18 @@ bool Dataloader::FetchClaimable() const {
          next_fetch_ + 1 < fetches_needed_[next_batch_] + prefetch;
 }
 
-bool Dataloader::DecodeClaimable() const {
-  // Only rows of batch next_batch_: the batch the consumer holds and the
-  // one being filled are the only batch buffers alive, so decode overlaps
-  // the consumer's step one batch deep.
-  return !ready_.empty() && ready_.top() / options_.batch_size <= next_batch_;
+bool Dataloader::DecodeClaimable(bool consumer) const {
+  // Rows of batch next_batch_, so the batch the consumer holds and the one
+  // being filled are the only batch buffers alive and decode overlaps the
+  // consumer's step one batch deep. A batch smaller than the worker pool
+  // would idle the pool, so workers may then run up to one row per worker
+  // past next_batch_'s first row. The consumer decodes only its own batch.
+  if (ready_.empty()) return false;
+  const uint64_t first = next_batch_ * options_.batch_size;
+  const uint64_t depth = consumer ? options_.batch_size
+                                  : std::max<uint64_t>(options_.batch_size,
+                                                       options_.num_workers);
+  return ready_.top() < first + depth;
 }
 
 Dataloader::DecodeTask Dataloader::ClaimDecode() {
@@ -329,7 +336,7 @@ Dataloader::DecodeTask Dataloader::ClaimDecode() {
     const Source& source = sources_[task.delivery * columns_.size() + c];
     if (source.fetch != kNoFetch) task.inputs[c] = fetched_[source.fetch];
   }
-  if (!WorkLeft()) cv_.NotifyAll();  // idle workers may exit
+  if (!WorkLeft()) work_cv_.NotifyAll();  // idle workers may exit
   return task;
 }
 
@@ -340,21 +347,30 @@ void Dataloader::WorkerLoop() {
     // one worker keeps a fetch in flight, so the next chunk arrives while
     // the current one is decoded.
     const bool fetch = FetchClaimable() &&
-                       (fetches_in_flight_ == 0 || !DecodeClaimable());
-    if (fetch) {
-      const size_t f = next_fetch_++;
-      ++fetches_in_flight_;
-      lock.Unlock();
-      RunFetch(f);
-      lock.Lock();
-    } else if (DecodeClaimable()) {
-      DecodeTask task = ClaimDecode();
-      lock.Unlock();
-      RunDecode(std::move(task));
-      lock.Lock();
-    } else {
-      cv_.Wait(mu_);
+                       (fetches_in_flight_ == 0 || !DecodeClaimable(false));
+    if (!fetch && !DecodeClaimable(false)) {
+      work_cv_.Wait(mu_);
+      continue;
     }
+    size_t f = 0;
+    DecodeTask task;
+    if (fetch) {
+      f = next_fetch_++;
+      ++fetches_in_flight_;
+    } else {
+      task = ClaimDecode();
+    }
+    // Idle workers are woken one at a time: a worker that claims a task
+    // and leaves another claimable wakes the next, so a one-row batch
+    // does not wake the whole pool.
+    if (FetchClaimable() || DecodeClaimable(false)) work_cv_.NotifyOne();
+    lock.Unlock();
+    if (fetch) {
+      RunFetch(f);
+    } else {
+      RunDecode(std::move(task));
+    }
+    lock.Lock();
   }
 }
 
@@ -413,7 +429,14 @@ void Dataloader::RunFetch(size_t f) {
       }
     }
   }
-  cv_.NotifyAll();
+  // Rows became claimable (or the epoch failed): the consumer may decode
+  // them, and so may a worker, which wakes the next if more are left.
+  batch_cv_.NotifyAll();
+  if (status.ok()) {
+    work_cv_.NotifyOne();
+  } else {
+    work_cv_.NotifyAll();
+  }
 }
 
 uint8_t* Dataloader::Slot(uint64_t delivery, size_t column, tsf::DType dtype,
@@ -430,7 +453,7 @@ uint8_t* Dataloader::Slot(uint64_t delivery, size_t column, tsf::DType dtype,
     // One buffer per batch and column: a row that finds another thread
     // allocating it waits for that buffer rather than taking a second one.
     while (stack->state == Stack::kAllocating) {
-      cv_.Wait(mu_);
+      slot_cv_.Wait(mu_);
       stack = &FillingFor(b).stacks[column];
     }
     if (stack->state == Stack::kReady) {
@@ -452,7 +475,7 @@ uint8_t* Dataloader::Slot(uint64_t delivery, size_t column, tsf::DType dtype,
     stack.stride = stride;
     stack.filled.assign(rows, 0);
   }
-  cv_.NotifyAll();
+  slot_cv_.NotifyAll();
   return slot;
 }
 
@@ -462,78 +485,65 @@ Dataloader::Filling& Dataloader::FillingFor(uint64_t batch) {
   return it->second;
 }
 
-Status Dataloader::DecodeCells(const DecodeTask& task,
-                               std::vector<Cell>* cells,
-                               int64_t* decode_us) {
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    Cell& cell = (*cells)[c];
-    cell.column = c;
-    const Source& source = sources_[task.delivery * columns_.size() + c];
-    const Fetched& input = task.inputs[c];
-    if (source.fetch == kNoFetch) {
-      cell.sample = tsf::Sample::EmptyOf(columns_[c].second->meta().dtype);
-      continue;
-    }
-    if (input.chunk == nullptr) {
-      cell.sample = input.sample;
-      CopyIntoSlot(task.delivery, &cell);
-      continue;
-    }
-    const tsf::Chunk& chunk = *input.chunk;
-    const tsf::ChunkHeader& header = chunk.header();
-    uint8_t* slot = nullptr;
-    if (stackable_[c] && source.local < header.num_samples()) {
-      // The header gives the shape before decode. Only a size the stored
-      // frame can plausibly hold gets a slot: a forged shape falls through
-      // to ReadSample, which reports it.
-      const tsf::TensorShape& shape = header.shapes[source.local];
-      const uint64_t bytes = SampleBytes(header.dtype, shape);
-      const uint64_t stored = header.stored_lens[source.local];
-      const bool compressed =
-          header.sample_compression != compress::Compression::kNone &&
-          stored > 0;
-      if (compressed ? bytes <= stored * 255 + 255 : bytes == stored) {
-        slot = Slot(task.delivery, c, header.dtype, shape);
-      }
-      if (slot != nullptr) {
-        Status st = Timed(decode_hist_, decode_us, "loader.decode", [&] {
-          return chunk.ReadSampleInto(source.local,
-                                      std::span<uint8_t>(slot, bytes));
-        });
-        if (!st.ok()) return st;
-        cell.sample = tsf::Sample(header.dtype, shape, Slice());
-        cell.in_stack = true;
-        continue;
-      }
-    }
-    auto sample = Timed(decode_hist_, decode_us, "loader.decode",
-                        [&] { return chunk.ReadSample(source.local); });
-    if (!sample.ok()) return sample.status();
-    cell.sample = std::move(sample).value();
+Status Dataloader::DecodeCell(const DecodeTask& task, size_t c,
+                              bool into_batch, Cell* cell,
+                              int64_t* decode_us) {
+  cell->column = c;
+  const Source& source = sources_[task.delivery * columns_.size() + c];
+  const Fetched& input = task.inputs[c];
+  if (source.fetch == kNoFetch) {
+    cell->sample = tsf::Sample::EmptyOf(columns_[c].second->meta().dtype);
+    return Status::OK();
   }
+  if (input.chunk == nullptr) {  // read whole through the tensor
+    cell->sample = input.sample;
+    return Status::OK();
+  }
+  const tsf::Chunk& chunk = *input.chunk;
+  const tsf::ChunkHeader& header = chunk.header();
+  // A compressed frame decodes straight into its batch slot. An
+  // uncompressed sample stays a subslice of its chunk: copying it into the
+  // batch would charge every consumer for a Stacked() it may never call.
+  if (into_batch && stackable_[c] && source.local < header.num_samples() &&
+      header.sample_compression != compress::Compression::kNone &&
+      header.stored_lens[source.local] > 0) {
+    // The header gives the shape before decode. Only a size the stored
+    // frame can plausibly hold gets a slot: a forged shape falls through
+    // to ReadSample, which reports it.
+    const tsf::TensorShape& shape = header.shapes[source.local];
+    const uint64_t bytes = SampleBytes(header.dtype, shape);
+    uint8_t* slot =
+        bytes <= header.stored_lens[source.local] * 255 + 255
+            ? Slot(task.delivery, c, header.dtype, shape)
+            : nullptr;
+    if (slot != nullptr) {
+      DL_RETURN_IF_ERROR(Timed(decode_hist_, decode_us, "loader.decode", [&] {
+        return chunk.ReadSampleInto(source.local,
+                                    std::span<uint8_t>(slot, bytes));
+      }));
+      cell->sample = tsf::Sample(header.dtype, shape, Slice());
+      cell->in_stack = true;
+      return Status::OK();
+    }
+  }
+  DL_ASSIGN_OR_RETURN(cell->sample,
+                      Timed(decode_hist_, decode_us, "loader.decode",
+                            [&] { return chunk.ReadSample(source.local); }));
   return Status::OK();
 }
 
-Status Dataloader::TransformCells(const DecodeTask& task,
-                                  std::vector<Cell>* cells,
-                                  int64_t* decode_us,
-                                  int64_t* transform_us) {
-  Row row;
+Status Dataloader::DecodeRow(const DecodeTask& task, std::vector<Cell>* cells,
+                             int64_t* decode_us, int64_t* transform_us) {
+  const bool transform = options_.transform != nullptr;
+  cells->resize(columns_.size());
   for (size_t c = 0; c < columns_.size(); ++c) {
-    const Source& source = sources_[task.delivery * columns_.size() + c];
-    const Fetched& input = task.inputs[c];
-    tsf::Sample& cell = row[columns_[c].first];
-    if (source.fetch == kNoFetch) {
-      cell = tsf::Sample::EmptyOf(columns_[c].second->meta().dtype);
-    } else if (input.chunk == nullptr) {
-      cell = input.sample;
-    } else {
-      auto sample = Timed(decode_hist_, decode_us, "loader.decode", [&] {
-        return input.chunk->ReadSample(source.local);
-      });
-      if (!sample.ok()) return sample.status();
-      cell = std::move(sample).value();
-    }
+    DL_RETURN_IF_ERROR(
+        DecodeCell(task, c, /*into_batch=*/!transform, &(*cells)[c], decode_us));
+  }
+  if (!transform) return Status::OK();
+  Row row;
+  for (Cell& cell : *cells) {
+    row[columns_[cell.column].first] = std::move(cell.sample);
   }
   DL_RETURN_IF_ERROR(Timed(transform_hist_, transform_us, "loader.transform",
                            [&] { return options_.transform(row); }));
@@ -568,10 +578,8 @@ void Dataloader::CopyIntoSlot(uint64_t delivery, Cell* cell) {
 void Dataloader::RunDecode(DecodeTask task) {
   obs::ContextScope context_scope(options_.context);
   int64_t decode_us = 0, transform_us = 0;
-  std::vector<Cell> cells(columns_.size());
-  Status status = options_.transform
-                      ? TransformCells(task, &cells, &decode_us, &transform_us)
-                      : DecodeCells(task, &cells, &decode_us);
+  std::vector<Cell> cells;
+  Status status = DecodeRow(task, &cells, &decode_us, &transform_us);
   const uint64_t d = task.delivery;
   const uint64_t b = d / options_.batch_size;
   const uint64_t slot = d % options_.batch_size;
@@ -595,7 +603,9 @@ void Dataloader::RunDecode(DecodeTask task) {
         column[slot] = std::move(cell.sample);
         if (cell.in_stack) filling.stacks[cell.column].filled[slot] = 1;
       }
-      wake = ++filling.batch.size == rows;
+      // Only batch next_batch_ is waited for; a later batch that fills
+      // first is found full when the consumer gets to it.
+      wake = ++filling.batch.size == rows && b == next_batch_;
       ++undelivered_;
       // Under the lock, so the consumer's Sub never precedes this Add.
       queued_gauge_->Add(1);
@@ -607,7 +617,8 @@ void Dataloader::RunDecode(DecodeTask task) {
       }
     }
   }
-  if (wake) cv_.NotifyAll();
+  if (wake) batch_cv_.NotifyAll();
+  if (!status.ok()) work_cv_.NotifyAll();
 }
 
 Result<bool> Dataloader::Next(Batch* out) {
@@ -632,7 +643,7 @@ Result<bool> Dataloader::Next(Batch* out) {
         ready->second.batch.size == BatchRows(next_batch_)) {
       break;
     }
-    if (DecodeClaimable()) {
+    if (DecodeClaimable(/*consumer=*/true)) {
       const int64_t start = NowMicros();
       DecodeTask task = ClaimDecode();
       lock.Unlock();
@@ -642,7 +653,7 @@ Result<bool> Dataloader::Next(Batch* out) {
       continue;
     }
     const int64_t wait_start = NowMicros();
-    cv_.Wait(mu_);
+    batch_cv_.Wait(mu_);
     const int64_t waited = NowMicros() - wait_start;
     stalled = true;
     stalled_us += waited;
@@ -692,7 +703,7 @@ Result<bool> Dataloader::Next(Batch* out) {
   }
   *out = std::move(filling.batch);
   ++next_batch_;
-  cv_.NotifyAll();  // the fetch window and the decode lookahead moved
+  work_cv_.NotifyOne();  // the fetch window and the decode lookahead moved
   undelivered_ -= out->size;
   stats_.rows_delivered += out->size;
   stats_.batches_delivered += 1;

@@ -24,11 +24,13 @@ struct Batch {
   std::map<std::string, std::vector<tsf::Sample>> columns;
 
   /// The column as one batch-major sample (deep-learning native layout).
-  /// The loader decodes a column whose shapes are uniform across the batch
-  /// straight into one batch-major buffer, and its samples are consecutive
-  /// subslices of it: then this is a view of that buffer and copies
-  /// nothing. Otherwise the samples are copied into a new buffer (counted
-  /// in TotalBytesCopied()). Fails if the column's samples are ragged.
+  /// The loader decodes a compressed (or transformed) column whose shapes
+  /// are uniform across the batch straight into one batch-major buffer,
+  /// and its samples are consecutive subslices of it: then this is a view
+  /// of that buffer and copies nothing. So is a run of consecutive
+  /// uncompressed samples of one chunk. Otherwise the samples are copied
+  /// into a new buffer (counted in TotalBytesCopied()). Fails if the
+  /// column's samples are ragged.
   Result<tsf::Sample> Stacked(const std::string& column) const;
 };
 
@@ -102,9 +104,9 @@ struct DataloaderStats {
   /// Process-wide bytes deep-copied through the Buffer/Slice layer while
   /// this loader ran (delta of dl::TotalBytesCopied(), sampled in Next()).
   /// Compressed samples decode straight into their batch, so an epoch of
-  /// them copies nothing; uncompressed samples are copied into their batch
-  /// slot, and transformed ones after the transform, and both copies are
-  /// counted (DESIGN.md §10).
+  /// them copies nothing; uncompressed samples are delivered as subslices
+  /// of their chunk and copied only by a Stacked() that cannot view them;
+  /// transformed samples are copied into their batch slot (DESIGN.md §10).
   uint64_t bytes_copied = 0;
 };
 
@@ -216,25 +218,28 @@ class Dataloader {
   void WorkerLoop() DL_EXCLUDES(mu_);
 
   bool FetchClaimable() const DL_REQUIRES(mu_);
-  bool DecodeClaimable() const DL_REQUIRES(mu_);
+  bool DecodeClaimable(bool consumer) const DL_REQUIRES(mu_);
   bool WorkLeft() const DL_REQUIRES(mu_) {
     return next_fetch_ < fetches_.size() || claimed_rows_ < delivered_rows_;
   }
   DecodeTask ClaimDecode() DL_REQUIRES(mu_);
   void RunFetch(size_t f) DL_EXCLUDES(mu_);
   void RunDecode(DecodeTask task) DL_EXCLUDES(mu_);
-  /// Decodes a row's cells without a transform: each cell goes straight
-  /// into its batch slot when the column stacks.
-  Status DecodeCells(const DecodeTask& task, std::vector<Cell>* cells,
-                     int64_t* decode_us) DL_EXCLUDES(mu_);
-  /// Decodes a row into a Row, runs the transform, then copies each cell
-  /// into its batch slot when the column stacks.
-  Status TransformCells(const DecodeTask& task, std::vector<Cell>* cells,
-                        int64_t* decode_us, int64_t* transform_us)
+  /// Decodes row `task.delivery`'s cell of column `c`. With `into_batch`,
+  /// a compressed frame of a stacking column decodes straight into its
+  /// batch slot; every other cell keeps its own buffer (an uncompressed
+  /// one is a subslice of its chunk).
+  Status DecodeCell(const DecodeTask& task, size_t c, bool into_batch,
+                    Cell* cell, int64_t* decode_us) DL_EXCLUDES(mu_);
+  /// Decodes a row's cells. With a transform, runs it over the decoded
+  /// row, then copies each transformed cell into its batch slot when the
+  /// column stacks.
+  Status DecodeRow(const DecodeTask& task, std::vector<Cell>* cells,
+                   int64_t* decode_us, int64_t* transform_us)
       DL_EXCLUDES(mu_);
-  /// Copies a decoded cell (a read sample, or a transformed one) into its
-  /// batch slot when its column stacks and the slot's shape matches; the
-  /// copy is counted in TotalBytesCopied().
+  /// Copies a transformed cell into its batch slot when its column stacks
+  /// and the slot's shape matches; the copy is counted in
+  /// TotalBytesCopied().
   void CopyIntoSlot(uint64_t delivery, Cell* cell) DL_EXCLUDES(mu_);
   /// Where row `delivery`'s cell of `column` goes in its batch's
   /// batch-major buffer, allocating the buffer (outside the lock) for the
@@ -269,9 +274,14 @@ class Dataloader {
   // Leaf lock (DESIGN.md §8): workers and the consumer never acquire
   // another dl::Mutex while holding it (registry instruments are atomics).
   mutable Mutex mu_{"stream.dataloader.mu"};
-  // Signalled on every change a waiting thread may act on: a fetch landed,
-  // a batch filled, the window moved, an error, the last task claimed.
-  CondVar cv_;
+  // Idle workers wait on work_cv_: signalled (one worker at a time) when a
+  // fetch lands or the window moves, and to all on an error, an abort or
+  // the last task claimed. The consumer waits on batch_cv_: signalled when
+  // batch next_batch_ fills, a fetch lands or the epoch fails. A row whose
+  // batch buffer another thread is allocating waits on slot_cv_.
+  CondVar work_cv_;
+  CondVar batch_cv_;
+  CondVar slot_cv_;
   // Per delivered row: its fetches that have not landed yet. A row whose
   // count reaches zero enters ready_, from which decode tasks are claimed
   // in delivery order.
@@ -285,8 +295,9 @@ class Dataloader {
   size_t next_fetch_ DL_GUARDED_BY(mu_) = 0;  // fetches_ claimed so far
   size_t fetches_in_flight_ DL_GUARDED_BY(mu_) = 0;
   uint64_t claimed_rows_ DL_GUARDED_BY(mu_) = 0;
-  // Batches being filled, keyed by batch number. Next() takes batch
-  // next_batch_ once it is full.
+  // Batches being filled, keyed by batch number: next_batch_, and the
+  // ones after it when a batch is smaller than the worker pool
+  // (DecodeClaimable). Next() takes batch next_batch_ once it is full.
   std::map<uint64_t, Filling> pending_ DL_GUARDED_BY(mu_);
   // next_batch_ also sets the ordered prefetch window: fetch k may start
   // only once k < fetches_needed_[next_batch_] - 1 + prefetch_units.

@@ -248,21 +248,14 @@ Result<Sample> Chunk::ReadSample(size_t local_index) const {
 
 Status Chunk::ReadSampleInto(size_t local_index,
                              std::span<uint8_t> out) const {
+  if (header_.sample_compression == compress::Compression::kNone) {
+    return Status::FailedPrecondition(
+        "chunk: ReadSampleInto needs sample compression; read an "
+        "uncompressed sample as a subslice with ReadSample");
+  }
   DL_ASSIGN_OR_RETURN(Slice stored, StoredBytes(local_index));
-  if (header_.sample_compression != compress::Compression::kNone &&
-      !stored.empty()) {
-    return compress::GetCodec(header_.sample_compression)
-        ->DecompressExact(stored, out);
-  }
-  if (stored.size() != out.size()) {
-    return Status::Corruption(
-        "chunk: sample " + std::to_string(local_index) + " stores " +
-        std::to_string(stored.size()) + " bytes, expected " +
-        std::to_string(out.size()));
-  }
-  if (!out.empty()) std::memcpy(out.data(), stored.data(), out.size());
-  internal::AddBytesCopied(out.size());
-  return Status::OK();
+  return compress::GetCodec(header_.sample_compression)
+      ->DecompressExact(stored, out);
 }
 
 Result<Sample> DecodeStoredSample(Slice stored,

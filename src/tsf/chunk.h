@@ -116,11 +116,11 @@ class Chunk {
   /// alive on its own — the Chunk object may be destroyed first.
   Result<Sample> ReadSample(size_t local_index) const;
 
-  /// Decodes sample `local_index` into `out`, which must be exactly its
-  /// size (shape × dtype): the dataloader's decode-into-the-batch path.
-  /// Compressed samples decompress straight into `out`; uncompressed ones
-  /// are copied, and the copy is counted in TotalBytesCopied(). A stored
-  /// size or frame that disagrees with `out.size()` is Corruption.
+  /// Decompresses sample `local_index` straight into `out`, which must be
+  /// exactly its size (shape × dtype): the dataloader's decode-into-the-
+  /// batch path. A frame that disagrees with `out.size()` is Corruption; a
+  /// chunk without sample compression is FailedPrecondition (ReadSample
+  /// returns its samples as subslices, copying nothing).
   Status ReadSampleInto(size_t local_index, std::span<uint8_t> out) const;
 
   /// Raw stored bytes of sample `local_index` (compressed frame when the

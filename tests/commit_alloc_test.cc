@@ -38,6 +38,11 @@ void* operator new(size_t n) {
   }
   return p;
 }
+// GCC reads free() in a replacement operator delete as mismatched with
+// operator new; both sides here are malloc/free.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
 // dllint-ok(raw-new-delete): the matching replacement deallocators.
 void operator delete(void* p) noexcept { std::free(p); }
 // dllint-ok(raw-new-delete): the sized form of the same.

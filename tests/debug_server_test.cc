@@ -242,8 +242,10 @@ TEST(DebugServerTest, ConcurrentScrapesWhileRegistryMutates) {
   stop.store(true);
   for (auto& t : writers) t.join();
   EXPECT_EQ(scrapes.load(), 80);
-  EXPECT_GE(server.requests_served(), 80u);
+  // A handler counts its request after closing the connection, so the
+  // count is read once Stop() has drained every handler.
   EXPECT_TRUE(server.Stop().ok());
+  EXPECT_GE(server.requests_served(), 80u);
   recorder.Disable();
   recorder.Clear();
 }

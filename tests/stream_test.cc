@@ -567,7 +567,11 @@ class KeyedStore : public storage::ForwardingStore {
       ++gets_[std::string(key)];
     }
     if (key == fail_key) return Status::IOError("injected Get failure");
-    if (key == slow_key) SleepMicros(slow_us);
+    if (key == slow_key) {
+      slow_started.fetch_add(1);
+      SleepMicros(slow_us);
+      slow_returned.fetch_add(1);
+    }
     return ForwardingStore::Get(key);
   }
 
@@ -585,6 +589,8 @@ class KeyedStore : public storage::ForwardingStore {
   std::string fail_key;
   std::string slow_key;
   int64_t slow_us = 0;
+  std::atomic<int> slow_started{0};   // Gets of slow_key begun
+  std::atomic<int> slow_returned{0};  // ... and done sleeping
 
  private:
   Mutex mu_{"test.keyed_store.mu"};
@@ -628,6 +634,33 @@ TEST(DataloaderSchedulerTest, OneWorkerOneFetchBatchOfOneStaysLive) {
   }
 }
 
+TEST(DataloaderSchedulerTest, BatchesSmallerThanThePoolStillRunInParallel) {
+  // With batch_size 1, decoding only the consumer's next row would run one
+  // row at a time; workers may run one row each past it instead.
+  auto ds = MakeDataset(24, std::make_shared<storage::MemoryStore>());
+  std::atomic<int> running{0};
+  std::atomic<int> most{0};
+  DataloaderOptions opts;
+  opts.batch_size = 1;
+  opts.num_workers = 4;
+  opts.transform = [&](Row&) {
+    const int now = running.fetch_add(1) + 1;
+    int seen = most.load();
+    while (now > seen && !most.compare_exchange_weak(seen, now)) {
+    }
+    SleepMicros(10000);
+    running.fetch_sub(1);
+    return Status::OK();
+  };
+  Dataloader loader(ds, opts);
+  std::vector<int> labels = DrainLabels(loader);
+  ASSERT_EQ(labels.size(), 24u);
+  for (size_t i = 0; i < labels.size(); ++i) {
+    EXPECT_EQ(labels[i], static_cast<int>(i));
+  }
+  EXPECT_GE(most.load(), 2);
+}
+
 TEST(DataloaderSchedulerTest, FailedChunkGetIsTheFirstNextError) {
   auto mem = std::make_shared<storage::MemoryStore>();
   auto writer = MakeDataset(40, mem, 2 * 1024);
@@ -669,7 +702,8 @@ TEST(DataloaderSchedulerTest, CorruptFrameTheConsumerDecodesIsTheFirstError) {
 
   // One worker: it fetches the first images chunk and the labels chunk,
   // then, with no fetch in flight, the next images chunk, whose Get is
-  // slow. Row 0 is left to the consumer, which decodes it while it waits.
+  // slow. Next() is called only once that Get has begun, so every row of
+  // the first batch, row 0 included, is left to the consumer.
   auto store = std::make_shared<KeyedStore>(mem);
   tsf::Tensor* images = writer->GetTensor("images").MoveValue();
   uint64_t first_chunk_rows = 0;
@@ -686,15 +720,21 @@ TEST(DataloaderSchedulerTest, CorruptFrameTheConsumerDecodesIsTheFirstError) {
   opts.batch_size = first_chunk_rows;
   opts.num_workers = 1;
   auto loader = std::make_unique<Dataloader>(ds, opts);
+  const int64_t deadline = NowMicros() + 10'000'000;
+  while (store->slow_started.load() == 0 && NowMicros() < deadline) {
+    SleepMicros(100);
+  }
+  ASSERT_EQ(store->slow_started.load(), 1);
   Batch batch;
   auto more = loader->Next(&batch);
   ASSERT_FALSE(more.ok());
   EXPECT_TRUE(more.status().IsCorruption()) << more.status();
   EXPECT_GT(loader->stats().consumer_micros, 0);
-  // The worker is still inside the slow Get: the destructor joins it.
-  Stopwatch sw;
+  // The worker is still inside the slow Get: the destructor joins it, so
+  // the Get has returned by the time the loader is gone.
+  EXPECT_EQ(store->slow_returned.load(), 0);
   loader.reset();
-  EXPECT_GT(sw.ElapsedMicros(), 0);
+  EXPECT_EQ(store->slow_returned.load(), 1);
 }
 
 TEST(DataloaderSchedulerTest, EachChunkIsFetchedOncePerEpoch) {
@@ -769,25 +809,35 @@ TEST(DataloaderSchedulerTest, StallPlusConsumerDecodeIsTheTimeInNext) {
 
 class ZeroCopyStackTest : public ::testing::TestWithParam<std::string> {};
 
-TEST_P(ZeroCopyStackTest, StackedIsAViewEqualToPerRowReads) {
+// A compressed column decodes into one batch-major buffer, so Stacked() is
+// a view of it. An uncompressed column is delivered as subslices of its
+// chunks, copying nothing, and a batch that spans chunks (every batch here:
+// a 4 KiB chunk holds a few 768-byte images) is copied once by Stacked().
+TEST_P(ZeroCopyStackTest, StackedEqualsPerRowReads) {
+  const bool compressed = GetParam() != "none";
   auto ds = MakeDataset(40, std::make_shared<storage::MemoryStore>(),
                         4 * 1024, GetParam());
   tsf::Tensor* images = ds->GetTensor("images").MoveValue();
   DataloaderOptions opts;
   opts.batch_size = 16;
   opts.num_workers = 3;
+  opts.tensors = {"images"};
   Dataloader loader(ds, opts);
   Batch batch;
   uint64_t row = 0;
+  uint64_t delivered_copies = 0;
+  uint64_t copied = TotalBytesCopied();
   while (*loader.Next(&batch)) {
-    const uint64_t copied = TotalBytesCopied();
+    delivered_copies += TotalBytesCopied() - copied;
+    copied = TotalBytesCopied();
     auto stacked = batch.Stacked("images");
     ASSERT_TRUE(stacked.ok()) << stacked.status();
-    EXPECT_EQ(TotalBytesCopied(), copied);
     const auto& column = batch.columns.at("images");
     for (const Sample& s : column) {
-      EXPECT_EQ(s.data.owner(), stacked->data.owner());
+      EXPECT_EQ(s.data.owner() == stacked->data.owner(), compressed);
     }
+    EXPECT_EQ(TotalBytesCopied() - copied,
+              compressed ? 0 : stacked->data.size());
     ByteBuffer expected;
     for (uint64_t i = 0; i < batch.size; ++i) {
       auto read = images->Read(row + i);
@@ -796,8 +846,10 @@ TEST_P(ZeroCopyStackTest, StackedIsAViewEqualToPerRowReads) {
     }
     EXPECT_EQ(stacked->data, expected);
     row += batch.size;
+    copied = TotalBytesCopied();
   }
   EXPECT_EQ(row, 40u);
+  EXPECT_EQ(delivered_copies, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Codecs, ZeroCopyStackTest,
