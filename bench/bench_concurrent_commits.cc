@@ -92,7 +92,7 @@ CellResult RunCell(int writers, bool contended, int txns) {
   std::vector<std::thread> threads;
   for (int w = 0; w < writers; ++w) {
     threads.emplace_back([&, w] {
-      version::TxnRetryOptions ropts;
+      storage::RetryPolicy ropts = version::kTxnRetryPolicy;
       ropts.max_attempts = 64;
       ropts.seed = 1 + static_cast<uint64_t>(w);
       const uint64_t group = contended ? 0 : static_cast<uint64_t>(w);

@@ -148,7 +148,7 @@ Result<std::unique_ptr<version::WriteTxn>> DeepLake::BeginTxn(
 
 Result<std::string> DeepLake::Transact(
     const std::function<Status(tsf::Dataset&)>& body,
-    const std::string& message, const version::TxnRetryOptions& retry) {
+    const std::string& message, const storage::RetryPolicy& retry) {
   if (!vc_) {
     return Status::FailedPrecondition(
         "this lake was opened without version control");

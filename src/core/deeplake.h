@@ -122,7 +122,7 @@ class DeepLake {
   Result<std::string> Transact(
       const std::function<Status(tsf::Dataset&)>& body,
       const std::string& message,
-      const version::TxnRetryOptions& retry = {});
+      const storage::RetryPolicy& retry = version::kTxnRetryPolicy);
 
   // ---- Query (§4.4) ----
 

@@ -157,11 +157,15 @@ Result<uint64_t> IngestImageFiles(storage::StoragePtr source,
   uint64_t count = 0;
   for (const std::string& key : keys) {
     DL_ASSIGN_OR_RETURN(Slice file, source->Get(key));
-    DL_ASSIGN_OR_RETURN(compress::ImageFrameInfo info,
-                        compress::PeekImageFrameInfo(ByteView(file)));
-    tsf::TensorShape shape{info.height, info.width, info.channels};
-    DL_RETURN_IF_ERROR(
-        tensor.AppendPrecompressed(ByteView(file), shape));
+    auto info = compress::PeekImageFrameInfo(ByteView(file));
+    Status appended = info.ok() ? tensor.AppendPrecompressed(
+                                      ByteView(file), {info->height,
+                                                       info->width,
+                                                       info->channels})
+                                : info.status();
+    if (!appended.ok()) {
+      return appended.WithContext("image file '" + key + "'");
+    }
     ++count;
   }
   DL_RETURN_IF_ERROR(tensor.Flush());

@@ -85,21 +85,13 @@ struct Context {
   /// cardinality — they name a job, not a row.
   std::string tenant;
   std::string job;
-  /// Absolute steady-clock deadline (NowMicros scale); 0 = none. The
-  /// context layer only carries it — enforcement belongs to call sites.
-  int64_t deadline_us = 0;
   /// Resource account charged while this context is installed (nullptr =
   /// unmetered). Shared: copies of the context charge the same meter.
   std::shared_ptr<ResourceMeter> meter;
 
   bool empty() const {
     return trace_id == 0 && tenant.empty() && job.empty() &&
-           deadline_us == 0 && meter == nullptr;
-  }
-
-  /// True once `deadline_us` is set and in the past.
-  bool Expired(int64_t now_us) const {
-    return deadline_us != 0 && now_us > deadline_us;
+           meter == nullptr;
   }
 
   /// A fresh context with a process-unique trace id and an attached

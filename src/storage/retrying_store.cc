@@ -30,18 +30,21 @@ RetryingStore::RetryingStore(StoragePtr base, RetryPolicy policy,
       registry.GetCounter("storage.retries_exhausted", labels);
 }
 
+int64_t RetryPolicy::BackoffMicros(int retry, double u) const {
+  double backoff = static_cast<double>(initial_backoff_us);
+  for (int i = 1; i < retry; ++i) backoff *= multiplier;
+  backoff = std::min(backoff, static_cast<double>(max_backoff_us));
+  double jittered = backoff * (1.0 - jitter + 2.0 * jitter * u);
+  return std::max<int64_t>(0, static_cast<int64_t>(jittered));
+}
+
 int64_t RetryingStore::NextBackoffMicros(int retry) {
-  double backoff = static_cast<double>(policy_.initial_backoff_us);
-  for (int i = 1; i < retry; ++i) backoff *= policy_.multiplier;
-  backoff = std::min(backoff, static_cast<double>(policy_.max_backoff_us));
   double u;
   {
     MutexLock lock(rng_mu_);
     u = rng_.NextDouble();
   }
-  // backoff * [1-jitter, 1+jitter), uniformly.
-  double jittered = backoff * (1.0 - policy_.jitter + 2.0 * policy_.jitter * u);
-  return std::max<int64_t>(0, static_cast<int64_t>(jittered));
+  return policy_.BackoffMicros(retry, u);
 }
 
 template <typename Op>

@@ -319,10 +319,12 @@ class FaultInjectionStore : public ForwardingStore {
   std::atomic<uint64_t> op_count_{0};
 };
 
-/// Backoff schedule for RetryingStore: capped exponential growth with
-/// deterministic jitter. All randomness comes from a seeded Rng, so a given
-/// (policy, seed) always produces the same sleep sequence — tests assert on
-/// it exactly.
+/// Backoff schedule shared by RetryingStore and
+/// version::CommitWithTxnRetries: capped exponential growth with jitter
+/// drawn from an Rng seeded with `seed`, so a given (policy, seed) always
+/// produces the same sleep sequence — tests assert on it exactly. A seed of
+/// 0 is literal to RetryingStore; CommitWithTxnRetries draws one from the
+/// clock instead (its default, version::kTxnRetryPolicy, has seed 0).
 struct RetryPolicy {
   /// Total attempts per operation, including the first (1 = no retries).
   int max_attempts = 4;
@@ -336,6 +338,12 @@ struct RetryPolicy {
   /// de-synchronizing concurrent retriers (thundering-herd avoidance).
   double jitter = 0.25;
   uint64_t seed = 0x5eed;
+
+  /// The backoff (µs) before retry number `retry` (1-based), given one
+  /// uniform draw `u` in [0, 1): initial_backoff_us grown by `multiplier`
+  /// per retry, capped at max_backoff_us, then spread over
+  /// backoff * [1-jitter, 1+jitter).
+  int64_t BackoffMicros(int retry, double u) const;
 };
 
 /// Decorator that absorbs transient faults from the wrapped provider

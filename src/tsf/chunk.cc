@@ -99,35 +99,10 @@ ChunkBuilder::ChunkBuilder(DType dtype,
       sample_compression_(sample_compression),
       chunk_compression_(chunk_compression) {}
 
-Status ChunkBuilder::Append(const Sample& sample) {
-  DL_RETURN_IF_ERROR(sample.Validate());
-  if (sample_compression_ == compress::Compression::kNone ||
-      sample.data.empty()) {
-    AppendBytes(payload_, ByteView(sample.data));
-    stored_lens_.push_back(sample.data.size());
-  } else {
-    compress::CodecContext ctx = ContextForSample(dtype_, sample.shape);
-    DL_ASSIGN_OR_RETURN(
-        ByteBuffer frame,
-        compress::CompressBytes(sample_compression_, ByteView(sample.data),
-                                ctx));
-    stored_lens_.push_back(frame.size());
-    AppendBytes(payload_, ByteView(frame));
-  }
-  shapes_.push_back(sample.shape);
-  return Status::OK();
-}
-
-Status ChunkBuilder::AppendPrecompressed(ByteView frame,
-                                         const TensorShape& shape) {
-  if (sample_compression_ == compress::Compression::kNone) {
-    return Status::FailedPrecondition(
-        "chunk: precompressed append requires sample compression");
-  }
-  AppendBytes(payload_, frame);
-  stored_lens_.push_back(frame.size());
+void ChunkBuilder::Append(ByteView stored, const TensorShape& shape) {
+  AppendBytes(payload_, stored);
+  stored_lens_.push_back(stored.size());
   shapes_.push_back(shape);
-  return Status::OK();
 }
 
 Result<Sample> ChunkBuilder::ReadBuffered(size_t local_index) const {

@@ -59,14 +59,12 @@ class ChunkBuilder {
   ChunkBuilder(DType dtype, compress::Compression sample_compression,
                compress::Compression chunk_compression);
 
-  /// Appends a validated sample. With sample compression the cost of the
-  /// codec is paid here; the stored length is the compressed length.
-  Status Append(const Sample& sample);
-
-  /// Appends pre-compressed bytes directly (the §5 fast path: "if a raw
-  /// image compression matches the tensor sample compression, the binary
-  /// is directly copied into a chunk without additional decoding").
-  Status AppendPrecompressed(ByteView frame, const TensorShape& shape);
+  /// Appends one sample's stored bytes: its codec frame when the chunk
+  /// uses sample compression (see EncodeSample), its raw bytes otherwise.
+  /// `shape` is the sample's logical shape. The builder trusts its caller:
+  /// samples are validated where they enter the tensor, and packing (when
+  /// to seal) is the tensor's decision, not the builder's.
+  void Append(ByteView stored, const TensorShape& shape);
 
   size_t num_samples() const { return shapes_.size(); }
   /// Current payload size (post-sample-compression, pre-chunk-compression).
@@ -78,9 +76,6 @@ class ChunkBuilder {
   /// reallocate on the next Append, so handing out a view into it would
   /// dangle (the lifetime bug the pre-Slice deep copy silently masked).
   Result<Sample> ReadBuffered(size_t local_index) const;
-  const TensorShape& BufferedShape(size_t local_index) const {
-    return shapes_[local_index];
-  }
 
   /// Serializes the chunk and resets the builder.
   Result<ByteBuffer> Finish();

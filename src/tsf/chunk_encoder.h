@@ -54,11 +54,6 @@ class ChunkEncoder {
   /// Points row `ordinal` at a rewritten chunk (in-place sample update).
   Status ReplaceChunkId(size_t ordinal, uint64_t new_chunk_id);
 
-  /// Replaces the whole map (re-chunking / materialization).
-  void ReplaceAll(std::vector<ChunkEntry> entries) {
-    entries_ = std::move(entries);
-  }
-
   ByteBuffer Serialize() const;
   static Result<ChunkEncoder> Deserialize(ByteView bytes);
 

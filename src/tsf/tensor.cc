@@ -30,11 +30,11 @@ uint64_t FreshChunkIdBase() {
 }  // namespace
 
 Tensor::Tensor(storage::StoragePtr store, TensorMeta meta)
-    : store_(std::move(store)), meta_(std::move(meta)) {
-  next_chunk_id_ = FreshChunkIdBase();
-  open_chunk_ = std::make_unique<ChunkBuilder>(
-      meta_.dtype, meta_.sample_compression, meta_.chunk_compression);
-}
+    : store_(std::move(store)),
+      meta_(std::move(meta)),
+      open_chunk_(meta_.dtype, meta_.sample_compression,
+                  meta_.chunk_compression),
+      next_chunk_id_(FreshChunkIdBase()) {}
 
 std::string Tensor::ChunkKey(uint64_t chunk_id) const {
   return PathJoin(TensorDir(meta_.name), "chunks", Hex64(chunk_id));
@@ -87,13 +87,41 @@ Result<std::unique_ptr<Tensor>> Tensor::Open(storage::StoragePtr store,
 }
 
 uint64_t Tensor::NumSamples() const {
-  return chunk_encoder_.num_samples() +
-         (open_chunk_ ? open_chunk_->num_samples() : 0);
+  return chunk_encoder_.num_samples() + open_chunk_.num_samples();
+}
+
+Result<Slice> EncodeSample(const TensorMeta& meta, const Sample& sample) {
+  if (meta.sample_compression == compress::Compression::kNone ||
+      sample.data.empty()) {
+    return sample.data;  // stored as is: the sample's own bytes, no copy
+  }
+  compress::CodecContext ctx = ContextForSample(meta.dtype, sample.shape);
+  ctx.quality = meta.quality;
+  DL_ASSIGN_OR_RETURN(ByteBuffer frame,
+                      compress::CompressBytes(meta.sample_compression,
+                                              ByteView(sample.data), ctx));
+  return Slice(std::move(frame));
 }
 
 Status Tensor::Append(const Sample& sample) {
   DL_RETURN_IF_ERROR(meta_.ValidateSample(sample));
-  return AppendInternal(sample, ByteView());
+  if (NeedsTiling(sample)) {
+    uint64_t index = NumSamples();
+    // The sample still occupies one slot in the chunk stream: an empty
+    // placeholder keeps the chunk encoder a bijection over sample indices.
+    // Room for it is made before the tiles are written, so a failed seal
+    // stores no tiles, and a failed tile write appends no placeholder.
+    DL_RETURN_IF_ERROR(SealIfFull(open_chunk_, chunk_encoder_, TensorShape{0}));
+    DL_ASSIGN_OR_RETURN(TileLayout layout, WriteTiles(sample));
+    open_chunk_.Append(ByteView(), TensorShape{0});
+    tile_encoder_.Set(index, std::move(layout));
+  } else {
+    DL_ASSIGN_OR_RETURN(Slice stored, EncodeSample(meta_, sample));
+    DL_RETURN_IF_ERROR(SealIfFull(open_chunk_, chunk_encoder_, sample.shape));
+    open_chunk_.Append(stored, sample.shape);
+  }
+  shape_encoder_.Append(sample.shape);
+  return Status::OK();
 }
 
 Status Tensor::AppendPrecompressed(ByteView frame, const TensorShape& shape) {
@@ -102,46 +130,40 @@ Status Tensor::AppendPrecompressed(ByteView frame, const TensorShape& shape) {
         "tensor '" + meta_.name +
         "' has no sample compression; precompressed append not applicable");
   }
-  Sample placeholder(meta_.dtype, shape, {});  // shape carrier only
-  return AppendInternal(placeholder, frame);
+  // Checked here, where the frame enters: a frame that declares another
+  // raw size than its shape would fail every later read of the tensor.
+  uint64_t raw_bytes = shape.NumElements() * DTypeSize(meta_.dtype);
+  Result<uint64_t> declared =
+      compress::GetCodec(meta_.sample_compression)->DeclaredSize(frame);
+  if (!declared.ok() || *declared != raw_bytes) {
+    return Status::InvalidArgument(
+        "tensor '" + meta_.name + "': shape " + shape.ToString() + " needs " +
+        std::to_string(raw_bytes) + " bytes, the frame " +
+        (declared.ok() ? "declares " + std::to_string(*declared)
+                       : declared.status().ToString()));
+  }
+  DL_RETURN_IF_ERROR(SealIfFull(open_chunk_, chunk_encoder_, shape));
+  open_chunk_.Append(frame, shape);
+  shape_encoder_.Append(shape);
+  return Status::OK();
 }
 
 bool Tensor::NeedsTiling(const Sample& sample) const {
-  return !sample.shape.IsEmptySample() &&
-         sample.NumElements() * DTypeSize(meta_.dtype) >
-             meta_.max_chunk_bytes &&
+  return sample.ExpectedBytes() > meta_.max_chunk_bytes &&
          !meta_.htype.exempt_from_tiling();
 }
 
-Status Tensor::AppendInternal(const Sample& sample, ByteView precompressed) {
-  if (precompressed.empty() && NeedsTiling(sample)) {
-    uint64_t index = NumSamples();
-    DL_ASSIGN_OR_RETURN(TileLayout layout, WriteTiles(sample));
-    // The sample still occupies one slot in the chunk stream: an empty
-    // placeholder keeps the chunk encoder a bijection over sample indices.
-    DL_RETURN_IF_ERROR(open_chunk_->Append(Sample::EmptyOf(meta_.dtype)));
-    shape_encoder_.Append(sample.shape);
-    tile_encoder_.Set(index, std::move(layout));
-    return Status::OK();
+Status Tensor::SealIfFull(ChunkBuilder& builder, ChunkEncoder& encoder,
+                          const TensorShape& shape) {
+  // The packing rule (§3.4's upper bound): seal first when this sample's
+  // raw size would push the chunk past max_chunk_bytes. Raw, not stored,
+  // size: a stored frame's size is only known after encoding, and counting
+  // raw bytes lays chunks out the same whichever path wrote them.
+  uint64_t raw_bytes = shape.NumElements() * DTypeSize(meta_.dtype);
+  if (!builder.empty() &&
+      builder.payload_bytes() + raw_bytes > meta_.max_chunk_bytes) {
+    return SealChunk(builder, encoder);
   }
-
-  // Seal the open chunk first when this sample would push it past the
-  // upper bound (the lower/upper-bound packing rule of §3.4).
-  uint64_t raw_bytes = sample.shape.IsEmptySample()
-                           ? 0
-                           : sample.NumElements() * DTypeSize(meta_.dtype);
-  uint64_t incoming = precompressed.empty() ? raw_bytes : precompressed.size();
-  if (!open_chunk_->empty() &&
-      open_chunk_->payload_bytes() + incoming > meta_.max_chunk_bytes) {
-    DL_RETURN_IF_ERROR(SealOpenChunk());
-  }
-  if (precompressed.empty()) {
-    DL_RETURN_IF_ERROR(open_chunk_->Append(sample));
-  } else {
-    DL_RETURN_IF_ERROR(
-        open_chunk_->AppendPrecompressed(precompressed, sample.shape));
-  }
-  shape_encoder_.Append(sample.shape);
   return Status::OK();
 }
 
@@ -152,35 +174,40 @@ Result<TileLayout> Tensor::WriteTiles(const Sample& sample) {
   layout.chunk_ids.reserve(layout.num_tiles());
   std::vector<uint64_t> coord(layout.grid.size(), 0);
   const std::vector<uint64_t> zeros(coord.size(), 0);
+  ChunkBuilder builder(meta_.dtype, meta_.sample_compression,
+                       meta_.chunk_compression);
   do {
     TensorShape tile_shape = layout.TileShapeAt(coord);
     ByteBuffer tile(tile_shape.NumElements() * dtype_size);
     CopyBox(sample.data.data(), sample.shape, layout.TileOrigin(coord),
             tile.data(), tile_shape, zeros, tile_shape.dims(), dtype_size);
-    ChunkBuilder builder(meta_.dtype, meta_.sample_compression,
-                         meta_.chunk_compression);
-    DL_RETURN_IF_ERROR(
-        builder.Append(Sample(meta_.dtype, tile_shape, std::move(tile))));
-    DL_ASSIGN_OR_RETURN(ByteBuffer obj, builder.Finish());
-    uint64_t id = NextChunkId();
-    DL_RETURN_IF_ERROR(store_->Put(ChunkKey(id), ByteView(obj)));
+    DL_ASSIGN_OR_RETURN(
+        Slice stored,
+        EncodeSample(meta_, Sample(meta_.dtype, tile_shape, std::move(tile))));
+    builder.Append(stored, tile_shape);
+    DL_ASSIGN_OR_RETURN(uint64_t id, PutChunk(builder));
     layout.chunk_ids.push_back(id);
   } while (NextCoord(coord, layout.grid));
   return layout;
 }
 
-Status Tensor::SealOpenChunk() {
-  if (open_chunk_->empty()) return Status::OK();
-  uint64_t count = open_chunk_->num_samples();
-  DL_ASSIGN_OR_RETURN(ByteBuffer obj, open_chunk_->Finish());
-  uint64_t id = NextChunkId();
+Result<uint64_t> Tensor::PutChunk(ChunkBuilder& builder) {
+  DL_ASSIGN_OR_RETURN(ByteBuffer obj, builder.Finish());
+  uint64_t id = next_chunk_id_++;
   DL_RETURN_IF_ERROR(store_->Put(ChunkKey(id), ByteView(obj)));
-  chunk_encoder_.AddChunk(id, count);
+  return id;
+}
+
+Status Tensor::SealChunk(ChunkBuilder& builder, ChunkEncoder& encoder) {
+  if (builder.empty()) return Status::OK();
+  uint64_t count = builder.num_samples();
+  DL_ASSIGN_OR_RETURN(uint64_t id, PutChunk(builder));
+  encoder.AddChunk(id, count);
   return Status::OK();
 }
 
 Status Tensor::Flush() {
-  DL_RETURN_IF_ERROR(SealOpenChunk());
+  DL_RETURN_IF_ERROR(SealChunk(open_chunk_, chunk_encoder_));
   meta_.length = NumSamples();
   DL_RETURN_IF_ERROR(PersistEncoders());
   return Status::OK();
@@ -246,7 +273,7 @@ Result<Sample> Tensor::Read(uint64_t index) {
   }
   uint64_t flushed = chunk_encoder_.num_samples();
   if (index >= flushed) {
-    return open_chunk_->ReadBuffered(index - flushed);
+    return open_chunk_.ReadBuffered(index - flushed);
   }
   DL_ASSIGN_OR_RETURN(ChunkEncoder::Location loc, chunk_encoder_.Find(index));
   DL_ASSIGN_OR_RETURN(std::shared_ptr<Chunk> chunk, FetchChunk(loc.chunk_id));
@@ -322,13 +349,13 @@ Result<Sample> Tensor::ReadRegion(uint64_t index,
 Status Tensor::Update(uint64_t index, const Sample& sample) {
   uint64_t n = NumSamples();
   if (index < n) return UpdateContiguous(index, {sample});
-  // Sparse out-of-bounds assignment (§3.5): pad then append.
+  // Sparse out-of-bounds assignment (§3.5): pad then append. Validated
+  // before padding, so a bad sample leaves the tensor as it was.
   DL_RETURN_IF_ERROR(meta_.ValidateSample(sample));
   for (uint64_t i = n; i < index; ++i) {
-    DL_RETURN_IF_ERROR(AppendInternal(Sample::EmptyOf(meta_.dtype),
-                                      ByteView()));
+    DL_RETURN_IF_ERROR(Append(Sample::EmptyOf(meta_.dtype)));
   }
-  return AppendInternal(sample, ByteView());
+  return Append(sample);
 }
 
 Status Tensor::UpdateContiguous(uint64_t start,
@@ -350,37 +377,37 @@ Status Tensor::UpdateContiguous(uint64_t start,
     DL_RETURN_IF_ERROR(Flush());
   }
 
+  ChunkBuilder builder(meta_.dtype, meta_.sample_compression,
+                       meta_.chunk_compression);
   uint64_t index = start;
   while (index < end) {
     DL_ASSIGN_OR_RETURN(ChunkEncoder::Location loc, chunk_encoder_.Find(index));
-    // Rebuild this chunk once with every in-range sample it holds. An
+    // Rebuild this chunk once with every in-range sample it holds. Samples
+    // out of range are copied as stored, never decoded or re-encoded. An
     // oversized sample keeps an empty placeholder slot; its tiles are
     // chunks of their own.
     uint64_t take =
         std::min<uint64_t>(end - index, loc.chunk_samples - loc.local_index);
     DL_ASSIGN_OR_RETURN(std::shared_ptr<Chunk> chunk, FetchChunk(loc.chunk_id));
-    ChunkBuilder builder(meta_.dtype, meta_.sample_compression,
-                         meta_.chunk_compression);
     std::vector<std::pair<uint64_t, TileLayout>> tiled;
     for (uint64_t j = 0; j < loc.chunk_samples; ++j) {
       uint64_t global = loc.chunk_first + j;
       if (global < index || global >= index + take) {
-        DL_ASSIGN_OR_RETURN(Sample kept, chunk->ReadSample(j));
-        DL_RETURN_IF_ERROR(builder.Append(kept));
+        DL_ASSIGN_OR_RETURN(Slice kept, chunk->StoredBytes(j));
+        builder.Append(kept, chunk->header().shapes[j]);
         continue;
       }
       const Sample& s = samples[global - start];
       if (NeedsTiling(s)) {
         DL_ASSIGN_OR_RETURN(TileLayout layout, WriteTiles(s));
         tiled.emplace_back(global, std::move(layout));
-        DL_RETURN_IF_ERROR(builder.Append(Sample::EmptyOf(meta_.dtype)));
+        builder.Append(ByteView(), TensorShape{0});
       } else {
-        DL_RETURN_IF_ERROR(builder.Append(s));
+        DL_ASSIGN_OR_RETURN(Slice stored, EncodeSample(meta_, s));
+        builder.Append(stored, s.shape);
       }
     }
-    DL_ASSIGN_OR_RETURN(ByteBuffer obj, builder.Finish());
-    uint64_t new_id = NextChunkId();
-    DL_RETURN_IF_ERROR(store_->Put(ChunkKey(new_id), ByteView(obj)));
+    DL_ASSIGN_OR_RETURN(uint64_t new_id, PutChunk(builder));
     DL_RETURN_IF_ERROR(
         chunk_encoder_.ReplaceChunkId(loc.chunk_ordinal, new_id));
     {
@@ -399,41 +426,31 @@ Status Tensor::UpdateContiguous(uint64_t start,
 
 Result<size_t> Tensor::Rechunk() {
   DL_RETURN_IF_ERROR(Flush());
-  uint64_t n = chunk_encoder_.num_samples();
-  ChunkEncoder new_encoder;
+  // Re-pack every stored sample, in order, under the append path's packing
+  // rule. Frames are copied from the CRC-verified chunks, never decoded or
+  // re-encoded; a tiled sample's empty placeholder is copied like any other.
+  ChunkEncoder packed;
   ChunkBuilder builder(meta_.dtype, meta_.sample_compression,
                        meta_.chunk_compression);
-  uint64_t pending = 0;
-  auto seal = [&]() -> Status {
-    if (pending == 0) return Status::OK();
-    DL_ASSIGN_OR_RETURN(ByteBuffer obj, builder.Finish());
-    uint64_t id = NextChunkId();
-    DL_RETURN_IF_ERROR(store_->Put(ChunkKey(id), ByteView(obj)));
-    new_encoder.AddChunk(id, pending);
-    pending = 0;
-    return Status::OK();
-  };
-  for (uint64_t i = 0; i < n; ++i) {
-    if (tile_encoder_.IsTiled(i)) {
-      // Keep tiled samples' placeholder in the stream.
-      DL_RETURN_IF_ERROR(builder.Append(Sample::EmptyOf(meta_.dtype)));
-      ++pending;
-    } else {
-      DL_ASSIGN_OR_RETURN(Sample s, Read(i));
-      if (!builder.empty() &&
-          builder.payload_bytes() + s.nbytes() > meta_.max_chunk_bytes) {
-        DL_RETURN_IF_ERROR(seal());
-      }
-      DL_RETURN_IF_ERROR(builder.Append(s));
-      ++pending;
+  uint64_t first = 0;
+  for (const ChunkEntry& entry : chunk_encoder_.entries()) {
+    DL_ASSIGN_OR_RETURN(std::shared_ptr<Chunk> chunk,
+                        FetchChunk(entry.chunk_id));
+    if (chunk->num_samples() != entry.last_index + 1 - first) {
+      return Status::Corruption("tensor '" + meta_.name + "': chunk " +
+                                Hex64(entry.chunk_id) +
+                                " disagrees with the chunk encoder");
     }
-    if (builder.payload_bytes() >= meta_.max_chunk_bytes) {
-      DL_RETURN_IF_ERROR(seal());
+    for (size_t j = 0; j < chunk->num_samples(); ++j) {
+      const TensorShape& shape = chunk->header().shapes[j];
+      DL_ASSIGN_OR_RETURN(Slice stored, chunk->StoredBytes(j));
+      DL_RETURN_IF_ERROR(SealIfFull(builder, packed, shape));
+      builder.Append(stored, shape);
     }
+    first = entry.last_index + 1;
   }
-  DL_RETURN_IF_ERROR(seal());
-  chunk_encoder_.ReplaceAll(
-      std::vector<ChunkEntry>(new_encoder.entries()));
+  DL_RETURN_IF_ERROR(SealChunk(builder, packed));
+  chunk_encoder_ = std::move(packed);
   {
     MutexLock lock(cache_mu_);
     cached_chunk_.reset();

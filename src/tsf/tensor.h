@@ -15,6 +15,12 @@
 
 namespace dl::tsf {
 
+/// The stored bytes of one validated, untiled sample: its codec frame under
+/// the tensor's sample compression and quality, or, without sample
+/// compression (and for empty samples), the sample's own bytes, uncopied.
+/// Pure: it touches no tensor state, so any thread may run it.
+Result<Slice> EncodeSample(const TensorMeta& meta, const Sample& sample);
+
 /// One column of a Deep Lake dataset: a typed, ragged, chunked tensor bound
 /// to a storage prefix (paper §3).
 ///
@@ -53,7 +59,8 @@ class Tensor {
 
   /// Ingestion fast path (§5): appends a frame already compressed with the
   /// tensor's sample compression, skipping decode+re-encode. `shape` is the
-  /// decoded logical shape.
+  /// decoded logical shape. InvalidArgument, appending nothing, unless the
+  /// frame's header declares exactly shape × dtype raw bytes.
   Status AppendPrecompressed(ByteView frame, const TensorShape& shape);
 
   /// Replaces sample `index` in place (§3.5 random-access writes:
@@ -107,23 +114,28 @@ class Tensor {
   std::string MetaKey() const;
 
   /// Number of samples buffered in the open (unflushed) chunk.
-  uint64_t buffered_samples() const {
-    return open_chunk_ ? open_chunk_->num_samples() : 0;
-  }
+  uint64_t buffered_samples() const { return open_chunk_.num_samples(); }
 
  private:
   Tensor(storage::StoragePtr store, TensorMeta meta);
 
-  Status AppendInternal(const Sample& sample, ByteView precompressed);
   /// True when `sample` must be tiled: raw bytes over max_chunk_bytes and
   /// an htype that allows tiling.
   bool NeedsTiling(const Sample& sample) const;
   /// Writes each tile of `sample` as a chunk of its own and returns the
   /// layout naming them.
   Result<TileLayout> WriteTiles(const Sample& sample);
-  Status SealOpenChunk();
+  /// The packing rule, run before every append to a packed chunk: seals
+  /// `builder`'s chunk into `encoder` when a sample of `shape` would push
+  /// it past max_chunk_bytes.
+  Status SealIfFull(ChunkBuilder& builder, ChunkEncoder& encoder,
+                    const TensorShape& shape);
+  /// Puts a non-empty builder's chunk and registers it in `encoder`.
+  Status SealChunk(ChunkBuilder& builder, ChunkEncoder& encoder);
+  /// Serializes `builder` (resetting it), stores the object under a fresh
+  /// id and returns the id.
+  Result<uint64_t> PutChunk(ChunkBuilder& builder);
   Result<std::shared_ptr<Chunk>> FetchChunk(uint64_t chunk_id);
-  uint64_t NextChunkId() { return next_chunk_id_++; }
   Status PersistEncoders();
 
   storage::StoragePtr store_;
@@ -131,7 +143,7 @@ class Tensor {
   ChunkEncoder chunk_encoder_;
   ShapeEncoder shape_encoder_;
   TileEncoder tile_encoder_;
-  std::unique_ptr<ChunkBuilder> open_chunk_;
+  ChunkBuilder open_chunk_;
   uint64_t next_chunk_id_ = 0;
 
   // Single-slot cache of the most recently parsed chunk: sequential reads

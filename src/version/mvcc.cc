@@ -493,25 +493,16 @@ Status WriteTxn::Abort() {
 Result<std::string> CommitWithTxnRetries(
     std::shared_ptr<VersionControl> vc, const TxnOptions& topts,
     const std::function<Status(tsf::Dataset&)>& body,
-    const std::string& message, const TxnRetryOptions& ropts) {
+    const std::string& message, const storage::RetryPolicy& policy) {
   auto* retries = TxnCounter("version.txn.retries");
-  Rng rng(ropts.seed != 0 ? ropts.seed
-                          : Mix64(static_cast<uint64_t>(NowMicros())));
-  uint64_t backoff = std::max<uint64_t>(1, ropts.initial_backoff_us);
+  Rng rng(policy.seed != 0 ? policy.seed
+                           : Mix64(static_cast<uint64_t>(NowMicros())));
   Status last = Status::Unknown("transaction never attempted");
-  int attempts = std::max(1, ropts.max_attempts);
+  int attempts = std::max(1, policy.max_attempts);
   for (int attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0) {
       retries->Increment();
-      double spread = 1.0 + ropts.jitter * (2.0 * rng.NextDouble() - 1.0);
-      uint64_t us = static_cast<uint64_t>(
-          static_cast<double>(backoff) * std::max(0.0, spread));
-      SleepMicros(static_cast<int64_t>(
-          std::min<uint64_t>(std::max<uint64_t>(us, 1), ropts.max_backoff_us)));
-      backoff = std::min<uint64_t>(
-          static_cast<uint64_t>(static_cast<double>(backoff) *
-                                ropts.multiplier),
-          ropts.max_backoff_us);
+      SleepMicros(policy.BackoffMicros(attempt, rng.NextDouble()));
     }
     DL_ASSIGN_OR_RETURN(auto txn, WriteTxn::Begin(vc, topts));
     DL_ASSIGN_OR_RETURN(tsf::Dataset * ds, txn->dataset());

@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 
+#include "storage/storage.h"
 #include "tsf/dataset.h"
 #include "version/version_control.h"
 
@@ -19,20 +20,18 @@ struct TxnOptions {
   std::string branch = {};
 };
 
-/// Backoff policy for CommitWithTxnRetries. Conflicts are retryable by
+/// Default backoff for CommitWithTxnRetries. Conflicts are retryable by
 /// definition (Status::IsRetryable): every retry re-runs the body against
 /// the new head, so a bounded exponential backoff with jitter converges
-/// quickly even under heavy writer contention.
-struct TxnRetryOptions {
-  int max_attempts = 8;
-  uint64_t initial_backoff_us = 500;
-  uint64_t max_backoff_us = 64000;
-  double multiplier = 2.0;
-  /// Fraction of the backoff randomized (0.25 = +-25%), de-synchronizing
-  /// writers that conflicted on the same head.
-  double jitter = 0.25;
-  /// Seed for the jitter RNG; 0 picks one from the clock.
-  uint64_t seed = 0;
+/// quickly even under heavy writer contention. The jitter de-synchronizes
+/// writers that conflicted on the same head.
+inline constexpr storage::RetryPolicy kTxnRetryPolicy = {
+    .max_attempts = 8,
+    .initial_backoff_us = 500,
+    .max_backoff_us = 64000,
+    .multiplier = 2.0,
+    .jitter = 0.25,
+    .seed = 0,
 };
 
 /// An optimistic write transaction over the commit graph (DESIGN.md §12).
@@ -103,13 +102,15 @@ class WriteTxn {
 
 /// Runs `body` inside a WriteTxn and publishes it, retrying the whole
 /// transaction (fresh base, fresh staging commit, body re-run) on
-/// Status::Conflict with capped exponential backoff. Returns the landed
-/// commit id, or the last error when attempts are exhausted or the body /
-/// publish fails with a non-conflict error.
+/// Status::Conflict with `policy`'s backoff; a `policy.seed` of 0 draws the
+/// jitter seed from the clock. Returns the landed commit id, or the last
+/// error when attempts are exhausted or the body / publish fails with a
+/// non-conflict error.
 Result<std::string> CommitWithTxnRetries(
     std::shared_ptr<VersionControl> vc, const TxnOptions& topts,
     const std::function<Status(tsf::Dataset&)>& body,
-    const std::string& message, const TxnRetryOptions& ropts = {});
+    const std::string& message,
+    const storage::RetryPolicy& policy = kTxnRetryPolicy);
 
 }  // namespace dl::version
 

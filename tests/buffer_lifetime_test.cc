@@ -228,11 +228,7 @@ TEST(BufferLifetimeTest, ChunkPayloadSlicesOutliveTheChunk) {
                             compress::Compression::kNone,
                             compress::Compression::kNone);
   ByteBuffer payload = Patterned(1024, 12);
-  ASSERT_TRUE(builder
-                  .Append(tsf::Sample(tsf::DType::kUInt8,
-                                      tsf::TensorShape{1024},
-                                      Slice::CopyOf(ByteView(payload))))
-                  .ok());
+  builder.Append(ByteView(payload), tsf::TensorShape{1024});
   ByteBuffer obj = builder.Finish().MoveValue();
   tsf::Sample kept;
   {
@@ -255,11 +251,7 @@ TEST(BufferLifetimeTest, RawReadPathCopiesNothing) {
                             compress::Compression::kNone);
   for (int i = 0; i < 8; ++i) {
     ByteBuffer px = Patterned(2048, static_cast<uint8_t>(i));
-    ASSERT_TRUE(builder
-                    .Append(tsf::Sample(tsf::DType::kUInt8,
-                                        tsf::TensorShape{2048},
-                                        std::move(px)))
-                    .ok());
+    builder.Append(ByteView(px), tsf::TensorShape{2048});
   }
   ByteBuffer obj = builder.Finish().MoveValue();
   auto chunk = tsf::Chunk::Parse(Slice(std::move(obj)));

@@ -272,6 +272,77 @@ TEST(IngestImageFilesTest, FastPathSkipsReencode) {
   }
 }
 
+/// Every chunk object of `t`, in chunk-encoder order.
+std::vector<ByteBuffer> ChunkObjects(tsf::Tensor& t) {
+  std::vector<ByteBuffer> out;
+  for (const tsf::ChunkEntry& e : t.chunk_encoder().entries()) {
+    Slice obj = t.store()->Get(t.ChunkKey(e.chunk_id)).MoveValue();
+    out.emplace_back(obj.data(), obj.data() + obj.size());
+  }
+  return out;
+}
+
+TEST(IngestImageFilesTest, FilesPackLikeAppendedPixels) {
+  // Files encoded at the tensor's quality are the frames Append would
+  // write for their decoded pixels, so both paths write the same chunk
+  // objects at the same boundaries.
+  constexpr int kQuality = 95;
+  auto bucket = std::make_shared<storage::MemoryStore>();
+  sim::WorkloadGenerator gen(sim::WorkloadGenerator::SmallJpeg(), 9);
+  std::vector<std::string> keys;
+  for (int i = 0; i < 7; ++i) {
+    ByteBuffer file = sim::EncodeAsImageFile(gen.Generate(i), kQuality);
+    keys.push_back("raw/" + std::to_string(i) + ".img");
+    ASSERT_TRUE(bucket->Put(keys.back(), ByteView(file)).ok());
+  }
+  auto store = std::make_shared<storage::MemoryStore>();
+  tsf::TensorOptions opts;
+  opts.htype = "image";
+  opts.sample_compression = "jpeg";
+  opts.quality = kQuality;
+  opts.max_chunk_bytes = 400'000;  // several chunks
+  auto ingested = tsf::Tensor::Create(store, "ingested", opts).MoveValue();
+  auto appended = tsf::Tensor::Create(store, "appended", opts).MoveValue();
+  ASSERT_TRUE(IngestImageFiles(bucket, keys, *ingested).ok());
+  for (const std::string& key : keys) {
+    Slice file = bucket->Get(key).MoveValue();
+    auto pixels = sim::DecodeImageFile(ByteView(file));
+    ASSERT_TRUE(pixels.ok()) << pixels.status();
+    ASSERT_TRUE(appended
+                    ->Append(Sample(DType::kUInt8,
+                                    tsf::TensorShape{250, 250, 3},
+                                    std::move(*pixels)))
+                    .ok());
+  }
+  ASSERT_TRUE(appended->Flush().ok());
+
+  const std::vector<ByteBuffer> from_files = ChunkObjects(*ingested);
+  EXPECT_GT(from_files.size(), 1u);
+  EXPECT_TRUE(from_files == ChunkObjects(*appended));
+}
+
+TEST(IngestImageFilesTest, BadFileIsNamedAndNotAppended) {
+  auto bucket = std::make_shared<storage::MemoryStore>();
+  sim::WorkloadGenerator gen(sim::WorkloadGenerator::SmallJpeg(), 3);
+  ByteBuffer good = sim::EncodeAsImageFile(gen.Generate(0), 75);
+  ASSERT_TRUE(bucket->Put("raw/good.img", ByteView(good)).ok());
+  const ByteBuffer bad = {'n', 'o', 't', ' ', 'a', 'n', ' ', 'i', 'm', 'g'};
+  ASSERT_TRUE(bucket->Put("raw/bad.img", ByteView(bad)).ok());
+
+  tsf::TensorOptions opts;
+  opts.htype = "image";
+  opts.sample_compression = "jpeg";
+  auto tensor = tsf::Tensor::Create(std::make_shared<storage::MemoryStore>(),
+                                    "images", opts)
+                    .MoveValue();
+  auto count = IngestImageFiles(bucket, {"raw/good.img", "raw/bad.img"},
+                                *tensor);
+  ASSERT_FALSE(count.ok());
+  EXPECT_NE(count.status().ToString().find("raw/bad.img"), std::string::npos)
+      << count.status();
+  EXPECT_EQ(tensor->NumSamples(), 1u);
+}
+
 TEST(IngestImageFilesTest, RequiresMatchingCompression) {
   auto bucket = std::make_shared<storage::MemoryStore>();
   auto ds_store = std::make_shared<storage::MemoryStore>();

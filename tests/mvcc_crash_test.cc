@@ -42,7 +42,6 @@ using version::CommitWithTxnRetries;
 using version::FsckIssueKind;
 using version::FsckRepair;
 using version::FsckScan;
-using version::TxnRetryOptions;
 using version::VersionControl;
 
 constexpr int kWriters = 2;
@@ -102,7 +101,7 @@ void RunWorkload(StoragePtr store) {
   std::vector<std::thread> threads;
   for (int w = 0; w < kWriters; ++w) {
     threads.emplace_back([vc, w] {
-      TxnRetryOptions ropts;
+      storage::RetryPolicy ropts = version::kTxnRetryPolicy;
       ropts.max_attempts = 8;
       ropts.seed = 7 + static_cast<uint64_t>(w);
       (void)CommitWithTxnRetries(

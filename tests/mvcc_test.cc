@@ -35,7 +35,6 @@ using tsf::Sample;
 using tsf::TensorOptions;
 using version::CommitWithTxnRetries;
 using version::TxnOptions;
-using version::TxnRetryOptions;
 using version::VersionControl;
 using version::WriteTxn;
 
@@ -252,9 +251,6 @@ TEST(MvccTest, RetriesConvergeUnderAppendContention) {
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
-      TxnRetryOptions ropts;
-      ropts.max_attempts = 32;  // appends always conflict → serialize
-      ropts.seed = 1000 + static_cast<uint64_t>(w);
       for (int i = 0; i < kPerWriter; ++i) {
         auto landed = CommitWithTxnRetries(
             vc, {.owner = "w" + std::to_string(w)},
@@ -418,7 +414,7 @@ TEST(MvccTest, WriterReaderInterleaveMatrix) {
 
       for (int w = 0; w < writers; ++w) {
         threads.emplace_back([&, w] {
-          TxnRetryOptions ropts;
+          storage::RetryPolicy ropts = version::kTxnRetryPolicy;
           ropts.max_attempts = 64;
           ropts.seed = 42 + static_cast<uint64_t>(w);
           for (int i = 1; i <= kItersPerWriter; ++i) {

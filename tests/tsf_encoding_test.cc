@@ -12,9 +12,11 @@
 #include "tsf/dtype.h"
 #include "tsf/htype.h"
 #include "tsf/shape_encoder.h"
+#include "tsf/tensor.h"
 #include "tsf/tile_encoder.h"
 #include "util/coding.h"
 #include "util/crc32.h"
+#include "util/macros.h"
 #include "util/rng.h"
 
 namespace dl::tsf {
@@ -95,6 +97,18 @@ Sample MakeSample(uint64_t h, uint64_t w, uint64_t c, uint64_t seed) {
   return Sample(DType::kUInt8, TensorShape{h, w, c}, std::move(data));
 }
 
+/// Appends `s` to `builder` as a tensor stores it: encoded under sample
+/// compression `c`.
+Status AppendEncoded(ChunkBuilder& builder, compress::Compression c,
+                     const Sample& s) {
+  TensorMeta meta;
+  meta.dtype = s.dtype;
+  meta.sample_compression = c;
+  DL_ASSIGN_OR_RETURN(Slice stored, EncodeSample(meta, s));
+  builder.Append(stored, s.shape);
+  return Status::OK();
+}
+
 struct ChunkCase {
   std::string label;
   compress::Compression sample_comp;
@@ -110,11 +124,11 @@ TEST_P(ChunkFormatTest, BuildParseReadRoundTrip) {
   std::vector<Sample> originals;
   for (uint64_t i = 0; i < 6; ++i) {
     originals.push_back(MakeSample(10 + i, 12, 3, i));
-    ASSERT_TRUE(builder.Append(originals.back()).ok());
+    ASSERT_TRUE(AppendEncoded(builder, p.sample_comp, originals.back()).ok());
   }
   // Ragged + empty samples coexist in one chunk.
   originals.push_back(Sample::EmptyOf(DType::kUInt8));
-  ASSERT_TRUE(builder.Append(originals.back()).ok());
+  ASSERT_TRUE(AppendEncoded(builder, p.sample_comp, originals.back()).ok());
 
   ASSERT_EQ(builder.num_samples(), 7u);
   auto bytes = builder.Finish();
@@ -157,7 +171,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ChunkFormatTest, CrcDetectsCorruption) {
   ChunkBuilder builder(DType::kUInt8, compress::Compression::kNone,
                        compress::Compression::kNone);
-  ASSERT_TRUE(builder.Append(MakeSample(8, 8, 3, 1)).ok());
+  ASSERT_TRUE(AppendEncoded(builder, compress::Compression::kNone,
+                            MakeSample(8, 8, 3, 1))
+                  .ok());
   ByteBuffer bytes = builder.Finish().MoveValue();
   bytes[bytes.size() / 2] ^= 0x40;
   EXPECT_TRUE(Chunk::Parse(std::move(bytes)).status().IsCorruption());
@@ -168,7 +184,9 @@ TEST(ChunkFormatTest, ForgedSampleCountIsCorruptionNotAnAllocation) {
   // must reject the count before reserving room for it.
   ChunkBuilder builder(DType::kUInt8, compress::Compression::kNone,
                        compress::Compression::kNone);
-  ASSERT_TRUE(builder.Append(MakeSample(8, 8, 3, 1)).ok());
+  ASSERT_TRUE(AppendEncoded(builder, compress::Compression::kNone,
+                            MakeSample(8, 8, 3, 1))
+                  .ok());
   ByteBuffer real = builder.Finish().MoveValue();
   const size_t prefix = ChunkHeader::kFixedPrefix;
   const uint32_t header_len = DecodeFixed32(real.data() + 8);
@@ -199,7 +217,9 @@ TEST(ChunkFormatTest, HeaderOnlyParseGivesRanges) {
   std::vector<Sample> originals;
   for (uint64_t i = 0; i < 4; ++i) {
     originals.push_back(MakeSample(5, 6, 1, i));
-    ASSERT_TRUE(builder.Append(originals[i]).ok());
+    ASSERT_TRUE(
+        AppendEncoded(builder, compress::Compression::kNone, originals[i])
+            .ok());
   }
   ByteBuffer bytes = builder.Finish().MoveValue();
 
@@ -225,7 +245,7 @@ TEST(ChunkFormatTest, BufferedReadBeforeFinish) {
   ChunkBuilder builder(DType::kUInt8, compress::Compression::kImage,
                        compress::Compression::kNone);
   Sample s = MakeSample(9, 9, 3, 2);
-  ASSERT_TRUE(builder.Append(s).ok());
+  ASSERT_TRUE(AppendEncoded(builder, compress::Compression::kImage, s).ok());
   auto buffered = builder.ReadBuffered(0);
   ASSERT_TRUE(buffered.ok());
   EXPECT_EQ(buffered->data, s.data);
@@ -242,7 +262,7 @@ TEST(ChunkFormatTest, PrecompressedAppendEqualsNormal) {
   ASSERT_TRUE(frame.ok());
   ChunkBuilder builder(DType::kUInt8, compress::Compression::kImage,
                        compress::Compression::kNone);
-  ASSERT_TRUE(builder.AppendPrecompressed(ByteView(*frame), s.shape).ok());
+  builder.Append(ByteView(*frame), s.shape);
   auto chunk = Chunk::Parse(builder.Finish().MoveValue());
   ASSERT_TRUE(chunk.ok());
   auto back = chunk->ReadSample(0);
@@ -273,7 +293,7 @@ TEST(ChunkFormatTest, ForgedImageRawSizeIsCorruptionNamingExpectedSize) {
 
   ChunkBuilder builder(DType::kUInt8, compress::Compression::kImage,
                        compress::Compression::kNone);
-  ASSERT_TRUE(builder.AppendPrecompressed(ByteView(forged), s.shape).ok());
+  builder.Append(ByteView(forged), s.shape);
   auto chunk = Chunk::Parse(builder.Finish().MoveValue());
   ASSERT_TRUE(chunk.ok()) << chunk.status();
   auto back = chunk->ReadSample(0);

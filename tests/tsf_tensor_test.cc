@@ -27,6 +27,27 @@ Sample Image(uint64_t h, uint64_t w, uint64_t seed) {
   return Sample(DType::kUInt8, TensorShape{h, w, 3}, std::move(data));
 }
 
+/// Stored bytes (the frame, under sample compression) of flushed sample
+/// `i`, read from its chunk object.
+ByteBuffer StoredAt(Tensor& t, uint64_t i) {
+  auto loc = t.chunk_encoder().Find(i).MoveValue();
+  auto chunk =
+      Chunk::Parse(t.store()->Get(t.ChunkKey(loc.chunk_id)).MoveValue())
+          .MoveValue();
+  Slice stored = chunk.StoredBytes(loc.local_index).MoveValue();
+  return ByteBuffer(stored.data(), stored.data() + stored.size());
+}
+
+/// Every chunk object of `t`, in chunk-encoder order.
+std::vector<ByteBuffer> ChunkObjects(Tensor& t) {
+  std::vector<ByteBuffer> out;
+  for (const ChunkEntry& e : t.chunk_encoder().entries()) {
+    Slice obj = t.store()->Get(t.ChunkKey(e.chunk_id)).MoveValue();
+    out.emplace_back(obj.data(), obj.data() + obj.size());
+  }
+  return out;
+}
+
 TEST(TensorTest, CreateAppendReadFlushReopen) {
   auto store = Mem();
   TensorOptions opts;
@@ -273,7 +294,10 @@ TEST(TensorTest, TileOfWrongShapeIsCorruption) {
   ASSERT_NE(layout, nullptr);
   ChunkBuilder builder(tensor->meta().dtype, tensor->meta().sample_compression,
                        tensor->meta().chunk_compression);
-  ASSERT_TRUE(builder.Append(Image(2, 2, 3)).ok());
+  Sample small = Image(2, 2, 3);
+  auto stored = EncodeSample(tensor->meta(), small);
+  ASSERT_TRUE(stored.ok()) << stored.status();
+  builder.Append(*stored, small.shape);
   auto obj = builder.Finish();
   ASSERT_TRUE(obj.ok()) << obj.status();
   ASSERT_TRUE(
@@ -531,6 +555,149 @@ TEST(TensorTest, PrecompressedIngestFastPath) {
   ASSERT_TRUE(frame.ok());
   ASSERT_TRUE((*tensor)->AppendPrecompressed(ByteView(*frame), img.shape).ok());
   EXPECT_EQ((*tensor)->Read(0)->data, img.data);
+}
+
+TEST(TensorTest, PrecompressedFrameMustDeclareItsShape) {
+  // A frame is checked where it enters: one that declares another raw size
+  // than shape x dtype would make every later read of it Corruption.
+  auto store = Mem();
+  TensorOptions opts;
+  opts.htype = "image";
+  opts.sample_compression = "image";
+  auto tensor = Tensor::Create(store, "images", opts).MoveValue();
+  Sample img = Image(16, 16, 5);  // 768 raw bytes
+  ByteBuffer frame =
+      compress::CompressBytes(compress::Compression::kImage,
+                              ByteView(img.data),
+                              ContextForSample(DType::kUInt8, img.shape))
+          .MoveValue();
+  Status wrong = tensor->AppendPrecompressed(ByteView(frame),
+                                             TensorShape{8, 8, 3});
+  EXPECT_TRUE(wrong.IsInvalidArgument()) << wrong;
+  EXPECT_NE(wrong.ToString().find("declares 768"), std::string::npos)
+      << wrong;
+  const ByteBuffer garbage = {'n', 'o', 't', ' ', 'a', 'n', ' ', 'i', 'm'};
+  EXPECT_TRUE(tensor->AppendPrecompressed(ByteView(garbage), img.shape)
+                  .IsInvalidArgument());
+  EXPECT_EQ(tensor->NumSamples(), 0u);
+
+  ASSERT_TRUE(tensor->AppendPrecompressed(ByteView(frame), img.shape).ok());
+  ASSERT_TRUE(tensor->Flush().ok());
+  ASSERT_EQ(tensor->NumSamples(), 1u);
+  EXPECT_EQ(tensor->Read(0)->data, img.data);
+}
+
+TEST(TensorTest, QualityReachesTheEncoder) {
+  // Quality 95 keeps every bit of a lossy tensor's samples; the default
+  // (75) quantizes them, so the two tensors' frames differ.
+  auto store = Mem();
+  Sample img = Image(16, 16, 4);
+  std::vector<ByteBuffer> frames;
+  for (int quality : {95, 75}) {
+    TensorOptions opts;
+    opts.htype = "image";
+    opts.sample_compression = "jpeg";
+    opts.quality = quality;
+    auto tensor =
+        Tensor::Create(store, "q" + std::to_string(quality), opts).MoveValue();
+    ASSERT_TRUE(tensor->Append(img).ok());
+    ASSERT_TRUE(tensor->Flush().ok());
+    frames.push_back(StoredAt(*tensor, 0));
+    if (quality == 95) {
+      EXPECT_EQ(tensor->Read(0)->data, img.data);
+    }
+  }
+  EXPECT_FALSE(frames[0] == frames[1]);
+}
+
+TEST(TensorTest, UpdatesAndRechunkCopyUnchangedFrames) {
+  // Row 0 is a quality-95 frame appended precompressed into a default-
+  // quality lossy tensor. Rewriting the chunks around it, or re-packing the
+  // tensor, copies its frame and every other kept frame verbatim; a decode
+  // and re-encode at the tensor's quality would change them.
+  auto store = Mem();
+  TensorOptions opts;
+  opts.htype = "image";
+  opts.sample_compression = "jpeg";
+  opts.max_chunk_bytes = 1024;
+  auto tensor = Tensor::Create(store, "images", opts).MoveValue();
+  Sample first = Image(8, 8, 100);
+  compress::CodecContext ctx = ContextForSample(DType::kUInt8, first.shape);
+  ctx.quality = 95;
+  ByteBuffer frame =
+      compress::CompressBytes(compress::Compression::kImageLossy,
+                              ByteView(first.data), ctx)
+          .MoveValue();
+  ASSERT_TRUE(tensor->AppendPrecompressed(ByteView(frame), first.shape).ok());
+  for (int i = 1; i < 12; ++i) {
+    ASSERT_TRUE(tensor->Append(Image(8, 8, i)).ok());
+  }
+  ASSERT_TRUE(tensor->Flush().ok());
+  ASSERT_GE(tensor->chunk_encoder().num_chunks(), 2u);
+  // The last row of the first chunk; the range updated below starts there.
+  const uint64_t edge = tensor->chunk_encoder().entries()[0].last_index;
+  ASSERT_GT(edge, 1u);
+  auto all_stored = [&] {
+    std::vector<ByteBuffer> out;
+    for (uint64_t i = 0; i < 12; ++i) out.push_back(StoredAt(*tensor, i));
+    return out;
+  };
+  const std::vector<ByteBuffer> before = all_stored();
+  EXPECT_EQ(tensor->Read(0)->data, first.data);
+
+  ASSERT_TRUE(tensor->Update(1, Image(8, 8, 201)).ok());
+  ASSERT_TRUE(
+      tensor->UpdateContiguous(edge, {Image(8, 8, 202), Image(8, 8, 203)})
+          .ok());
+  const std::vector<ByteBuffer> updated = all_stored();
+  for (uint64_t i = 0; i < 12; ++i) {
+    if (i == 1 || i == edge || i == edge + 1) continue;
+    EXPECT_TRUE(updated[i] == before[i]) << "row " << i;
+  }
+  EXPECT_EQ(tensor->Read(0)->data, first.data);
+
+  auto chunks = tensor->Rechunk();
+  ASSERT_TRUE(chunks.ok()) << chunks.status();
+  const std::vector<ByteBuffer> rechunked = all_stored();
+  for (uint64_t i = 0; i < 12; ++i) {
+    EXPECT_TRUE(rechunked[i] == updated[i]) << "row " << i;
+  }
+  EXPECT_EQ(tensor->Read(0)->data, first.data);
+}
+
+TEST(TensorTest, RechunkAfterOneFlushRewritesIdenticalChunks) {
+  // Append and Rechunk share one packing rule and Rechunk copies frames,
+  // so re-packing a tensor written with one final Flush reproduces its
+  // chunk objects byte for byte. The sequence covers an empty sample after
+  // an exactly full chunk and a tiled sample's placeholder.
+  for (const char* compression : {"none", "jpeg"}) {
+    SCOPED_TRACE(compression);
+    auto store = Mem();
+    TensorOptions opts;
+    opts.htype = "image";
+    opts.sample_compression = compression;
+    opts.quality = 95;
+    opts.max_chunk_bytes = 1152;  // exactly six 8x8x3 samples
+    auto tensor = Tensor::Create(store, "images", opts).MoveValue();
+    std::vector<Sample> rows;
+    for (int i = 0; i < 6; ++i) rows.push_back(Image(8, 8, i));
+    rows.push_back(Sample::EmptyOf(DType::kUInt8));
+    for (int i = 6; i < 10; ++i) rows.push_back(Image(8, 8, i));
+    rows.push_back(Image(24, 24, 99));  // 1,728 bytes: tiled
+    for (int i = 10; i < 13; ++i) rows.push_back(Image(8, 8, i));
+    for (const Sample& row : rows) ASSERT_TRUE(tensor->Append(row).ok());
+    ASSERT_TRUE(tensor->Flush().ok());
+    ASSERT_EQ(tensor->tile_encoder().num_tiled_samples(), 1u);
+
+    const std::vector<ByteBuffer> before = ChunkObjects(*tensor);
+    auto chunks = tensor->Rechunk();
+    ASSERT_TRUE(chunks.ok()) << chunks.status();
+    EXPECT_EQ(*chunks, before.size());
+    EXPECT_TRUE(ChunkObjects(*tensor) == before);
+    for (uint64_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(tensor->Read(i)->data, rows[i].data) << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
