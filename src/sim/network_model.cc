@@ -20,6 +20,7 @@ NetworkModel NetworkModel::S3SameRegion() {
   m.label = "s3";
   m.first_byte_latency_us = 12000;
   m.bandwidth_bytes_per_sec = 95.0e6;
+  m.aggregate_bandwidth_bytes_per_sec = 1.25e9;  // 10 Gbit/s
   m.max_concurrent_requests = 64;
   m.put_overhead_us = 4000;
   return m;
@@ -30,6 +31,7 @@ NetworkModel NetworkModel::S3CrossRegion() {
   m.label = "s3-xregion";
   m.first_byte_latency_us = 38000;
   m.bandwidth_bytes_per_sec = 45.0e6;
+  m.aggregate_bandwidth_bytes_per_sec = 1.25e9;  // 10 Gbit/s
   m.max_concurrent_requests = 64;
   m.put_overhead_us = 9000;
   return m;
@@ -71,10 +73,12 @@ void SimulatedObjectStore::SimulateTransfer(uint64_t bytes,
   slots_.Acquire();
   queue_hist_->ObserveSinceMicros(wait_start);
   inflight_gauge_->Add(1);
-  int64_t us = model_.TransferMicros(bytes) +
+  int in_flight = in_flight_.fetch_add(1) + 1;
+  int64_t us = model_.TransferMicros(bytes, in_flight) +
                static_cast<int64_t>(extra_us / model_.time_scale);
   SleepMicros(us);
   transfer_hist_->Observe(static_cast<double>(us));
+  in_flight_.fetch_sub(1);
   inflight_gauge_->Sub(1);
   slots_.Release();
 }

@@ -1,6 +1,8 @@
 #ifndef DEEPLAKE_SIM_NETWORK_MODEL_H_
 #define DEEPLAKE_SIM_NETWORK_MODEL_H_
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
 #include <string>
 
@@ -19,6 +21,9 @@ struct NetworkModel {
   int64_t first_byte_latency_us = 0;
   /// Per-stream sustained throughput.
   double bandwidth_bytes_per_sec = 2.0e9;
+  /// Link throughput that every request in flight shares (the client's
+  /// NIC); 0 = uncapped.
+  double aggregate_bandwidth_bytes_per_sec = 0;
   /// Cap on concurrently served requests (connection pool size).
   int max_concurrent_requests = 64;
   /// Extra fixed cost on writes (e.g. replication ack).
@@ -26,9 +31,16 @@ struct NetworkModel {
   /// Divide all sleeps by this to speed up benches while preserving ratios.
   double time_scale = 1.0;
 
-  int64_t TransferMicros(uint64_t bytes) const {
-    double us = first_byte_latency_us +
-                static_cast<double>(bytes) / bandwidth_bytes_per_sec * 1e6;
+  /// Duration of a `bytes` transfer admitted while `in_flight` requests,
+  /// itself included, are being served: it streams at min(per-stream
+  /// bandwidth, link bandwidth / in_flight) for its whole length.
+  int64_t TransferMicros(uint64_t bytes, int in_flight = 1) const {
+    double rate = bandwidth_bytes_per_sec;
+    if (aggregate_bandwidth_bytes_per_sec > 0) {
+      rate = std::min(rate, aggregate_bandwidth_bytes_per_sec /
+                                std::max(in_flight, 1));
+    }
+    double us = first_byte_latency_us + static_cast<double>(bytes) / rate * 1e6;
     return static_cast<int64_t>(us / time_scale);
   }
 
@@ -37,10 +49,11 @@ struct NetworkModel {
   /// Local NVMe filesystem: negligible latency, multi-GB/s.
   static NetworkModel LocalFs();
   /// AWS S3, client in the same region: ~12ms TTFB, ~95MB/s per stream,
-  /// high request concurrency.
+  /// high request concurrency, a 10 Gbit/s client link.
   static NetworkModel S3SameRegion();
   /// Object store in another region/cloud (the paper's Fig. 10 us-east ->
-  /// us-central link): higher TTFB, lower per-stream bandwidth.
+  /// us-central link): higher TTFB, lower per-stream bandwidth, the same
+  /// 10 Gbit/s client link.
   static NetworkModel S3CrossRegion();
   /// MinIO on another machine in a LAN: low latency but a small connection
   /// pool and modest per-stream bandwidth — the paper observes both Deep
@@ -76,6 +89,7 @@ class SimulatedObjectStore : public storage::ForwardingStore {
 
   NetworkModel model_;
   Semaphore slots_;
+  std::atomic<int> in_flight_{0};  // transfers holding a slot right now
   // Registry instruments (family `sim.net.*`, labeled {net=<label>}):
   // connection-pool queueing and service time, the knobs Fig. 8 varies.
   obs::Gauge* inflight_gauge_;

@@ -120,8 +120,47 @@ Result<std::vector<std::string>> PrefixStore::ListPrefix(
 // LruCacheStore
 // ---------------------------------------------------------------------------
 
+bool LruCacheStore::Shadow::Access(const std::string& key, uint64_t size) {
+  auto it = index_.find(key);
+  if (it != index_.end()) {
+    bytes_ = bytes_ - it->second->second + size;  // a Put may have resized it
+    it->second->second = size;
+    order_.splice(order_.begin(), order_, it->second);
+    Trim();
+    return true;
+  }
+  if (size > capacity_bytes_ ||
+      (free_room_only_ && bytes_ + size > capacity_bytes_)) {
+    return false;
+  }
+  order_.emplace_front(key, size);
+  index_.emplace(key, order_.begin());
+  bytes_ += size;
+  Trim();
+  return false;
+}
+
+void LruCacheStore::Shadow::Erase(std::string_view key) {
+  auto it = index_.find(key);
+  if (it == index_.end()) return;
+  bytes_ -= it->second->second;
+  order_.erase(it->second);
+  index_.erase(it);
+}
+
+void LruCacheStore::Shadow::Trim() {
+  while (bytes_ > capacity_bytes_) {
+    bytes_ -= order_.back().second;
+    index_.erase(order_.back().first);
+    order_.pop_back();
+  }
+}
+
 LruCacheStore::LruCacheStore(StoragePtr base, uint64_t capacity_bytes)
-    : ForwardingStore(std::move(base)), capacity_bytes_(capacity_bytes) {
+    : ForwardingStore(std::move(base)),
+      capacity_bytes_(capacity_bytes),
+      lru_shadow_(capacity_bytes, /*free_room_only=*/false),
+      free_room_shadow_(capacity_bytes, /*free_room_only=*/true) {
   // Per-instance label: counters are registry-global and live forever, so
   // sharing one label across caches (or across tests in one binary) would
   // silently aggregate counts the accessors promise are per-cache.
@@ -131,10 +170,15 @@ LruCacheStore::LruCacheStore(StoragePtr base, uint64_t capacity_bytes)
   auto& registry = obs::MetricsRegistry::Global();
   hits_ = registry.GetCounter("storage.lru.hits", {{"cache", id}});
   misses_ = registry.GetCounter("storage.lru.misses", {{"cache", id}});
+  hit_bytes_ = registry.GetCounter("storage.lru.hit_bytes", {{"cache", id}});
+  miss_bytes_ = registry.GetCounter("storage.lru.miss_bytes", {{"cache", id}});
+  declined_fills_ =
+      registry.GetCounter("storage.lru.declined_fills", {{"cache", id}});
   range_bypasses_ =
       registry.GetCounter("storage.lru.range_bypasses", {{"cache", id}});
   bytes_gauge_ =
       registry.GetGauge("storage.lru.cached_bytes", {{"cache", id}});
+  fill_policy_ = registry.GetGauge("storage.lru.fill_policy", {{"cache", id}});
 }
 
 void LruCacheStore::Touch(const std::string& key) {
@@ -172,32 +216,69 @@ void LruCacheStore::EvictIfNeeded() {
   }
 }
 
+void LruCacheStore::Duel(const std::string& key, uint64_t size) {
+  bool lru_hit = lru_shadow_.Access(key, size);
+  bool free_room_hit = free_room_shadow_.Access(key, size);
+  if (lru_hit == free_room_hit) return;
+  selector_ = std::clamp(selector_ + (free_room_hit ? 1 : -1), -kSelectorLimit,
+                         kSelectorLimit);
+  fill_policy_->Set(selector_ > 0 ? 1 : 0);
+}
+
+void LruCacheStore::NoteWrite(std::string_view key) {
+  auto it = pending_.find(key);
+  if (it != pending_.end()) ++it->second.writes;
+}
+
+void LruCacheStore::Fill(const std::string& key, SharedBuffer value) {
+  // The shadows replay the read first, so the rule that decides this fill
+  // has already counted it.
+  Duel(key, value->size());
+  if (selector_ > 0 && value->size() <= capacity_bytes_ &&
+      current_bytes_ + value->size() > capacity_bytes_) {
+    declined_fills_->Increment();
+    return;
+  }
+  Insert(key, std::move(value));
+}
+
 Result<Slice> LruCacheStore::Get(std::string_view key) {
+  uint64_t writes_seen = 0;
   {
     MutexLock lock(mu_);
     auto it = entries_.find(key);
     if (it != entries_.end()) {
       hits_->Increment();
+      hit_bytes_->Add(it->second.value->size());
       Touch(it->first);
+      Duel(it->first, it->second.value->size());
       // Zero-copy hit: the slice shares the entry's buffer, so eviction
       // while the caller still holds it only drops the cache's reference.
       return Slice(it->second.value);
     }
+    PendingFill& pending = pending_.try_emplace(std::string(key)).first->second;
+    ++pending.readers;
+    writes_seen = pending.writes;
   }
   misses_->Increment();
-  DL_ASSIGN_OR_RETURN(Slice got, base_->Get(key));
-  // dllint-ok(hot-path-copy): only whole-buffer reads are safe to pin —
-  // a window of a larger buffer (or a borrowed view) must be copied before
-  // caching, else the cache pins the whole backing object, or dangles.
-  // Whole-buffer reads (the common case) take the zero-copy arm.
-  SharedBuffer to_cache =
-      (got.owner() != nullptr && got.size() == got.owner()->size())
-          ? got.owner()
-          : Buffer::CopyOf(got);
-  {
-    MutexLock lock(mu_);
-    Insert(std::string(key), std::move(to_cache));
+  Result<Slice> got = base_->Get(key);
+  SharedBuffer to_cache;
+  if (got.ok()) {
+    miss_bytes_->Add(got->size());
+    // dllint-ok(hot-path-copy): only whole-buffer reads are safe to pin —
+    // a window of a larger buffer (or a borrowed view) must be copied
+    // before caching, else the cache pins the whole backing object, or
+    // dangles. Whole-buffer reads (the common case) take the zero-copy arm.
+    to_cache = (got->owner() != nullptr && got->size() == got->owner()->size())
+                   ? got->owner()
+                   : Buffer::CopyOf(*got);
   }
+  MutexLock lock(mu_);
+  auto pending = pending_.find(key);
+  if (to_cache != nullptr && pending->second.writes == writes_seen) {
+    Fill(pending->first, std::move(to_cache));
+  }
+  if (--pending->second.readers == 0) pending_.erase(pending);
   return got;
 }
 
@@ -215,7 +296,9 @@ Result<Slice> LruCacheStore::GetRange(std::string_view key, uint64_t offset,
       // Resident object: serve the range as a subslice of the cached
       // buffer — zero copies, zero backend I/O (the cached-range regression
       // test in tests/storage_test.cc pins this down).
-      return Slice(it->second.value).subslice(offset, length);
+      Slice range = Slice(it->second.value).subslice(offset, length);
+      hit_bytes_->Add(range.size());
+      return range;
     }
   }
   // Range requests bypass cache fill: caching partial objects under the full
@@ -233,6 +316,7 @@ Status LruCacheStore::Put(std::string_view key, ByteView value) {
   // the cache entry must own its bytes to hand out slices later.
   SharedBuffer copy = Buffer::CopyOf(value);
   MutexLock lock(mu_);
+  NoteWrite(key);
   Insert(std::string(key), std::move(copy));
   return Status::OK();
 }
@@ -243,12 +327,16 @@ Status LruCacheStore::PutDurable(std::string_view key, ByteView value) {
   // above.
   SharedBuffer copy = Buffer::CopyOf(value);
   MutexLock lock(mu_);
+  NoteWrite(key);
   Insert(std::string(key), std::move(copy));
   return Status::OK();
 }
 
 void LruCacheStore::Erase(std::string_view key) {
   MutexLock lock(mu_);
+  NoteWrite(key);
+  lru_shadow_.Erase(key);
+  free_room_shadow_.Erase(key);
   auto it = entries_.find(key);
   if (it == entries_.end()) return;
   current_bytes_ -= it->second.value->size();
@@ -257,14 +345,17 @@ void LruCacheStore::Erase(std::string_view key) {
   bytes_gauge_->Set(static_cast<double>(current_bytes_));
 }
 
+// Both forward first and erase after: a miss that read the old bytes while
+// the base changed then finds its fill marked stale by the erase.
 void LruCacheStore::Invalidate(std::string_view key) {
-  Erase(key);
   base_->Invalidate(key);
+  Erase(key);
 }
 
 Status LruCacheStore::Delete(std::string_view key) {
+  Status status = base_->Delete(key);
   Erase(key);
-  return base_->Delete(key);
+  return status;
 }
 
 Result<bool> LruCacheStore::Exists(std::string_view key) {

@@ -225,6 +225,15 @@ class PrefixStore : public ForwardingStore {
 /// LRU read-through cache chained in front of a slower provider
 /// (paper §3.6: "LRU cache of remote S3 storage with local in-memory
 /// data"). Writes go through to the base and populate the cache.
+///
+/// Eviction order is LRU and hits promote. Only a Get miss that does not
+/// fit has a choice: evict to make room (LRU), or return the object
+/// without caching it (fill only into free room, which keeps a loop larger
+/// than the cache from evicting every entry before it comes back). Two
+/// shadow directories of keys and sizes replay every Get under each rule,
+/// and a saturating selector counts the reads that exactly one of them
+/// would have served; the winner decides, and a tie (a fresh cache) is LRU.
+/// DESIGN.md §6.
 class LruCacheStore : public ForwardingStore {
  public:
   LruCacheStore(StoragePtr base, uint64_t capacity_bytes);
@@ -234,7 +243,7 @@ class LruCacheStore : public ForwardingStore {
                          uint64_t length) override;
   Status Put(std::string_view key, ByteView value) override;
   Status PutDurable(std::string_view key, ByteView value) override;
-  /// Evicts `key` from this cache, then forwards down the chain. The evict
+  /// Forwards down the chain, then evicts `key` from this cache. The evict
   /// path for entries that fail integrity verification downstream — without
   /// it a corrupt cached object would be served forever.
   void Invalidate(std::string_view key) override;
@@ -249,6 +258,18 @@ class LruCacheStore : public ForwardingStore {
   // wrappers over the registry counters for test compatibility.
   uint64_t hits() const { return hits_->Value(); }
   uint64_t misses() const { return misses_->Value(); }
+  /// Bytes served from the cache (hits, including cached range reads) and
+  /// bytes read from the base on Get misses: the byte-weighted hit share,
+  /// which the op counts hide when small metadata objects hit and chunks
+  /// miss.
+  uint64_t hit_bytes() const { return hit_bytes_->Value(); }
+  uint64_t miss_bytes() const { return miss_bytes_->Value(); }
+  /// Get misses returned uncached because the free-room rule was in force
+  /// and the object did not fit.
+  uint64_t declined_fills() const { return declined_fills_->Value(); }
+  /// The rule in force for a Get miss that does not fit: 0 = LRU (evict),
+  /// 1 = fill only into free room.
+  int fill_policy() const { return static_cast<int>(fill_policy_->Value()); }
   /// Range reads served directly by the base because the full object was
   /// not cached. By design these never populate the cache, so they are not
   /// misses — counting them as such would inflate reported miss rates.
@@ -264,11 +285,52 @@ class LruCacheStore : public ForwardingStore {
     std::list<std::string>::iterator lru_it;
   };
 
+  /// What a cache of the same capacity would hold under one fill rule:
+  /// keys and sizes in recency order, no values.
+  class Shadow {
+   public:
+    Shadow(uint64_t capacity_bytes, bool free_room_only)
+        : capacity_bytes_(capacity_bytes), free_room_only_(free_room_only) {}
+    /// Replays a Get of `key` (`size` bytes); true if it would have hit.
+    bool Access(const std::string& key, uint64_t size);
+    void Erase(std::string_view key);
+
+   private:
+    using Order = std::list<std::pair<std::string, uint64_t>>;
+    void Trim();
+
+    uint64_t capacity_bytes_;
+    bool free_room_only_;
+    uint64_t bytes_ = 0;
+    Order order_;  // front = most recently used
+    std::map<std::string, Order::iterator, std::less<>> index_;
+  };
+
+  /// A Get miss whose base read is in flight. Writes and erases of the key
+  /// bump `writes`; a fill that sees it moved would cache stale bytes (or
+  /// revive an erased key), so it is dropped.
+  struct PendingFill {
+    int readers = 0;
+    uint64_t writes = 0;
+  };
+
   void Touch(const std::string& key) DL_REQUIRES(mu_);
   void Insert(const std::string& key, SharedBuffer value) DL_REQUIRES(mu_);
   void EvictIfNeeded() DL_REQUIRES(mu_);
-  /// Drops `key`'s entry if cached (Invalidate and Delete).
+  /// Replays a Get in both shadows and moves the selector.
+  void Duel(const std::string& key, uint64_t size) DL_REQUIRES(mu_);
+  /// Caches a Get miss's `value` unless the free-room rule declines it.
+  void Fill(const std::string& key, SharedBuffer value) DL_REQUIRES(mu_);
+  /// Marks in-flight fills of `key` stale (every write and erase).
+  void NoteWrite(std::string_view key) DL_REQUIRES(mu_);
+  /// Drops `key` from the cache and both shadows and marks its in-flight
+  /// fills stale (Invalidate and Delete).
   void Erase(std::string_view key);
+
+  // Reads that only the free-room shadow hit push the selector up, reads
+  // that only the LRU shadow hit push it down; it saturates at ±kSelectorLimit
+  // so one rule's long win is undone by that many reads the other serves.
+  static constexpr int kSelectorLimit = 8;
 
   uint64_t capacity_bytes_;
   // Leaf lock by policy: every method releases mu_ before calling into
@@ -279,12 +341,20 @@ class LruCacheStore : public ForwardingStore {
   // front = most recently used
   std::list<std::string> lru_ DL_GUARDED_BY(mu_);
   uint64_t current_bytes_ DL_GUARDED_BY(mu_) = 0;
+  Shadow lru_shadow_ DL_GUARDED_BY(mu_);
+  Shadow free_room_shadow_ DL_GUARDED_BY(mu_);
+  int selector_ DL_GUARDED_BY(mu_) = 0;  // > 0: fill only into free room
+  std::map<std::string, PendingFill, std::less<>> pending_ DL_GUARDED_BY(mu_);
   // Registry-owned counters; the label carries a per-instance id so two
   // caches in one process (or consecutive tests) never share counts.
   obs::Counter* hits_;
   obs::Counter* misses_;
+  obs::Counter* hit_bytes_;
+  obs::Counter* miss_bytes_;
+  obs::Counter* declined_fills_;
   obs::Counter* range_bypasses_;
   obs::Gauge* bytes_gauge_;
+  obs::Gauge* fill_policy_;
 };
 
 /// Wraps a provider and injects failures for robustness tests: every

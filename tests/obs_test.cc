@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <thread>
 #include <vector>
@@ -521,14 +522,57 @@ TEST(InstrumentedStoreTest, CountsOpsBytesAndErrors) {
 
 TEST(InstrumentedStoreTest, LruCacheReportsThroughRegistry) {
   auto base = std::make_shared<storage::MemoryStore>();
-  auto cache = std::make_shared<storage::LruCacheStore>(base, 1 << 20);
+  // A uniquely named base makes this cache's registry label findable.
+  auto named = std::make_shared<storage::PrefixStore>(base, "lru-registry");
+  // Room for two 3-byte objects.
+  auto cache = std::make_shared<storage::LruCacheStore>(named, 6);
   ASSERT_TRUE(cache->Put("k", ByteBuffer{9, 9, 9}).ok());
   ASSERT_TRUE(cache->Get("k").ok());  // hit (Put populates)
   ASSERT_TRUE(cache->Get("k").ok());  // hit
-  // The accessors are thin wrappers over per-instance registry counters, so
-  // both views must agree.
   EXPECT_EQ(cache->hits(), 2u);
   EXPECT_EQ(cache->misses(), 0u);
+  EXPECT_EQ(cache->hit_bytes(), 6u);
+  EXPECT_EQ(cache->fill_policy(), 0);
+
+  // A loop of three objects through room for two. Round 1 misses all three
+  // and fills by LRU (c evicts a). In round 2 only the free-room shadow
+  // (which kept a and b) hits a, so the selector turns to free room and
+  // declines a's fill; b and c stay and hit.
+  ASSERT_TRUE(cache->Delete("k").ok());
+  for (const char* key : {"a", "b", "c"}) {
+    ASSERT_TRUE(named->Put(key, ByteBuffer{1, 2, 3}).ok());
+  }
+  for (int round = 0; round < 2; ++round) {
+    for (const char* key : {"a", "b", "c"}) ASSERT_TRUE(cache->Get(key).ok());
+  }
+  EXPECT_EQ(cache->hits(), 4u);
+  EXPECT_EQ(cache->misses(), 4u);
+  EXPECT_EQ(cache->hit_bytes(), 12u);
+  EXPECT_EQ(cache->miss_bytes(), 12u);
+  EXPECT_EQ(cache->declined_fills(), 1u);
+  EXPECT_EQ(cache->fill_policy(), 1);
+
+  // The accessors are thin wrappers over per-instance registry instruments,
+  // so both views must agree.
+  auto ours = [](const Labels& labels) {
+    return labels.size() == 1 && labels[0].first == "cache" &&
+           labels[0].second.ends_with("(memory/lru-registry)");
+  };
+  std::map<std::string, double> seen;
+  RegistrySnapshot snap = MetricsRegistry::Global().Snapshot();
+  for (const auto& row : snap.counters) {
+    if (ours(row.labels)) seen[row.name] = static_cast<double>(row.value);
+  }
+  for (const auto& row : snap.gauges) {
+    if (ours(row.labels)) seen[row.name] = row.value;
+  }
+  EXPECT_EQ(seen["storage.lru.hits"], 4);
+  EXPECT_EQ(seen["storage.lru.misses"], 4);
+  EXPECT_EQ(seen["storage.lru.hit_bytes"], 12);
+  EXPECT_EQ(seen["storage.lru.miss_bytes"], 12);
+  EXPECT_EQ(seen["storage.lru.declined_fills"], 1);
+  EXPECT_EQ(seen["storage.lru.fill_policy"], 1);
+  EXPECT_EQ(seen["storage.lru.cached_bytes"], 6);
 }
 
 // ---- End-to-end: epoch span timeline ----

@@ -42,6 +42,60 @@ TEST(NetworkModelTest, ProfilesAreOrderedSanely) {
   EXPECT_LT(minio.max_concurrent_requests, s3.max_concurrent_requests);
 }
 
+TEST(NetworkModelTest, LinkCapSplitsBandwidthAmongStreams) {
+  NetworkModel m;
+  m.bandwidth_bytes_per_sec = 100e6;
+  m.aggregate_bandwidth_bytes_per_sec = 200e6;
+  // Up to two streams each get their own 100 MB/s; beyond that they share
+  // the 200 MB/s link evenly.
+  EXPECT_EQ(m.TransferMicros(1'000'000, 1), 10'000);
+  EXPECT_EQ(m.TransferMicros(1'000'000, 2), 10'000);
+  EXPECT_EQ(m.TransferMicros(1'000'000, 4), 20'000);
+  EXPECT_EQ(m.TransferMicros(1'000'000, 8), 40'000);
+}
+
+TEST(NetworkModelTest, S3LinkCapLeavesFewStreamsUnchanged) {
+  // 10 Gbit/s shared by 3 streams is 417 MB/s each, above the 95 (45)
+  // MB/s per stream: today's loader concurrency costs what it did before
+  // the link cap existed.
+  for (NetworkModel capped :
+       {NetworkModel::S3SameRegion(), NetworkModel::S3CrossRegion()}) {
+    SCOPED_TRACE(capped.label);
+    EXPECT_EQ(capped.aggregate_bandwidth_bytes_per_sec, 1.25e9);
+    NetworkModel uncapped = capped;
+    uncapped.aggregate_bandwidth_bytes_per_sec = 0;
+    for (int streams = 1; streams <= 3; ++streams) {
+      EXPECT_EQ(capped.TransferMicros(8 << 20, streams),
+                uncapped.TransferMicros(8 << 20));
+    }
+  }
+  EXPECT_EQ(NetworkModel::LocalFs().aggregate_bandwidth_bytes_per_sec, 0);
+}
+
+TEST(SimulatedObjectStoreTest, ConcurrentTransfersShareTheLinkCap) {
+  constexpr int kStreams = 4;
+  constexpr size_t kBytes = 100'000;
+  constexpr double kLinkBytesPerSec = 1e6;
+  auto base = std::make_shared<storage::MemoryStore>();
+  ASSERT_TRUE(base->Put("k", ByteView(ByteBuffer(kBytes, 7))).ok());
+  NetworkModel m;
+  m.first_byte_latency_us = 0;
+  m.bandwidth_bytes_per_sec = 1e9;
+  m.aggregate_bandwidth_bytes_per_sec = kLinkBytesPerSec;
+  SimulatedObjectStore store(base, m);
+  Stopwatch sw;
+  std::vector<std::thread> ts;
+  for (int i = 0; i < kStreams; ++i) {
+    ts.emplace_back([&store] { ASSERT_TRUE(store.Get("k").ok()); });
+  }
+  for (auto& t : ts) t.join();
+  // Each request streams at the link rate split among those in flight
+  // when it starts, so the four of them cannot move 400 KB faster than
+  // the 1 MB/s link.
+  EXPECT_GE(sw.ElapsedMicros(),
+            static_cast<int64_t>(kStreams * kBytes / kLinkBytesPerSec * 1e6));
+}
+
 TEST(SimulatedObjectStoreTest, InjectsLatency) {
   auto base = std::make_shared<storage::MemoryStore>();
   ASSERT_TRUE(base->Put("k", ByteView(std::string_view("v"))).ok());

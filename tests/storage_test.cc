@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <functional>
+#include <latch>
+#include <list>
 #include <memory>
 #include <thread>
 
@@ -353,6 +356,196 @@ TEST(LruCacheStoreTest, DeleteInvalidates) {
   ASSERT_TRUE(cache.Put("k", ByteView(std::string_view("v"))).ok());
   ASSERT_TRUE(cache.Delete("k").ok());
   EXPECT_TRUE(cache.Get("k").status().IsNotFound());
+}
+
+/// Holds its first Get after the base read returns, until the test
+/// releases it, so a write can land while a cache miss is in flight.
+class GateStore : public ForwardingStore {
+ public:
+  using ForwardingStore::ForwardingStore;
+  Result<Slice> Get(std::string_view key) override {
+    Result<Slice> got = base_->Get(key);
+    if (armed_.exchange(false)) {
+      read.count_down();
+      release.wait();
+    }
+    return got;
+  }
+  std::string name() const override { return "gate(" + base_->name() + ")"; }
+
+  std::latch read{1};
+  std::latch release{1};
+
+ private:
+  std::atomic<bool> armed_{true};
+};
+
+// A miss reads v1, then a write lands before the miss fills. The fill must
+// not replace the write's entry, revive a deleted key, or pin bytes that
+// were invalidated while it was in flight.
+TEST(LruCacheStoreTest, FillDoesNotUndoAWriteThatLandedDuringTheMiss) {
+  const ByteBuffer v1 = BufferFromString("version one");
+  const ByteBuffer v2 = BufferFromString("version two");
+  for (std::string write : {"put", "delete", "invalidate"}) {
+    SCOPED_TRACE(write);
+    auto memory = std::make_shared<MemoryStore>();
+    ASSERT_TRUE(memory->Put("k", ByteView(v1)).ok());
+    auto gate = std::make_shared<GateStore>(memory);
+    LruCacheStore cache(gate, 1 << 20);
+    std::thread miss([&] {
+      auto got = cache.Get("k");
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(*got, v1);
+    });
+    gate->read.wait();
+    // EXPECT, not ASSERT: the miss thread must be released and joined.
+    if (write == "put") {
+      EXPECT_TRUE(cache.Put("k", ByteView(v2)).ok());
+    } else if (write == "delete") {
+      EXPECT_TRUE(cache.Delete("k").ok());
+    } else {
+      // The object changed below the cache (a repaired copy); the reader
+      // that saw v1 invalidates.
+      EXPECT_TRUE(memory->Put("k", ByteView(v2)).ok());
+      cache.Invalidate("k");
+    }
+    gate->release.count_down();
+    miss.join();
+    auto after = cache.Get("k");
+    if (write == "delete") {
+      EXPECT_TRUE(after.status().IsNotFound()) << after.status();
+    } else {
+      ASSERT_TRUE(after.ok()) << after.status();
+      EXPECT_EQ(*after, v2);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// LRU fill rule: plain LRU duels fill-only-into-free-room
+// ---------------------------------------------------------------------------
+
+constexpr size_t kLoopObjectBytes = 1000;
+
+/// Stores `n` equal-size objects under `prefix` straight into `base`.
+std::vector<std::string> PutLoopObjects(MemoryStore& base,
+                                        const std::string& prefix, int n) {
+  std::vector<std::string> keys;
+  for (int i = 0; i < n; ++i) {
+    keys.push_back(prefix + std::to_string(i));
+    ByteBuffer value(kLoopObjectBytes, static_cast<uint8_t>(i));
+    EXPECT_TRUE(base.Put(keys.back(), ByteView(value)).ok());
+  }
+  return keys;
+}
+
+/// `passes` reads of every key, each pass in a fresh shuffle drawn from
+/// `rng`: the access pattern of shuffled training epochs over chunks.
+std::vector<std::vector<std::string>> ShuffledPasses(
+    std::vector<std::string> keys, int passes, Rng& rng) {
+  std::vector<std::vector<std::string>> trace;
+  for (int p = 0; p < passes; ++p) {
+    for (size_t i = keys.size(); i > 1; --i) {
+      std::swap(keys[i - 1], keys[rng.Uniform(i)]);
+    }
+    trace.push_back(keys);
+  }
+  return trace;
+}
+
+/// Reads each pass through `cache` and returns the hits of each pass.
+std::vector<uint64_t> HitsPerPass(
+    LruCacheStore& cache, const std::vector<std::vector<std::string>>& trace) {
+  std::vector<uint64_t> hits;
+  for (const auto& pass : trace) {
+    uint64_t before = cache.hits();
+    for (const std::string& key : pass) EXPECT_TRUE(cache.Get(key).ok());
+    hits.push_back(cache.hits() - before);
+  }
+  return hits;
+}
+
+/// Plain LRU over equal-size objects, `slots` of them: the reference the
+/// adaptive cache must beat on a loop larger than itself.
+std::vector<uint64_t> PlainLruHitsPerPass(
+    size_t slots, const std::vector<std::vector<std::string>>& trace) {
+  std::list<std::string> order;  // front = most recently used
+  std::vector<uint64_t> hits;
+  for (const auto& pass : trace) {
+    uint64_t h = 0;
+    for (const std::string& key : pass) {
+      auto it = std::find(order.begin(), order.end(), key);
+      if (it != order.end()) {
+        ++h;
+        order.erase(it);
+      } else if (order.size() == slots) {
+        order.pop_back();
+      }
+      order.push_front(key);
+    }
+    hits.push_back(h);
+  }
+  return hits;
+}
+
+constexpr int kLoopObjects = 48;
+constexpr int kCacheObjects = 16;
+constexpr uint64_t kLoopSeed = 0x5eed0001;
+
+TEST(LruCacheStoreTest, ShuffledLoopLargerThanTheCacheKeepsItsResidents) {
+  auto base = std::make_shared<MemoryStore>();
+  LruCacheStore cache(base, kCacheObjects * kLoopObjectBytes);
+  Rng rng(kLoopSeed);
+  auto trace =
+      ShuffledPasses(PutLoopObjects(*base, "loop/", kLoopObjects), 10, rng);
+  std::vector<uint64_t> hits = HitsPerPass(cache, trace);
+  std::vector<uint64_t> reference = PlainLruHitsPerPass(kCacheObjects, trace);
+  uint64_t reference_hits = 0;
+  for (size_t p = 2; p < hits.size(); ++p) {
+    SCOPED_TRACE("pass " + std::to_string(p + 1));
+    EXPECT_GE(hits[p], kCacheObjects - 1u);
+    reference_hits += reference[p];
+  }
+  // Plain LRU keeps only what the previous pass read last.
+  EXPECT_LE(reference_hits, 6u * (hits.size() - 2));
+  EXPECT_EQ(cache.fill_policy(), 1);
+  EXPECT_GT(cache.declined_fills(), 0u);
+  EXPECT_LE(cache.cached_bytes(), kCacheObjects * kLoopObjectBytes);
+}
+
+TEST(LruCacheStoreTest, ReturnsToLruWhenTheWorkingSetFits) {
+  auto base = std::make_shared<MemoryStore>();
+  LruCacheStore cache(base, kCacheObjects * kLoopObjectBytes);
+  Rng rng(kLoopSeed);
+  HitsPerPass(cache, ShuffledPasses(PutLoopObjects(*base, "loop/",
+                                                   kLoopObjects),
+                                    10, rng));
+  ASSERT_EQ(cache.fill_policy(), 1);
+  // Eight new objects, read over and over: only LRU would cache them. Pass
+  // 1 misses both shadows (the free-room one is full); pass 2 hits only
+  // the LRU shadow, eight reads that bring the saturated selector back to
+  // LRU; pass 3 refills what pass 2 declined; from pass 4 on all hit.
+  auto trace = ShuffledPasses(PutLoopObjects(*base, "hot/", 8), 5, rng);
+  std::vector<uint64_t> first = HitsPerPass(cache, {trace[0], trace[1]});
+  EXPECT_EQ(first[0], 0u);
+  EXPECT_EQ(cache.fill_policy(), 0);
+  std::vector<uint64_t> later =
+      HitsPerPass(cache, {trace[2], trace[3], trace[4]});
+  EXPECT_EQ(later[1], 8u);
+  EXPECT_EQ(later[2], 8u);
+}
+
+TEST(LruCacheStoreTest, SameTraceGivesSameHits) {
+  std::vector<uint64_t> runs[2];
+  for (auto& hits : runs) {
+    auto base = std::make_shared<MemoryStore>();
+    LruCacheStore cache(base, kCacheObjects * kLoopObjectBytes);
+    Rng rng(kLoopSeed);
+    hits = HitsPerPass(
+        cache,
+        ShuffledPasses(PutLoopObjects(*base, "loop/", kLoopObjects), 10, rng));
+  }
+  EXPECT_EQ(runs[0], runs[1]);
 }
 
 // ---------------------------------------------------------------------------
