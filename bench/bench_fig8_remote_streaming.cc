@@ -3,13 +3,14 @@
 //
 // The same JPEG dataset as Fig. 7 is streamed from three backends: local
 // FS, S3 (same region) and MinIO on a LAN machine. Here: 800 images over
-// the corresponding network models (time_scale 4 shrinks wall time while
-// preserving every ratio). Reproduction targets: deeplake's S3 epoch is
-// close to its local epoch (prefetch hides latency); deeplake and
+// the corresponding network models at time_scale kTimeScale, printed in
+// the header. Reproduction targets: deeplake's S3 epoch is close to its
+// local epoch (prefetch hides latency); deeplake and
 // webdataset are both noticeably slower on MinIO than on S3 (small
 // connection pool); the folder loader collapses on any remote backend
 // (request-per-sample).
 
+#include <cstdio>
 #include "baselines/format.h"
 #include "bench/bench_util.h"
 #include "sim/network_model.h"
@@ -87,10 +88,15 @@ int main() {
   using namespace dl;
   using namespace dl::bench;
   MarkResourceBaseline();
+  char setup[96];
+  std::snprintf(setup, sizeof(setup),
+                "800 images, network models at time_scale %g (ratios "
+                "preserved)",
+                kTimeScale);
   Header("Fig. 8 — epoch time streaming the Fig. 7 dataset from different "
          "backends (seconds, lower better)",
          "paper Fig. 8 (local FS vs AWS S3 vs MinIO-on-LAN)",
-         "800 images, network models at time_scale 4 (ratios preserved)",
+         setup,
          "deeplake: s3 ~ local; deeplake & webdataset slower on minio than "
          "s3; folder loader collapses remotely");
 

@@ -8,21 +8,29 @@ namespace dl::baselines {
 namespace {
 constexpr size_t kBlock = 512;
 
-void PutOctal(char* field, size_t width, uint64_t value) {
-  // width includes the trailing NUL.
-  std::snprintf(field, width, "%0*llo", static_cast<int>(width - 1),
-                static_cast<unsigned long long>(value));
+/// Writes `value` as width - 1 zero-padded octal digits plus a NUL. False
+/// when it needs more digits than that.
+bool PutOctal(char* field, size_t width, uint64_t value) {
+  field[width - 1] = '\0';
+  for (size_t i = width - 1; i-- > 0; value >>= 3) {
+    field[i] = static_cast<char>('0' + (value & 7));
+  }
+  return value == 0;
 }
 }  // namespace
 
-void TarBuilder::AddFile(const std::string& name, ByteView contents) {
+Status TarBuilder::AddFile(const std::string& name, ByteView contents) {
   char header[kBlock];
   std::memset(header, 0, sizeof(header));
+  if (!PutOctal(header + 124, 12, contents.size())) {  // size
+    return Status::InvalidArgument(
+        "tar: '" + name + "' (" + std::to_string(contents.size()) +
+        " bytes) does not fit the 11 octal digits of a ustar size field");
+  }
   std::snprintf(header + 0, 100, "%s", name.c_str());      // name
   PutOctal(header + 100, 8, 0644);                          // mode
   PutOctal(header + 108, 8, 0);                             // uid
   PutOctal(header + 116, 8, 0);                             // gid
-  PutOctal(header + 124, 12, contents.size());              // size
   PutOctal(header + 136, 12, 0);                            // mtime
   std::memset(header + 148, ' ', 8);                        // checksum space
   header[156] = '0';                                        // typeflag file
@@ -39,6 +47,7 @@ void TarBuilder::AddFile(const std::string& name, ByteView contents) {
   AppendBytes(buffer_, contents);
   size_t pad = (kBlock - contents.size() % kBlock) % kBlock;
   buffer_.insert(buffer_.end(), pad, 0);
+  return Status::OK();
 }
 
 ByteBuffer TarBuilder::Finish() {

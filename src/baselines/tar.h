@@ -13,8 +13,9 @@ namespace dl::baselines {
 /// baseline (real 512-byte-block tar archives, readable by `tar tf`).
 class TarBuilder {
  public:
-  /// Appends a regular file entry.
-  void AddFile(const std::string& name, ByteView contents);
+  /// Appends a regular file entry. InvalidArgument, appending nothing,
+  /// when the size does not fit the header's 11 octal digits (8 GiB).
+  Status AddFile(const std::string& name, ByteView contents);
 
   /// Returns the archive (with the two terminating zero blocks) and
   /// resets the builder.

@@ -22,10 +22,11 @@ class WebDatasetWriter final : public FormatWriter {
 
   Status Append(const sim::SampleSpec& sample) override {
     std::string stem = ZeroPad(count_, 8);
-    tar_.AddFile(stem + ".img",
-                 ByteView(EncodeSampleBlob(sample, options_)));
-    tar_.AddFile(stem + ".cls",
-                 ByteView(std::string_view(std::to_string(sample.label))));
+    DL_RETURN_IF_ERROR(tar_.AddFile(
+        stem + ".img", ByteView(EncodeSampleBlob(sample, options_))));
+    DL_RETURN_IF_ERROR(tar_.AddFile(
+        stem + ".cls",
+        ByteView(std::string_view(std::to_string(sample.label)))));
     ++count_;
     if (tar_.size_bytes() >= options_.shard_bytes) {
       DL_RETURN_IF_ERROR(FlushShard());

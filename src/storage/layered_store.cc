@@ -5,7 +5,6 @@
 #include <algorithm>
 
 #include "storage/storage.h"
-#include "util/envelope.h"
 #include "util/macros.h"
 #include "util/string_util.h"
 
@@ -400,22 +399,6 @@ Status FaultInjectionStore::Admit(FaultOp op) {
                            std::to_string(n));
   }
   return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// GetVerified
-// ---------------------------------------------------------------------------
-
-Result<Slice> GetVerified(StorageProvider& store, std::string_view key) {
-  DL_ASSIGN_OR_RETURN(Slice framed, store.Get(key));
-  auto payload = EnvelopeUnwrapOrRaw(framed);
-  if (payload.ok() || !payload.status().IsCorruption()) return payload;
-  // The corrupt bytes may live only in a cache layer (e.g. a bit flip in
-  // the LRU's copy): drop every cached copy and try the backing store once.
-  // If the second read still fails verification, the object itself is bad.
-  store.Invalidate(key);
-  DL_ASSIGN_OR_RETURN(framed, store.Get(key));
-  return EnvelopeUnwrapOrRaw(framed);
 }
 
 }  // namespace dl::storage

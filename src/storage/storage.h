@@ -15,6 +15,7 @@
 #include "obs/metrics.h"
 #include "util/buffer.h"
 #include "util/bytes.h"
+#include "util/envelope.h"
 #include "util/result.h"
 #include "util/rng.h"
 #include "util/thread_annotations.h"
@@ -622,12 +623,29 @@ class CrashPointStore : public ForwardingStore {
   std::thread::id dead_thread_ DL_GUARDED_BY(mu_);
 };
 
-/// Reads `key` and unwraps its integrity envelope (legacy raw objects pass
-/// through, see EnvelopeUnwrapOrRaw). On Corruption the cached copy is
-/// invalidated down the chain and the read retried once — a corrupt cache
-/// entry heals, while genuine on-disk corruption still surfaces as
+/// Reads `key` and decodes it with `decode` (Slice → Result<T>), which
+/// checks the bytes. On Corruption the cached copy is invalidated down the
+/// chain and the read and decode retried once — a corrupt cache entry
+/// heals, while genuine on-disk corruption still surfaces as
 /// Status::Corruption from the second attempt.
-Result<Slice> GetVerified(StorageProvider& store, std::string_view key);
+template <typename Decode>
+auto GetDecoded(StorageProvider& store, std::string_view key, Decode decode)
+    -> decltype(decode(Slice())) {
+  Result<Slice> bytes = store.Get(key);
+  if (!bytes.ok()) return bytes.status();
+  auto decoded = decode(bytes.MoveValue());
+  if (decoded.ok() || !decoded.status().IsCorruption()) return decoded;
+  store.Invalidate(key);
+  bytes = store.Get(key);
+  if (!bytes.ok()) return bytes.status();
+  return decode(bytes.MoveValue());
+}
+
+/// GetDecoded with the integrity envelope as the check (legacy raw objects
+/// pass through, see EnvelopeUnwrapOrRaw); returns the payload.
+inline Result<Slice> GetVerified(StorageProvider& store, std::string_view key) {
+  return GetDecoded(store, key, EnvelopeUnwrapOrRaw);
+}
 
 }  // namespace dl::storage
 

@@ -64,6 +64,9 @@ ByteBuffer ChunkEncoder::Serialize() const {
 Result<ChunkEncoder> ChunkEncoder::Deserialize(ByteView bytes) {
   Decoder dec{bytes};
   DL_ASSIGN_OR_RETURN(uint64_t n, dec.GetVarint64());
+  if (n > dec.remaining() / 2) {  // each row takes at least two bytes
+    return Status::Corruption("chunk encoder: row count exceeds input");
+  }
   ChunkEncoder enc;
   enc.entries_.reserve(n);
   uint64_t prev_last = 0;

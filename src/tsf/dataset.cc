@@ -41,7 +41,7 @@ Result<std::shared_ptr<Dataset>> Dataset::Create(storage::StoragePtr store,
   }
   auto ds = std::shared_ptr<Dataset>(new Dataset(std::move(store)));
   ds->meta_ = Json::MakeObject();
-  ds->meta_.Set("format_version", 1);
+  ds->meta_.Set("format_version", 2);
   ds->meta_.Set("description", options.description);
   ds->meta_.Set("tensors", Json::MakeArray());
   ds->meta_.Set("provenance", Json::MakeArray());

@@ -69,6 +69,9 @@ ByteBuffer ShapeEncoder::Serialize() const {
 Result<ShapeEncoder> ShapeEncoder::Deserialize(ByteView bytes) {
   Decoder dec{bytes};
   DL_ASSIGN_OR_RETURN(uint64_t n, dec.GetVarint64());
+  if (n > dec.remaining() / 2) {  // each row takes at least two bytes
+    return Status::Corruption("shape encoder: row count exceeds input");
+  }
   ShapeEncoder enc;
   enc.rows_.reserve(n);
   uint64_t prev_last = 0;

@@ -4,6 +4,7 @@
 #include <atomic>
 
 #include "util/clock.h"
+#include "util/coding.h"
 #include "util/envelope.h"
 #include "util/macros.h"
 #include "util/rng.h"
@@ -53,16 +54,18 @@ Result<std::unique_ptr<Tensor>> Tensor::Create(storage::StoragePtr store,
   if (exists) {
     return Status::AlreadyExists("tensor '" + name + "' already exists");
   }
+  // Written once: every meta field is fixed at creation.
+  std::string meta_text = meta.ToJson().Dump(2);
+  DL_RETURN_IF_ERROR(
+      store->PutDurable(meta_key, ByteView(EnvelopeWrap(ByteView(meta_text)))));
   auto tensor = std::unique_ptr<Tensor>(new Tensor(store, std::move(meta)));
-  DL_RETURN_IF_ERROR(tensor->Flush());  // persist meta + empty encoders
+  DL_RETURN_IF_ERROR(tensor->PersistEncoders());
   return tensor;
 }
 
 Result<std::unique_ptr<Tensor>> Tensor::Open(storage::StoragePtr store,
                                              const std::string& name) {
   std::string dir = TensorDir(name);
-  // Enveloped since the crash-consistency layer (DESIGN.md §9); legacy raw
-  // JSON passes through GetVerified unchanged.
   DL_ASSIGN_OR_RETURN(
       Slice meta_bytes,
       storage::GetVerified(*store, PathJoin(dir, "tensor_meta.json")));
@@ -70,24 +73,15 @@ Result<std::unique_ptr<Tensor>> Tensor::Open(storage::StoragePtr store,
                       Json::Parse(meta_bytes.ToStringView()));
   DL_ASSIGN_OR_RETURN(TensorMeta meta, TensorMeta::FromJson(meta_json));
   auto tensor = std::unique_ptr<Tensor>(new Tensor(store, std::move(meta)));
-
-  DL_ASSIGN_OR_RETURN(Slice enc_bytes,
-                      store->Get(PathJoin(dir, "chunk_encoder.bin")));
-  DL_ASSIGN_OR_RETURN(tensor->chunk_encoder_,
-                      ChunkEncoder::Deserialize(ByteView(enc_bytes)));
-  DL_ASSIGN_OR_RETURN(Slice shp_bytes,
-                      store->Get(PathJoin(dir, "shape_encoder.bin")));
-  DL_ASSIGN_OR_RETURN(tensor->shape_encoder_,
-                      ShapeEncoder::Deserialize(ByteView(shp_bytes)));
-  DL_ASSIGN_OR_RETURN(Slice tile_bytes,
-                      store->Get(PathJoin(dir, "tile_encoder.bin")));
-  DL_ASSIGN_OR_RETURN(tensor->tile_encoder_,
-                      TileEncoder::Deserialize(ByteView(tile_bytes)));
+  DL_ASSIGN_OR_RETURN(
+      tensor->index_,
+      storage::GetDecoded(*store, PathJoin(dir, TensorIndex::kFileName),
+                          TensorIndex::Deserialize));
   return tensor;
 }
 
 uint64_t Tensor::NumSamples() const {
-  return chunk_encoder_.num_samples() + open_chunk_.num_samples();
+  return index_.chunks.num_samples() + open_chunk_.num_samples();
 }
 
 Result<Slice> EncodeSample(const TensorMeta& meta, const Sample& sample) {
@@ -111,16 +105,16 @@ Status Tensor::Append(const Sample& sample) {
     // placeholder keeps the chunk encoder a bijection over sample indices.
     // Room for it is made before the tiles are written, so a failed seal
     // stores no tiles, and a failed tile write appends no placeholder.
-    DL_RETURN_IF_ERROR(SealIfFull(open_chunk_, chunk_encoder_, TensorShape{0}));
+    DL_RETURN_IF_ERROR(SealIfFull(open_chunk_, index_.chunks, TensorShape{0}));
     DL_ASSIGN_OR_RETURN(TileLayout layout, WriteTiles(sample));
     open_chunk_.Append(ByteView(), TensorShape{0});
-    tile_encoder_.Set(index, std::move(layout));
+    index_.tiles.Set(index, std::move(layout));
   } else {
     DL_ASSIGN_OR_RETURN(Slice stored, EncodeSample(meta_, sample));
-    DL_RETURN_IF_ERROR(SealIfFull(open_chunk_, chunk_encoder_, sample.shape));
+    DL_RETURN_IF_ERROR(SealIfFull(open_chunk_, index_.chunks, sample.shape));
     open_chunk_.Append(stored, sample.shape);
   }
-  shape_encoder_.Append(sample.shape);
+  index_.shapes.Append(sample.shape);
   return Status::OK();
 }
 
@@ -142,9 +136,9 @@ Status Tensor::AppendPrecompressed(ByteView frame, const TensorShape& shape) {
         (declared.ok() ? "declares " + std::to_string(*declared)
                        : declared.status().ToString()));
   }
-  DL_RETURN_IF_ERROR(SealIfFull(open_chunk_, chunk_encoder_, shape));
+  DL_RETURN_IF_ERROR(SealIfFull(open_chunk_, index_.chunks, shape));
   open_chunk_.Append(frame, shape);
-  shape_encoder_.Append(shape);
+  index_.shapes.Append(shape);
   return Status::OK();
 }
 
@@ -207,28 +201,41 @@ Status Tensor::SealChunk(ChunkBuilder& builder, ChunkEncoder& encoder) {
 }
 
 Status Tensor::Flush() {
-  DL_RETURN_IF_ERROR(SealChunk(open_chunk_, chunk_encoder_));
-  meta_.length = NumSamples();
-  DL_RETURN_IF_ERROR(PersistEncoders());
-  return Status::OK();
+  DL_RETURN_IF_ERROR(SealChunk(open_chunk_, index_.chunks));
+  return PersistEncoders();
 }
 
 Status Tensor::PersistEncoders() {
-  std::string dir = TensorDir(meta_.name);
-  std::string meta_text = meta_.ToJson().Dump(2);
-  // The meta is the tensor's root manifest: checksummed so a torn write
-  // surfaces as Corruption instead of parsing as wrong JSON, durable so a
-  // crash after Flush() cannot lose it.
-  ByteBuffer framed = EnvelopeWrap(ByteView(meta_text));
-  DL_RETURN_IF_ERROR(store_->PutDurable(PathJoin(dir, "tensor_meta.json"),
-                                        ByteView(framed)));
-  DL_RETURN_IF_ERROR(store_->Put(PathJoin(dir, "chunk_encoder.bin"),
-                                 ByteView(chunk_encoder_.Serialize())));
-  DL_RETURN_IF_ERROR(store_->Put(PathJoin(dir, "shape_encoder.bin"),
-                                 ByteView(shape_encoder_.Serialize())));
-  DL_RETURN_IF_ERROR(store_->Put(PathJoin(dir, "tile_encoder.bin"),
-                                 ByteView(tile_encoder_.Serialize())));
-  return Status::OK();
+  return store_->PutDurable(
+      PathJoin(TensorDir(meta_.name), TensorIndex::kFileName),
+      ByteView(index_.Serialize()));
+}
+
+ByteBuffer TensorIndex::Serialize() const {
+  ByteBuffer payload;
+  for (const ByteBuffer& part : {chunks.Serialize(), shapes.Serialize()}) {
+    PutVarint64(payload, part.size());
+    AppendBytes(payload, ByteView(part));
+  }
+  AppendBytes(payload, ByteView(tiles.Serialize()));
+  return EnvelopeWrap(ByteView(payload));
+}
+
+Result<TensorIndex> TensorIndex::Deserialize(Slice object) {
+  DL_ASSIGN_OR_RETURN(Slice payload, EnvelopeUnwrap(std::move(object)));
+  Decoder dec{ByteView(payload)};
+  auto part = [&dec]() -> Result<ByteView> {
+    DL_ASSIGN_OR_RETURN(uint64_t size, dec.GetVarint64());
+    return dec.GetBytes(size);
+  };
+  TensorIndex index;
+  DL_ASSIGN_OR_RETURN(ByteView chunks, part());
+  DL_ASSIGN_OR_RETURN(index.chunks, ChunkEncoder::Deserialize(chunks));
+  DL_ASSIGN_OR_RETURN(ByteView shapes, part());
+  DL_ASSIGN_OR_RETURN(index.shapes, ShapeEncoder::Deserialize(shapes));
+  DL_ASSIGN_OR_RETURN(ByteView tiles, dec.GetBytes(dec.remaining()));
+  DL_ASSIGN_OR_RETURN(index.tiles, TileEncoder::Deserialize(tiles));
+  return index;
 }
 
 Result<std::shared_ptr<Chunk>> Tensor::FetchChunk(uint64_t chunk_id) {
@@ -236,17 +243,11 @@ Result<std::shared_ptr<Chunk>> Tensor::FetchChunk(uint64_t chunk_id) {
     MutexLock lock(cache_mu_);
     if (cached_chunk_ && cached_chunk_id_ == chunk_id) return cached_chunk_;
   }
-  DL_ASSIGN_OR_RETURN(Slice bytes, store_->Get(ChunkKey(chunk_id)));
-  auto parsed = Chunk::Parse(std::move(bytes));
-  if (!parsed.ok() && parsed.status().IsCorruption()) {
-    // The CRC failure may be a cache layer's copy, not the stored object:
-    // drop every cached copy and re-read once before giving up.
-    store_->Invalidate(ChunkKey(chunk_id));
-    DL_ASSIGN_OR_RETURN(Slice retry_bytes,
-                        store_->Get(ChunkKey(chunk_id)));
-    parsed = Chunk::Parse(std::move(retry_bytes));
-  }
-  DL_ASSIGN_OR_RETURN(Chunk chunk, std::move(parsed));
+  DL_ASSIGN_OR_RETURN(
+      Chunk chunk,
+      storage::GetDecoded(*store_, ChunkKey(chunk_id), [](Slice bytes) {
+        return Chunk::Parse(std::move(bytes));
+      }));
   auto ptr = std::make_shared<Chunk>(std::move(chunk));
   {
     MutexLock lock(cache_mu_);
@@ -257,7 +258,7 @@ Result<std::shared_ptr<Chunk>> Tensor::FetchChunk(uint64_t chunk_id) {
 }
 
 Result<TensorShape> Tensor::ShapeAt(uint64_t index) const {
-  return shape_encoder_.At(index);
+  return index_.shapes.At(index);
 }
 
 Result<Sample> Tensor::Read(uint64_t index) {
@@ -266,16 +267,16 @@ Result<Sample> Tensor::Read(uint64_t index) {
                               std::to_string(index) + " beyond length " +
                               std::to_string(NumSamples()));
   }
-  if (const TileLayout* layout = tile_encoder_.Get(index)) {
+  if (const TileLayout* layout = index_.tiles.Get(index)) {
     const TensorShape& full = layout->sample_shape;
     return ReadRegion(index, std::vector<uint64_t>(full.ndim(), 0),
                       full.dims());
   }
-  uint64_t flushed = chunk_encoder_.num_samples();
+  uint64_t flushed = index_.chunks.num_samples();
   if (index >= flushed) {
     return open_chunk_.ReadBuffered(index - flushed);
   }
-  DL_ASSIGN_OR_RETURN(ChunkEncoder::Location loc, chunk_encoder_.Find(index));
+  DL_ASSIGN_OR_RETURN(ChunkEncoder::Location loc, index_.chunks.Find(index));
   DL_ASSIGN_OR_RETURN(std::shared_ptr<Chunk> chunk, FetchChunk(loc.chunk_id));
   return chunk->ReadSample(loc.local_index);
 }
@@ -304,7 +305,7 @@ Result<Sample> Tensor::ReadRegion(uint64_t index,
   }
 
   // An untiled sample is a one-tile grid whose tile is the stored sample.
-  const TileLayout* tiled = tile_encoder_.Get(index);
+  const TileLayout* tiled = index_.tiles.Get(index);
   TileLayout whole{full, full.dims(), std::vector<uint64_t>(ndim, 1), {}};
   const TileLayout& layout = tiled != nullptr ? *tiled : whole;
   std::vector<uint64_t> coord(ndim, 0), src_origin(ndim), dst_origin(ndim),
@@ -373,15 +374,16 @@ Status Tensor::UpdateContiguous(uint64_t start,
   }
   uint64_t end = start + samples.size();
   // Updates operate on flushed chunks.
-  if (end > chunk_encoder_.num_samples()) {
+  if (end > index_.chunks.num_samples()) {
     DL_RETURN_IF_ERROR(Flush());
   }
 
   ChunkBuilder builder(meta_.dtype, meta_.sample_compression,
                        meta_.chunk_compression);
+  std::vector<uint64_t> replaced;  // chunk and tile ids nothing refers to
   uint64_t index = start;
   while (index < end) {
-    DL_ASSIGN_OR_RETURN(ChunkEncoder::Location loc, chunk_encoder_.Find(index));
+    DL_ASSIGN_OR_RETURN(ChunkEncoder::Location loc, index_.chunks.Find(index));
     // Rebuild this chunk once with every in-range sample it holds. Samples
     // out of range are copied as stored, never decoded or re-encoded. An
     // oversized sample keeps an empty placeholder slot; its tiles are
@@ -409,19 +411,35 @@ Status Tensor::UpdateContiguous(uint64_t start,
     }
     DL_ASSIGN_OR_RETURN(uint64_t new_id, PutChunk(builder));
     DL_RETURN_IF_ERROR(
-        chunk_encoder_.ReplaceChunkId(loc.chunk_ordinal, new_id));
+        index_.chunks.ReplaceChunkId(loc.chunk_ordinal, new_id));
+    replaced.push_back(loc.chunk_id);
     {
       MutexLock lock(cache_mu_);
       cached_chunk_.reset();  // invalidate
     }
     for (uint64_t i = index; i < index + take; ++i) {
-      tile_encoder_.Remove(i);
-      DL_RETURN_IF_ERROR(shape_encoder_.Set(i, samples[i - start].shape));
+      if (const TileLayout* old = index_.tiles.Get(i)) {
+        replaced.insert(replaced.end(), old->chunk_ids.begin(),
+                        old->chunk_ids.end());
+      }
+      index_.tiles.Remove(i);
+      DL_RETURN_IF_ERROR(index_.shapes.Set(i, samples[i - start].shape));
     }
-    for (auto& [i, layout] : tiled) tile_encoder_.Set(i, std::move(layout));
+    for (auto& [i, layout] : tiled) index_.tiles.Set(i, std::move(layout));
     index += take;
   }
-  return PersistEncoders();
+  DL_RETURN_IF_ERROR(PersistEncoders());
+  return DeleteChunks(replaced);
+}
+
+Status Tensor::DeleteChunks(const std::vector<uint64_t>& chunk_ids) {
+  // Run only after the index that drops them has landed: a crash in
+  // between leaves dead bytes, never a dangling reference. A versioned
+  // store skips keys that sealed commits own.
+  for (uint64_t id : chunk_ids) {
+    DL_RETURN_IF_ERROR(store_->Delete(ChunkKey(id)));
+  }
+  return Status::OK();
 }
 
 Result<size_t> Tensor::Rechunk() {
@@ -433,7 +451,7 @@ Result<size_t> Tensor::Rechunk() {
   ChunkBuilder builder(meta_.dtype, meta_.sample_compression,
                        meta_.chunk_compression);
   uint64_t first = 0;
-  for (const ChunkEntry& entry : chunk_encoder_.entries()) {
+  for (const ChunkEntry& entry : index_.chunks.entries()) {
     DL_ASSIGN_OR_RETURN(std::shared_ptr<Chunk> chunk,
                         FetchChunk(entry.chunk_id));
     if (chunk->num_samples() != entry.last_index + 1 - first) {
@@ -450,13 +468,18 @@ Result<size_t> Tensor::Rechunk() {
     first = entry.last_index + 1;
   }
   DL_RETURN_IF_ERROR(SealChunk(builder, packed));
-  chunk_encoder_ = std::move(packed);
+  std::vector<uint64_t> replaced;
+  for (const ChunkEntry& entry : index_.chunks.entries()) {
+    replaced.push_back(entry.chunk_id);
+  }
+  index_.chunks = std::move(packed);
   {
     MutexLock lock(cache_mu_);
     cached_chunk_.reset();
   }
   DL_RETURN_IF_ERROR(PersistEncoders());
-  return chunk_encoder_.num_chunks();
+  DL_RETURN_IF_ERROR(DeleteChunks(replaced));
+  return index_.chunks.num_chunks();
 }
 
 }  // namespace dl::tsf

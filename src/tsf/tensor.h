@@ -21,18 +21,30 @@ namespace dl::tsf {
 /// Pure: it touches no tensor state, so any thread may run it.
 Result<Slice> EncodeSample(const TensorMeta& meta, const Sample& sample);
 
+/// A tensor's three index maps (§3.4), stored as one object, encoders.bin:
+/// an envelope around the length-prefixed chunk encoder, the
+/// length-prefixed shape encoder and then the tile encoder.
+struct TensorIndex {
+  static constexpr char kFileName[] = "encoders.bin";
+  ChunkEncoder chunks;
+  ShapeEncoder shapes;
+  TileEncoder tiles;
+
+  ByteBuffer Serialize() const;
+  /// Strict: any mismatch is Corruption. Tensor::Open and dlfsck share it.
+  static Result<TensorIndex> Deserialize(Slice object);
+};
+
 /// One column of a Deep Lake dataset: a typed, ragged, chunked tensor bound
 /// to a storage prefix (paper §3).
 ///
 /// Storage layout under the dataset root:
-///   tensors/<name>/tensor_meta.json
-///   tensors/<name>/chunk_encoder.bin
-///   tensors/<name>/shape_encoder.bin
-///   tensors/<name>/tile_encoder.bin
+///   tensors/<name>/tensor_meta.json    (written once, by Create)
+///   tensors/<name>/encoders.bin        (the TensorIndex, durable)
 ///   tensors/<name>/chunks/<hex chunk id>
 ///
 /// Appends buffer into an open chunk; `Flush` seals it and persists the
-/// encoders. Reads see both flushed and buffered samples. Not thread-safe
+/// index. Reads see both flushed and buffered samples. Not thread-safe
 /// for concurrent writes; concurrent reads are safe after Flush (the
 /// streaming dataloader only touches flushed state).
 class Tensor {
@@ -94,7 +106,7 @@ class Tensor {
   /// Shape without fetching data (served by the shape encoder).
   Result<TensorShape> ShapeAt(uint64_t index) const;
 
-  /// Seals the open chunk and persists meta + encoders.
+  /// Seals the open chunk and persists the index.
   Status Flush();
 
   /// Re-packs fragmented chunks into dense ~max_chunk_bytes chunks
@@ -104,9 +116,9 @@ class Tensor {
 
   // ---- Streaming/introspection API (used by the dataloader & benches) ----
 
-  const ChunkEncoder& chunk_encoder() const { return chunk_encoder_; }
-  const ShapeEncoder& shape_encoder() const { return shape_encoder_; }
-  const TileEncoder& tile_encoder() const { return tile_encoder_; }
+  const ChunkEncoder& chunk_encoder() const { return index_.chunks; }
+  const ShapeEncoder& shape_encoder() const { return index_.shapes; }
+  const TileEncoder& tile_encoder() const { return index_.tiles; }
   storage::StoragePtr store() const { return store_; }
 
   /// Storage key of a chunk object.
@@ -136,13 +148,14 @@ class Tensor {
   /// id and returns the id.
   Result<uint64_t> PutChunk(ChunkBuilder& builder);
   Result<std::shared_ptr<Chunk>> FetchChunk(uint64_t chunk_id);
+  /// Writes encoders.bin with one PutDurable.
   Status PersistEncoders();
+  /// Deletes chunk objects a landed index no longer refers to.
+  Status DeleteChunks(const std::vector<uint64_t>& chunk_ids);
 
   storage::StoragePtr store_;
   TensorMeta meta_;
-  ChunkEncoder chunk_encoder_;
-  ShapeEncoder shape_encoder_;
-  TileEncoder tile_encoder_;
+  TensorIndex index_;
   ChunkBuilder open_chunk_;
   uint64_t next_chunk_id_ = 0;
 

@@ -17,7 +17,6 @@ Json TensorMeta::ToJson() const {
   j.Set("max_chunk_bytes", max_chunk_bytes);
   j.Set("hidden", hidden);
   j.Set("quality", quality);
-  j.Set("length", length);
   return j;
 }
 
@@ -36,7 +35,6 @@ Result<TensorMeta> TensorMeta::FromJson(const Json& j) {
       static_cast<uint64_t>(j.Get("max_chunk_bytes").as_int(8ll << 20));
   m.hidden = j.Get("hidden").as_bool(false);
   m.quality = static_cast<int>(j.Get("quality").as_int(0));
-  m.length = static_cast<uint64_t>(j.Get("length").as_int(0));
   return m;
 }
 

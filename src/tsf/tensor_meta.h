@@ -30,7 +30,8 @@ struct TensorOptions {
   int quality = 0;
 };
 
-/// Persisted per-tensor metadata (tensor_meta.json).
+/// Persisted per-tensor metadata (tensor_meta.json), fixed at creation.
+/// The row count is the chunk encoder's.
 struct TensorMeta {
   std::string name;
   Htype htype;
@@ -40,8 +41,6 @@ struct TensorMeta {
   uint64_t max_chunk_bytes = 8ull << 20;
   bool hidden = false;
   int quality = 0;
-  /// Committed sample count (kept in sync by Tensor::Flush).
-  uint64_t length = 0;
 
   Json ToJson() const;
   static Result<TensorMeta> FromJson(const Json& j);

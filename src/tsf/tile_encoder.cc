@@ -149,6 +149,11 @@ Result<TileEncoder> TileEncoder::Deserialize(ByteView bytes) {
       DL_ASSIGN_OR_RETURN(g, dec.GetVarint64());
     }
     DL_ASSIGN_OR_RETURN(uint64_t count, dec.GetVarint64());
+    if (count > dec.remaining() || count != layout.num_tiles()) {
+      return Status::Corruption("tile encoder: chunk id count " +
+                                std::to_string(count) +
+                                " does not match the grid or the input");
+    }
     layout.chunk_ids.resize(count);
     uint64_t prev = 0;
     for (auto& id : layout.chunk_ids) {

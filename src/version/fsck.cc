@@ -4,6 +4,7 @@
 #include <set>
 
 #include "tsf/chunk.h"
+#include "tsf/tensor.h"
 #include "util/envelope.h"
 #include "util/json.h"
 #include "util/macros.h"
@@ -182,8 +183,13 @@ Result<FsckReport> FsckScan(storage::StoragePtr store) {
         dirs_with_keyset.insert(dir_id);
       }
     }
-    // Encoder .bin files and anything else: readability (checked by the
-    // Get above) is the guarantee; they carry no independent checksum.
+    Status index = BaseName(key) == tsf::TensorIndex::kFileName
+                       ? tsf::TensorIndex::Deserialize(*bytes).status()
+                       : Status::OK();
+    if (!index.ok()) {
+      AddIssue(&report, FsckIssueKind::kCorruptObject, key,
+               "tensor index failed verification: " + index.ToString());
+    }
   }
 
   // MVCC staging debris (DESIGN.md §12): a txn marker without a valid

@@ -11,8 +11,9 @@ namespace dl::version {
 
 /// Offline integrity checker for an on-store dataset tree (DESIGN.md §9) —
 /// the library behind the `dlfsck` CLI. Scan walks every object: chunks are
-/// CRC-verified via Chunk::Parse, enveloped manifests via their envelope,
-/// legacy raw manifests must at least parse as JSON. Structural checks find
+/// CRC-verified via Chunk::Parse, each tensor's encoders.bin via
+/// TensorIndex::Deserialize (the reader's own decoder), enveloped manifests
+/// via their envelope, legacy raw manifests must at least parse as JSON. Structural checks find
 /// torn commit records, orphaned version directories, missing key sets and
 /// temp-file debris from interrupted atomic renames.
 

@@ -102,7 +102,9 @@ TEST(FuzzRoundTrip, TruncatedFramesFailCleanly) {
       // A truncated frame may only succeed if the cut happens to land on a
       // self-consistent prefix; it must never produce the full buffer from
       // fewer bytes or crash.
-      if (r.ok()) EXPECT_LE(r->size(), raw.size());
+      if (r.ok()) {
+        EXPECT_LE(r->size(), raw.size());
+      }
     }
   }
 }

@@ -334,6 +334,22 @@ TEST(ChunkEncoderTest, FindResolvesBoundaries) {
   EXPECT_TRUE(enc.Find(16).status().IsOutOfRange());
 }
 
+TEST(ChunkEncoderTest, RowCountBeyondInputIsCorruption) {
+  // The varint 2^62 as the row count, and no rows.
+  const uint8_t input[] = {0x80, 0x80, 0x80, 0x80, 0x80,
+                           0x80, 0x80, 0x80, 0x40};
+  auto got = ChunkEncoder::Deserialize(ByteView(input, sizeof(input)));
+  EXPECT_TRUE(got.status().IsCorruption()) << got.status();
+}
+
+TEST(TileEncoderTest, ChunkIdCountBeyondGridIsCorruption) {
+  // One entry: index 0, a rank-0 shape (one tile), then 2^40 chunk ids.
+  const uint8_t input[] = {0x01, 0x00, 0x00, 0x80, 0x80,
+                           0x80, 0x80, 0x80, 0x20};
+  auto got = TileEncoder::Deserialize(ByteView(input, sizeof(input)));
+  EXPECT_TRUE(got.status().IsCorruption()) << got.status();
+}
+
 TEST(ChunkEncoderTest, EmptyEncoder) {
   ChunkEncoder enc;
   EXPECT_EQ(enc.num_samples(), 0u);

@@ -9,7 +9,10 @@
 #include "storage/storage.h"
 #include "tsf/dataset.h"
 #include "tsf/tensor.h"
+#include "util/envelope.h"
 #include "util/rng.h"
+#include "version/fsck.h"
+#include "version/version_control.h"
 
 namespace dl::tsf {
 namespace {
@@ -76,12 +79,219 @@ TEST(TensorTest, CreateAppendReadFlushReopen) {
   auto reopened = Tensor::Open(store, "images");
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   EXPECT_EQ((*reopened)->NumSamples(), 20u);
-  EXPECT_EQ((*reopened)->meta().length, 20u);
   EXPECT_EQ((*reopened)->meta().htype.kind, HtypeKind::kImage);
   for (int i : {0, 7, 19}) {
     EXPECT_EQ((*reopened)->Read(i)->data, originals[i].data);
   }
   EXPECT_TRUE((*reopened)->Read(20).status().IsOutOfRange());
+}
+
+/// Counts every store call, per key.
+class CountingStore : public storage::ForwardingStore {
+ public:
+  using ForwardingStore::ForwardingStore;
+  Result<Slice> Get(std::string_view key) override {
+    ++gets[std::string(key)];
+    return ForwardingStore::Get(key);
+  }
+  Status Put(std::string_view key, ByteView value) override {
+    ++puts[std::string(key)];
+    return ForwardingStore::Put(key, value);
+  }
+  Status PutDurable(std::string_view key, ByteView value) override {
+    ++durable_puts[std::string(key)];
+    return ForwardingStore::PutDurable(key, value);
+  }
+  std::string name() const override { return "counting"; }
+
+  static uint64_t Total(const std::map<std::string, uint64_t>& m) {
+    uint64_t n = 0;
+    for (const auto& [k, v] : m) n += v;
+    return n;
+  }
+  std::map<std::string, uint64_t> gets, puts, durable_puts;
+};
+
+TEST(TensorTest, IndexIsOneDurableObjectAndMetaIsWrittenOnce) {
+  auto store = std::make_shared<CountingStore>(Mem());
+  TensorOptions opts;
+  opts.dtype = "int64";
+  opts.sample_compression = "none";
+  auto tensor = Tensor::Create(store, "t", opts).MoveValue();
+  for (int round = 0; round < 3; ++round) {
+    for (int64_t i = 0; i < 4; ++i) {
+      ASSERT_TRUE(tensor->Append(Sample::Scalar(i, DType::kInt64)).ok());
+    }
+    store->puts.clear();
+    store->durable_puts.clear();
+    ASSERT_TRUE(tensor->Flush().ok());
+    EXPECT_EQ(CountingStore::Total(store->puts), 1u);  // the new chunk
+    EXPECT_EQ(store->durable_puts,
+              (std::map<std::string, uint64_t>{{"tensors/t/encoders.bin", 1}}));
+  }
+  store->gets.clear();
+  auto reopened = Tensor::Open(store, "t");
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ(CountingStore::Total(store->gets), 2u);
+  EXPECT_EQ((*reopened)->NumSamples(), 12u);
+  // Over the Create and the three rounds, the meta was put once.
+  auto meta = std::make_shared<CountingStore>(Mem());
+  auto t2 = Tensor::Create(meta, "t", opts).MoveValue();
+  for (int round = 0; round < 3; ++round) {
+    ASSERT_TRUE(t2->Append(Sample::Scalar(int64_t{1}, DType::kInt64)).ok());
+    ASSERT_TRUE(t2->Flush().ok());
+  }
+  EXPECT_EQ(meta->durable_puts["tensors/t/tensor_meta.json"] +
+                meta->puts["tensors/t/tensor_meta.json"],
+            1u);
+}
+
+/// A two-tensor dataset whose `labels` index is the object under test.
+storage::StoragePtr IndexedDataset() {
+  auto store = Mem();
+  auto ds = Dataset::Create(store).MoveValue();
+  TensorOptions lbl;
+  lbl.htype = "class_label";
+  EXPECT_TRUE(ds->CreateTensor("labels", lbl).ok());
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_TRUE(ds->Append({{"labels", Sample::Scalar(i, DType::kInt32)}}).ok());
+  }
+  EXPECT_TRUE(ds->Flush().ok());
+  return store;
+}
+
+bool FsckFlags(storage::StoragePtr store, const std::string& key) {
+  auto report = version::FsckScan(store);
+  if (!report.ok()) return false;
+  for (const auto& issue : report->issues) {
+    if (issue.kind == version::FsckIssueKind::kCorruptObject &&
+        issue.key == key) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(TensorTest, EveryByteEditOfTheIndexIsCorruption) {
+  auto store = IndexedDataset();
+  const std::string key = "tensors/labels/encoders.bin";
+  Slice good = store->Get(key).MoveValue();
+  const ByteBuffer original(good.data(), good.data() + good.size());
+  for (size_t i = 0; i < original.size(); ++i) {
+    for (int delta : {1, -1}) {
+      ByteBuffer edited = original;
+      edited[i] = static_cast<uint8_t>(edited[i] + delta);
+      ASSERT_TRUE(store->Put(key, ByteView(edited)).ok());
+      auto opened = Dataset::Open(store);
+      EXPECT_TRUE(opened.status().IsCorruption())
+          << "byte " << i << " " << delta << ": " << opened.status();
+      EXPECT_TRUE(FsckFlags(store, key)) << "byte " << i << " " << delta;
+    }
+  }
+  ASSERT_TRUE(store->Put(key, ByteView(original)).ok());
+  EXPECT_TRUE(Dataset::Open(store).ok());
+}
+
+TEST(TensorTest, ForgedIndexWithValidEnvelopeIsCorruption) {
+  auto store = IndexedDataset();
+  const std::string key = "tensors/labels/encoders.bin";
+  // A valid envelope around a chunk encoder that declares 2^62 rows.
+  ByteBuffer payload = {0x09, 0x80, 0x80, 0x80, 0x80, 0x80,
+                        0x80, 0x80, 0x80, 0x40, 0x01, 0x00, 0x00};
+  ASSERT_TRUE(store->Put(key, ByteView(EnvelopeWrap(ByteView(payload)))).ok());
+  auto opened = Dataset::Open(store);
+  EXPECT_TRUE(opened.status().IsCorruption()) << opened.status();
+  EXPECT_TRUE(FsckFlags(store, key));
+}
+
+TEST(TensorTest, CorruptCachedIndexHealsOnOpen) {
+  auto base = IndexedDataset();
+  const std::string key = "tensors/labels/encoders.bin";
+  Slice good = base->Get(key).MoveValue();
+  const ByteBuffer original(good.data(), good.data() + good.size());
+  ByteBuffer bad = original;
+  bad[bad.size() / 2] ^= 0x40;
+  ASSERT_TRUE(base->Put(key, ByteView(bad)).ok());
+  auto cache = std::make_shared<storage::LruCacheStore>(base, 1 << 20);
+  ASSERT_TRUE(cache->Get(key).ok());  // caches the corrupt bytes
+  ASSERT_TRUE(base->Put(key, ByteView(original)).ok());  // heal the base only
+  auto opened = Dataset::Open(cache);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  EXPECT_EQ((*opened)->NumRows(), 5u);
+}
+
+TEST(TensorTest, RechunkAndUpdateDeleteTheChunksTheyReplace) {
+  auto store = Mem();
+  TensorOptions opts;
+  opts.dtype = "int64";
+  opts.sample_compression = "none";
+  auto tensor = Tensor::Create(store, "t", opts).MoveValue();
+  for (int64_t i = 0; i < 30; ++i) {
+    ASSERT_TRUE(tensor->Append(Sample::Scalar(i, DType::kInt64)).ok());
+    ASSERT_TRUE(tensor->Flush().ok());
+  }
+  auto chunk_objects = [&] {
+    return store->ListPrefix("tensors/t/chunks/").MoveValue().size();
+  };
+  EXPECT_EQ(chunk_objects(), 30u);
+  ASSERT_TRUE(tensor->UpdateContiguous(
+                        3, {Sample::Scalar(int64_t{100}, DType::kInt64),
+                            Sample::Scalar(int64_t{101}, DType::kInt64)})
+                  .ok());
+  EXPECT_EQ(chunk_objects(), 30u);
+  auto chunks = tensor->Rechunk();
+  ASSERT_TRUE(chunks.ok()) << chunks.status();
+  EXPECT_EQ(*chunks, 1u);
+  EXPECT_EQ(chunk_objects(), 1u);
+  auto reopened = Tensor::Open(store, "t").MoveValue();
+  for (uint64_t i = 0; i < 30; ++i) {
+    int64_t want = i == 3 ? 100 : i == 4 ? 101 : static_cast<int64_t>(i);
+    EXPECT_EQ(reopened->Read(i)->AsInt(), want) << i;
+  }
+}
+
+TEST(TensorTest, RechunkInANewHeadKeepsTheSealedCommitsChunks) {
+  auto base = Mem();
+  auto vc = version::VersionControl::OpenOrInit(base).MoveValue();
+  auto ds = Dataset::Create(vc->working_store()).MoveValue();
+  TensorOptions opts;
+  opts.dtype = "int64";
+  opts.sample_compression = "none";
+  Tensor* t = ds->CreateTensor("t", opts).MoveValue();
+  for (int64_t i = 0; i < 10; ++i) {
+    ASSERT_TRUE(t->Append(Sample::Scalar(i, DType::kInt64)).ok());
+    ASSERT_TRUE(t->Flush().ok());
+  }
+  ASSERT_TRUE(ds->Flush().ok());
+  const std::string sealed = vc->current_commit();
+  ASSERT_TRUE(vc->Commit("ten chunks").ok());
+  auto head = Dataset::Open(vc->working_store()).MoveValue();
+  Tensor* ht = head->GetTensor("t").MoveValue();
+  for (int64_t i = 10; i < 15; ++i) {
+    ASSERT_TRUE(ht->Append(Sample::Scalar(i, DType::kInt64)).ok());
+    ASSERT_TRUE(ht->Flush().ok());
+  }
+  ASSERT_TRUE(ht->Rechunk().ok());
+  ASSERT_TRUE(head->Flush().ok());
+  ASSERT_TRUE(vc->Commit("rechunked").ok());
+
+  auto at = Dataset::Open(vc->StoreAt(sealed).MoveValue()).MoveValue();
+  Tensor* st = at->GetTensor("t").MoveValue();
+  ASSERT_EQ(st->NumSamples(), 10u);
+  for (uint64_t i = 0; i < 10; ++i) {
+    auto s = st->Read(i);
+    ASSERT_TRUE(s.ok()) << i << ": " << s.status();
+    EXPECT_EQ(s->AsInt(), static_cast<int64_t>(i));
+  }
+  auto now = Dataset::Open(vc->working_store()).MoveValue();
+  for (uint64_t i = 0; i < 15; ++i) {
+    EXPECT_EQ(now->GetTensor("t").MoveValue()->Read(i)->AsInt(),
+              static_cast<int64_t>(i));
+  }
+  auto report = version::FsckScan(base);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_TRUE(report->clean()) << report->issues.size() << " issues, first: "
+                               << report->issues[0].key;
 }
 
 TEST(TensorTest, CreateTwiceFails) {
