@@ -17,14 +17,18 @@
 // decoder bounds-checks every read against the frame and every write
 // against raw_size; it never copies past the end of its output.
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "compress/codec.h"
 #include "compress/codec_internal.h"
 #include "util/coding.h"
 #include "util/macros.h"
+#include "util/thread_annotations.h"
 
 namespace dl::compress {
 namespace {
@@ -36,6 +40,54 @@ constexpr size_t kMaxOffset = 65535;
 // The decoder copies short literals and far matches in fixed blocks of this
 // many bytes where the block stays inside the frame and the output.
 constexpr size_t kBlock = 16;
+
+/// The compressor's match tables, shared by every thread. A table is
+/// 128 KiB, exactly glibc's default mmap threshold, so one allocated per
+/// call, or per fresh thread (a commit's flush helpers live for one call),
+/// was mapped and unmapped each time at a cost that followed glibc's
+/// dynamic threshold rather than this code. The free list is filled on
+/// first use with one table per hardware thread, the most one fan-out
+/// compresses at once; a caller that finds it empty allocates a table,
+/// which then joins the list.
+class MatchTables {
+ public:
+  static MatchTables& Global() {
+    static MatchTables* tables = new MatchTables();  // leaky singleton
+    return *tables;
+  }
+
+  std::unique_ptr<uint32_t[]> Take() {
+    {
+      MutexLock lock(mu_);
+      if (!filled_) {
+        filled_ = true;
+        size_t n = std::max(1u, std::thread::hardware_concurrency());
+        for (size_t i = 0; i < n; ++i) free_.push_back(NewTable());
+      }
+      if (!free_.empty()) {
+        std::unique_ptr<uint32_t[]> table = std::move(free_.back());
+        free_.pop_back();
+        return table;
+      }
+    }
+    return NewTable();
+  }
+
+  void Give(std::unique_ptr<uint32_t[]> table) {
+    MutexLock lock(mu_);
+    free_.push_back(std::move(table));
+  }
+
+ private:
+  // Uninitialized: Lz77CompressAppend fills the table before each use.
+  static std::unique_ptr<uint32_t[]> NewTable() {
+    return std::make_unique_for_overwrite<uint32_t[]>(kHashSize);
+  }
+
+  Mutex mu_{"compress.lz77.tables_mu"};  // leaf
+  bool filled_ DL_GUARDED_BY(mu_) = false;
+  std::vector<std::unique_ptr<uint32_t[]>> free_ DL_GUARDED_BY(mu_);
+};
 
 inline uint32_t Load32(const uint8_t* p) {
   uint32_t v;
@@ -157,13 +209,9 @@ void Lz77CompressAppend(ByteView raw, ByteBuffer& out) {
   out.resize(start + n + n / 255 + 16);
   uint8_t* op = out.data() + start;
 
-  // The match table is per-thread scratch kept across calls. At 128 KiB it
-  // sits exactly at glibc's default mmap threshold, so a table allocated
-  // per call was mapped and unmapped on every compress (each image Append,
-  // each chunk-compressed Flush), at a cost that followed glibc's dynamic
-  // threshold rather than this code.
-  thread_local std::vector<uint32_t> table;
-  table.assign(kHashSize, UINT32_MAX);
+  std::unique_ptr<uint32_t[]> owned = MatchTables::Global().Take();
+  uint32_t* const table = owned.get();
+  std::fill_n(table, kHashSize, UINT32_MAX);
   size_t i = 0;
   size_t anchor = 0;  // start of pending literals
   // A match may start no later than n - kMinMatch - 1; it then extends to
@@ -197,6 +245,7 @@ void Lz77CompressAppend(ByteView raw, ByteBuffer& out) {
     op = EmitSequence(op, base + anchor, n - anchor, 0, 0);
   }
   out.resize(static_cast<size_t>(op - out.data()));
+  MatchTables::Global().Give(std::move(owned));
 }
 
 Result<uint64_t> Lz77DeclaredSize(ByteView frame, size_t* header_len) {

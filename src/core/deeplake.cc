@@ -35,10 +35,20 @@ Result<std::shared_ptr<DeepLake>> DeepLake::Open(storage::StoragePtr storage,
 }
 
 Status DeepLake::ReopenDataset() {
+  kept_commit_.clear();
+  kept_encoders_.clear();
   storage::StoragePtr store =
       vc_ ? vc_->working_store() : base_;
   DL_ASSIGN_OR_RETURN(dataset_, tsf::Dataset::Open(store));
   return Status::OK();
+}
+
+void DeepLake::KeepEncoders(const std::string& commit_id) {
+  kept_commit_ = commit_id;
+  kept_encoders_.clear();
+  for (const std::string& name : dataset_->TensorNames(true)) {
+    kept_encoders_[name] = (*dataset_->GetTensor(name))->chunk_encoder();
+  }
 }
 
 Status DeepLake::Flush() {
@@ -52,9 +62,36 @@ Result<std::string> DeepLake::Commit(const std::string& message) {
     return Status::FailedPrecondition(
         "this lake was opened without version control");
   }
-  if (!vc_->detached()) DL_RETURN_IF_ERROR(dataset_->Flush());
-  DL_ASSIGN_OR_RETURN(std::string id, vc_->Commit(message));
-  DL_RETURN_IF_ERROR(ReopenDataset());
+  if (vc_->detached()) return vc_->Commit(message);  // FailedPrecondition
+  DL_RETURN_IF_ERROR(dataset_->Flush());
+  DL_ASSIGN_OR_RETURN(version::CommitInfo head,
+                      vc_->GetCommit(vc_->current_commit()));
+  // The guard: the open tensors describe the head, and kept_encoders_ its
+  // parent, only while the parent is the commit this lake sealed last.
+  if (kept_commit_.empty() || head.parent != kept_commit_) {
+    DL_ASSIGN_OR_RETURN(std::string id, vc_->Commit(message));
+    DL_RETURN_IF_ERROR(ReopenDataset());
+    KeepEncoders(id);
+    return id;
+  }
+  version::KnownDiffs diffs{head.parent, {}};
+  for (const std::string& name : dataset_->TensorNames(true)) {
+    auto kept = kept_encoders_.find(name);
+    std::optional<version::TensorDiff> d = version::DiffTensor(
+        kept == kept_encoders_.end() ? nullptr : &kept->second,
+        &(*dataset_->GetTensor(name))->chunk_encoder());
+    if (d) diffs.tensors[name] = std::move(*d);
+  }
+  DL_ASSIGN_OR_RETURN(std::string id, vc_->Commit(message, diffs));
+  DL_ASSIGN_OR_RETURN(version::CommitInfo sealed, vc_->GetCommit(id));
+  if (sealed.parent == kept_commit_) {
+    dataset_->Rebind(vc_->working_store());
+  } else {
+    // A transaction reparented the head during the commit; the seal read
+    // the diffs back, and the dataset must see the transaction's rows.
+    DL_RETURN_IF_ERROR(ReopenDataset());
+  }
+  KeepEncoders(id);
   return id;
 }
 

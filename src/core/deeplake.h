@@ -82,7 +82,13 @@ class DeepLake {
   bool has_version_control() const { return vc_ != nullptr; }
   version::VersionControl* version_control() { return vc_.get(); }
 
-  /// Commits the working state; reopens the dataset on the new head.
+  /// Commits the working state. The dataset and its tensors stay open and
+  /// move to the new working head. When the head's parent is the commit
+  /// this lake last sealed, the diff file comes from the open tensors'
+  /// chunk encoders and the commit reads nothing (DESIGN.md §9.3); after
+  /// Open, a checkout or a transaction it reads the diffs back and reopens
+  /// the dataset. Must not run while other threads read this lake's
+  /// dataset (snapshots from At() are unaffected).
   Result<std::string> Commit(const std::string& message);
   /// Checks out a branch (optionally creating it) and reopens the dataset.
   Status Checkout(const std::string& branch, bool create = false);
@@ -213,7 +219,11 @@ class DeepLake {
 
  private:
   DeepLake() = default;
+  /// Opens the dataset afresh on the working store; forgets the kept
+  /// encoders.
   Status ReopenDataset();
+  /// Records every tensor's chunk encoder as sealed in `commit_id`.
+  void KeepEncoders(const std::string& commit_id);
   /// Options for a query over this lake: `FROM ds VERSION '<id>'`
   /// resolves through At() when the lake has version control. They refer
   /// to this lake, so they live only for the query they are built for.
@@ -222,6 +232,11 @@ class DeepLake {
   storage::StoragePtr base_;
   std::shared_ptr<version::VersionControl> vc_;
   std::shared_ptr<tsf::Dataset> dataset_;
+  // The commit this lake last sealed from dataset_ (empty when none since
+  // the dataset was opened) and each tensor's chunk encoder in it: the
+  // base DeepLake::Commit diffs the open tensors against.
+  std::string kept_commit_;
+  std::map<std::string, tsf::ChunkEncoder> kept_encoders_;
   std::unique_ptr<obs::FlightRecorder> flight_;
   std::unique_ptr<obs::DebugServer> debug_server_;
 };

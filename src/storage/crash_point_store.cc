@@ -5,6 +5,7 @@
 
 #include "storage/storage.h"
 #include "util/macros.h"
+#include "util/parallel.h"
 
 namespace dl::storage {
 
@@ -46,7 +47,7 @@ bool CrashPointStore::IsDead() const {
   if (!crashed_.load(std::memory_order_acquire)) return false;
   if (scope_ == CrashScope::kProcess) return true;
   MutexLock lock(mu_);
-  return dead_thread_ == std::this_thread::get_id();
+  return dead_thread_ == FanOutOwner();
 }
 
 Status CrashPointStore::Admit(FaultOp op) {
@@ -66,7 +67,7 @@ Status CrashPointStore::OnWrite(std::string_view key, ByteView value,
   }
   {
     MutexLock lock(mu_);
-    dead_thread_ = std::this_thread::get_id();
+    dead_thread_ = FanOutOwner();
   }
   crashed_.store(true, std::memory_order_release);
   switch (mode_) {

@@ -563,7 +563,10 @@ enum class CrashScope {
   /// The whole process: every subsequent operation, from any thread, fails.
   kProcess,
   /// Only the writer that issued the crashing write: subsequent operations
-  /// from that thread fail, other threads proceed untouched. Models one
+  /// from that writer fail, other threads proceed untouched. A writer is
+  /// the thread that owns a ParallelFor fan-out together with its helpers
+  /// (util/parallel.h FanOutOwner), so a crash on a flush helper also
+  /// kills the thread that started the flush. Models one
   /// member of a group of concurrent committers dying mid-protocol while
   /// its siblings keep publishing (the DESIGN.md §12 concurrent crash
   /// matrix).
@@ -576,7 +579,7 @@ const char* CrashScopeName(CrashScope scope);
 /// writes (Put/PutDurable) are counted, and write number `crash_at_write`
 /// (1-based) is mangled per `mode`; from that point on every operation —
 /// reads included — fails with IOError for the crashed scope (the whole
-/// process, or just the issuing thread, per CrashScope). The test then
+/// process, or just the issuing writer, per CrashScope). The test then
 /// reopens the *base* store with a fresh decorator chain and asserts the
 /// dataset recovered to exactly the old or the new state.
 ///
@@ -620,6 +623,7 @@ class CrashPointStore : public ForwardingStore {
   std::atomic<bool> crashed_{false};
   /// Guards dead_thread_ (kWriter scope). Leaf (lock_hierarchy.txt).
   mutable Mutex mu_{"storage.crash_point.mu"};
+  /// The crashed writer's FanOutOwner().
   std::thread::id dead_thread_ DL_GUARDED_BY(mu_);
 };
 

@@ -7,6 +7,7 @@
 #include "util/clock.h"
 #include "util/envelope.h"
 #include "util/macros.h"
+#include "util/parallel.h"
 #include "util/string_util.h"
 
 namespace dl::tsf {
@@ -231,10 +232,22 @@ Result<Slice> Dataset::ReadLinked(const std::string& tensor_name,
 }
 
 Status Dataset::Flush() {
+  std::vector<Tensor*> changed;
   for (auto& [name, tensor] : tensors_) {
-    DL_RETURN_IF_ERROR(tensor->Flush().WithContext("flush '" + name + "'"));
+    if (tensor->unpersisted()) changed.push_back(tensor.get());
   }
-  return PersistMeta();
+  // Tensors are independent objects, so their writes go out together; the
+  // per-tensor order (chunk, then index) is kept inside Tensor::Flush.
+  DL_RETURN_IF_ERROR(ParallelFor(changed.size(), [&](size_t i) {
+    return changed[i]->Flush().WithContext("flush '" + changed[i]->name() +
+                                           "'");
+  }));
+  return meta_dirty_ ? PersistMeta() : Status::OK();
+}
+
+void Dataset::Rebind(storage::StoragePtr store) {
+  for (auto& [name, tensor] : tensors_) tensor->Rebind(store);
+  store_ = std::move(store);
 }
 
 void Dataset::LogProvenance(const std::string& event) {
@@ -242,6 +255,7 @@ void Dataset::LogProvenance(const std::string& event) {
   entry.Set("event", event);
   entry.Set("timestamp_us", NowMicros());
   meta_.object()["provenance"].Append(std::move(entry));
+  meta_dirty_ = true;
 }
 
 Status Dataset::PersistMeta() {
@@ -249,7 +263,9 @@ Status Dataset::PersistMeta() {
   // Enveloped + durable: dataset_meta.json names every tensor, so a torn
   // write here would orphan the whole dataset (DESIGN.md §9).
   ByteBuffer framed = EnvelopeWrap(ByteView(text));
-  return store_->PutDurable(kMetaKey, ByteView(framed));
+  DL_RETURN_IF_ERROR(store_->PutDurable(kMetaKey, ByteView(framed)));
+  meta_dirty_ = false;
+  return Status::OK();
 }
 
 }  // namespace dl::tsf

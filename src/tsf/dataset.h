@@ -106,11 +106,21 @@ class Dataset {
   Result<Slice> ReadLinked(const std::string& tensor, uint64_t index,
                            LinkResolver& resolver);
 
-  /// Flushes all tensors and persists dataset metadata.
+  /// Flushes the tensors with changes as one concurrent wave (util/
+  /// parallel.h), each sealing its chunk before writing its index, then
+  /// persists dataset_meta.json if it changed. With nothing new it writes
+  /// nothing.
   Status Flush();
 
+  /// Points the dataset and every tensor at `store`, which must hold the
+  /// same objects as the current one (the next working head after a
+  /// commit). Tensors keep their state. Not safe while other threads read
+  /// the dataset.
+  void Rebind(storage::StoragePtr store);
+
   /// Appends a human-readable provenance event to dataset_meta.json
-  /// ("created tensor images", "materialized view ...", §4.5 lineage).
+  /// ("created tensor images", "materialized view ...", §4.5 lineage); the
+  /// next Flush persists it.
   void LogProvenance(const std::string& event);
   const Json& meta() const { return meta_; }
   storage::StoragePtr store() const { return store_; }
@@ -122,6 +132,7 @@ class Dataset {
 
   storage::StoragePtr store_;
   Json meta_;
+  bool meta_dirty_ = false;  // meta_ differs from dataset_meta.json
   std::map<std::string, std::unique_ptr<Tensor>> tensors_;
   Rng id_rng_;
   bool with_sample_ids_ = true;

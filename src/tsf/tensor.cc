@@ -99,6 +99,7 @@ Result<Slice> EncodeSample(const TensorMeta& meta, const Sample& sample) {
 
 Status Tensor::Append(const Sample& sample) {
   DL_RETURN_IF_ERROR(meta_.ValidateSample(sample));
+  unpersisted_ = true;
   if (NeedsTiling(sample)) {
     uint64_t index = NumSamples();
     // The sample still occupies one slot in the chunk stream: an empty
@@ -136,6 +137,7 @@ Status Tensor::AppendPrecompressed(ByteView frame, const TensorShape& shape) {
         (declared.ok() ? "declares " + std::to_string(*declared)
                        : declared.status().ToString()));
   }
+  unpersisted_ = true;
   DL_RETURN_IF_ERROR(SealIfFull(open_chunk_, index_.chunks, shape));
   open_chunk_.Append(frame, shape);
   index_.shapes.Append(shape);
@@ -201,14 +203,17 @@ Status Tensor::SealChunk(ChunkBuilder& builder, ChunkEncoder& encoder) {
 }
 
 Status Tensor::Flush() {
+  if (!unpersisted_) return Status::OK();
   DL_RETURN_IF_ERROR(SealChunk(open_chunk_, index_.chunks));
   return PersistEncoders();
 }
 
 Status Tensor::PersistEncoders() {
-  return store_->PutDurable(
+  DL_RETURN_IF_ERROR(store_->PutDurable(
       PathJoin(TensorDir(meta_.name), TensorIndex::kFileName),
-      ByteView(index_.Serialize()));
+      ByteView(index_.Serialize())));
+  unpersisted_ = false;
+  return Status::OK();
 }
 
 ByteBuffer TensorIndex::Serialize() const {
@@ -235,6 +240,15 @@ Result<TensorIndex> TensorIndex::Deserialize(Slice object) {
   DL_ASSIGN_OR_RETURN(index.shapes, ShapeEncoder::Deserialize(shapes));
   DL_ASSIGN_OR_RETURN(ByteView tiles, dec.GetBytes(dec.remaining()));
   DL_ASSIGN_OR_RETURN(index.tiles, TileEncoder::Deserialize(tiles));
+  // The three maps cover one row range; a mismatch would let a read name
+  // a row no chunk holds.
+  uint64_t rows = index.chunks.num_samples();
+  if (index.shapes.num_samples() != rows || index.tiles.end_index() > rows) {
+    return Status::Corruption(
+        "tensor index: " + std::to_string(rows) + " chunked rows, " +
+        std::to_string(index.shapes.num_samples()) + " shapes, tiles up to " +
+        std::to_string(index.tiles.end_index()));
+  }
   return index;
 }
 
@@ -373,10 +387,11 @@ Status Tensor::UpdateContiguous(uint64_t start,
     DL_RETURN_IF_ERROR(meta_.ValidateSample(s));
   }
   uint64_t end = start + samples.size();
-  // Updates operate on flushed chunks.
-  if (end > index_.chunks.num_samples()) {
-    DL_RETURN_IF_ERROR(Flush());
-  }
+  // Updates operate on sealed chunks, and the index written below must
+  // name every row its shape encoder does, so the open chunk is sealed
+  // even when the range lies inside the sealed rows.
+  unpersisted_ = true;
+  DL_RETURN_IF_ERROR(SealChunk(open_chunk_, index_.chunks));
 
   ChunkBuilder builder(meta_.dtype, meta_.sample_compression,
                        meta_.chunk_compression);
@@ -444,6 +459,7 @@ Status Tensor::DeleteChunks(const std::vector<uint64_t>& chunk_ids) {
 
 Result<size_t> Tensor::Rechunk() {
   DL_RETURN_IF_ERROR(Flush());
+  unpersisted_ = true;
   // Re-pack every stored sample, in order, under the append path's packing
   // rule. Frames are copied from the CRC-verified chunks, never decoded or
   // re-encoded; a tiled sample's empty placeholder is copied like any other.

@@ -106,8 +106,19 @@ class Tensor {
   /// Shape without fetching data (served by the shape encoder).
   Result<TensorShape> ShapeAt(uint64_t index) const;
 
-  /// Seals the open chunk and persists the index.
+  /// Seals the open chunk, then persists the index: the chunk lands before
+  /// any index names it. Writes nothing when the index holds no change
+  /// since it was last persisted.
   Status Flush();
+
+  /// True while the index holds changes Flush has not yet written.
+  bool unpersisted() const { return unpersisted_; }
+
+  /// Points the tensor at `store`, which must hold the same objects as the
+  /// current one (the next working head after a commit). The index, open
+  /// chunk and chunk cache carry over. Not safe while other threads read
+  /// the tensor.
+  void Rebind(storage::StoragePtr store) { store_ = std::move(store); }
 
   /// Re-packs fragmented chunks into dense ~max_chunk_bytes chunks
   /// (paper §3.5 "on-the-fly re-chunking algorithm"). Returns the number of
@@ -158,6 +169,9 @@ class Tensor {
   TensorIndex index_;
   ChunkBuilder open_chunk_;
   uint64_t next_chunk_id_ = 0;
+  // Set by every change to index_ or the open chunk, cleared once
+  // PersistEncoders lands: a tensor with nothing new flushes nothing.
+  bool unpersisted_ = false;
 
   // Single-slot cache of the most recently parsed chunk: sequential reads
   // decode each chunk once. Leaf lock: held only for the slot swap, never

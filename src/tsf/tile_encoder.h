@@ -70,6 +70,10 @@ class TileEncoder {
   }
   void Remove(uint64_t sample_index) { entries_.erase(sample_index); }
   size_t num_tiled_samples() const { return entries_.size(); }
+  /// One past the largest tiled sample index; 0 when none is tiled.
+  uint64_t end_index() const {
+    return entries_.empty() ? 0 : entries_.rbegin()->first + 1;
+  }
 
   ByteBuffer Serialize() const;
   static Result<TileEncoder> Deserialize(ByteView bytes);

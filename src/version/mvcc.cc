@@ -200,7 +200,7 @@ Status VersionControl::AbortStagedCommit(const std::string& txn_id) {
 
 Result<std::string> VersionControl::SealStagedLocked(
     const std::string& txn_id, const std::string& branch,
-    const std::string& message) {
+    const std::string& message, const KnownDiffs* known) {
   std::string working_head;
   {
     MutexLock lock(mu_);
@@ -235,7 +235,7 @@ Result<std::string> VersionControl::SealStagedLocked(
           "commit or discard them before publishing transactions");
     }
   }
-  DL_RETURN_IF_ERROR(Seal(txn_id, message));
+  DL_RETURN_IF_ERROR(Seal(txn_id, message, known));
   {
     // Splice the branch's working head onto the published commit — the
     // same reparenting recovery performs when a publish crashes after its
@@ -288,8 +288,10 @@ Result<std::string> VersionControl::PublishTxn(const std::string& txn_id,
 
   if (head == base) {
     // Fast path: nobody landed since Begin — seal the staging commit as-is.
+    // Its parent is the base, so the footprint diffs are its diff file.
     TxnCounter("version.txn.publish_fast_path")->Increment();
-    return SealStagedLocked(txn_id, branch, message);
+    KnownDiffs known{base, std::move(txn_diffs)};
+    return SealStagedLocked(txn_id, branch, message, &known);
   }
 
   // Other transactions sealed after our base. Collect them (newest first)
@@ -418,7 +420,7 @@ Result<std::string> VersionControl::PublishTxn(const std::string& txn_id,
   }
   TxnCounter("version.txn.publish_rebased")->Increment();
   DL_ASSIGN_OR_RETURN(std::string landed,
-                      SealStagedLocked(rebased_id, branch, message));
+                      SealStagedLocked(rebased_id, branch, message, nullptr));
   // The original staging directory is superseded debris now.
   DL_RETURN_IF_ERROR(AbortStagedCommit(txn_id));
   return landed;

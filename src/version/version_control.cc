@@ -227,6 +227,16 @@ Result<storage::StoragePtr> VersionControl::StoreAt(
 }
 
 Result<std::string> VersionControl::Commit(const std::string& message) {
+  return CommitWith(message, nullptr);
+}
+
+Result<std::string> VersionControl::Commit(const std::string& message,
+                                           const KnownDiffs& diffs) {
+  return CommitWith(message, &diffs);
+}
+
+Result<std::string> VersionControl::CommitWith(const std::string& message,
+                                               const KnownDiffs* known) {
   // Sealing the working head and publishing a staged transaction both
   // advance the branch head; publish_mu_ serializes them so a concurrent
   // WriteTxn::Publish cannot reparent the head mid-seal (DESIGN.md §12).
@@ -240,7 +250,7 @@ Result<std::string> VersionControl::Commit(const std::string& message) {
     }
     sealed_id = current_commit_;
   }
-  DL_RETURN_IF_ERROR(Seal(sealed_id, message));
+  DL_RETURN_IF_ERROR(Seal(sealed_id, message, known));
   {
     MutexLock lock(mu_);
     OpenWorkingHead(sealed_id, current_branch_);
@@ -526,7 +536,8 @@ Status VersionControl::WriteCommitRecord(const std::string& commit_id) {
 }
 
 Status VersionControl::Seal(const std::string& id,
-                            const std::string& message) {
+                            const std::string& message,
+                            const KnownDiffs* known) {
   CommitInfo before;
   {
     MutexLock lock(mu_);
@@ -545,7 +556,7 @@ Status VersionControl::Seal(const std::string& id,
   // rolled forward by recovery. Nothing in between is observable.
   Status s = [&]() -> Status {
     DL_RETURN_IF_ERROR(PersistKeySet(id));
-    DL_RETURN_IF_ERROR(WriteDiffFile(id));
+    DL_RETURN_IF_ERROR(WriteDiffFile(id, known));
     if (before.staged) DL_RETURN_IF_ERROR(RemoveTxnMarker(id));
     return WriteCommitRecord(id);
   }();
@@ -811,12 +822,13 @@ Result<std::vector<std::string>> TensorNamesAt(storage::StoragePtr store) {
   return names;
 }
 
-/// Chunk id of the chunk holding `index`, by walking encoder entries.
-void ModifiedRangesBetween(const tsf::ChunkEncoder& a,
-                           const tsf::ChunkEncoder& b,
-                           std::vector<std::pair<uint64_t, uint64_t>>* out) {
+}  // namespace
+
+std::vector<std::pair<uint64_t, uint64_t>> ModifiedRangesBetween(
+    const tsf::ChunkEncoder& a, const tsf::ChunkEncoder& b) {
+  std::vector<std::pair<uint64_t, uint64_t>> ranges;
   uint64_t overlap = std::min(a.num_samples(), b.num_samples());
-  if (overlap == 0) return;
+  if (overlap == 0) return ranges;
   const auto& ea = a.entries();
   const auto& eb = b.entries();
   size_t ia = 0, ib = 0;
@@ -827,17 +839,31 @@ void ModifiedRangesBetween(const tsf::ChunkEncoder& a,
     uint64_t end = std::min({ea[ia].last_index, eb[ib].last_index,
                              overlap - 1});
     if (ea[ia].chunk_id != eb[ib].chunk_id) {
-      if (!out->empty() && out->back().second + 1 == pos) {
-        out->back().second = end;
+      if (!ranges.empty() && ranges.back().second + 1 == pos) {
+        ranges.back().second = end;
       } else {
-        out->push_back({pos, end});
+        ranges.push_back({pos, end});
       }
     }
     pos = end + 1;
   }
+  return ranges;
 }
 
-}  // namespace
+std::optional<TensorDiff> DiffTensor(const tsf::ChunkEncoder* a,
+                                     const tsf::ChunkEncoder* b) {
+  TensorDiff d;
+  if (a != nullptr) d.length_a = a->num_samples();
+  if (b != nullptr) d.length_b = b->num_samples();
+  if (a != nullptr && b != nullptr) {
+    d.modified_ranges = ModifiedRangesBetween(*a, *b);
+  }
+  if (d.length_a == d.length_b && d.modified_ranges.empty() &&
+      (a == nullptr) == (b == nullptr)) {
+    return std::nullopt;
+  }
+  return d;
+}
 
 Result<std::map<std::string, TensorDiff>> VersionControl::Diff(
     const std::string& commit_a, const std::string& commit_b) {
@@ -850,31 +876,18 @@ Result<std::map<std::string, TensorDiff>> VersionControl::Diff(
 
   std::map<std::string, TensorDiff> diffs;
   for (const auto& name : all) {
-    TensorDiff d;
-    std::unique_ptr<tsf::Tensor> ta, tb;
-    auto ra = tsf::Tensor::Open(store_a, name);
-    if (ra.ok()) {
-      ta = std::move(ra).value();
-      d.length_a = ta->NumSamples();
-    }
-    auto rb = tsf::Tensor::Open(store_b, name);
-    if (rb.ok()) {
-      tb = std::move(rb).value();
-      d.length_b = tb->NumSamples();
-    }
-    if (ta && tb) {
-      ModifiedRangesBetween(ta->chunk_encoder(), tb->chunk_encoder(),
-                            &d.modified_ranges);
-    }
-    if (d.length_a != d.length_b || !d.modified_ranges.empty() ||
-        (ta == nullptr) != (tb == nullptr)) {
-      diffs[name] = std::move(d);
-    }
+    auto ta = tsf::Tensor::Open(store_a, name);
+    auto tb = tsf::Tensor::Open(store_b, name);
+    std::optional<TensorDiff> d =
+        DiffTensor(ta.ok() ? &(*ta)->chunk_encoder() : nullptr,
+                   tb.ok() ? &(*tb)->chunk_encoder() : nullptr);
+    if (d) diffs[name] = std::move(*d);
   }
   return diffs;
 }
 
-Status VersionControl::WriteDiffFile(const std::string& commit_id) {
+Status VersionControl::WriteDiffFile(const std::string& commit_id,
+                                     const KnownDiffs* known) {
   std::string parent;
   {
     MutexLock lock(mu_);
@@ -885,8 +898,12 @@ Status VersionControl::WriteDiffFile(const std::string& commit_id) {
   j.Set("parent", parent);
   Json tensors = Json::MakeObject();
   if (!parent.empty()) {
-    DL_ASSIGN_OR_RETURN(auto diffs, Diff(parent, commit_id));
-    for (const auto& [name, d] : diffs) {
+    bool use_known = known != nullptr && known->parent == parent;
+    std::map<std::string, TensorDiff> read;
+    if (!use_known) {
+      DL_ASSIGN_OR_RETURN(read, Diff(parent, commit_id));
+    }
+    for (const auto& [name, d] : use_known ? known->tensors : read) {
       Json t = Json::MakeObject();
       t.Set("length_before", d.length_a);
       t.Set("length_after", d.length_b);

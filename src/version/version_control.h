@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -39,6 +40,26 @@ struct TensorDiff {
   uint64_t samples_added() const {
     return length_b > length_a ? length_b - length_a : 0;
   }
+};
+
+/// The one diff rule: index ranges [first, last], over the rows both
+/// encoders hold, whose chunks differ.
+std::vector<std::pair<uint64_t, uint64_t>> ModifiedRangesBetween(
+    const tsf::ChunkEncoder& a, const tsf::ChunkEncoder& b);
+
+/// One tensor's diff between two versions, from its chunk encoder in each
+/// (null where the tensor does not exist); nullopt when the versions hold
+/// it unchanged. VersionControl::Diff uses it on encoders read from the
+/// store, DeepLake::Commit on the encoders of its open tensors.
+std::optional<TensorDiff> DiffTensor(const tsf::ChunkEncoder* a,
+                                     const tsf::ChunkEncoder* b);
+
+/// A working head's per-tensor diffs against `parent`, computed by a
+/// caller from state it holds, so that sealing the head reads nothing
+/// back. They must equal what Diff(parent, head) would return.
+struct KnownDiffs {
+  std::string parent;
+  std::map<std::string, TensorDiff> tensors;
 };
 
 /// Conflict policy for Merge (paper §4.2: "resolving conflicts according to
@@ -138,6 +159,14 @@ class VersionControl
   /// sealed commit id.
   Result<std::string> Commit(const std::string& message);
 
+  /// Commit for a caller that knows the working head's diffs: when
+  /// `diffs.parent` is still the head's parent as the seal runs, they are
+  /// written as its diff file and the commit reads nothing; otherwise (a
+  /// published transaction reparented the head) the seal computes them
+  /// with Diff. The sealed commit's parent tells the caller which.
+  Result<std::string> Commit(const std::string& message,
+                             const KnownDiffs& diffs);
+
   /// Checks out a branch; with `create`, forks a new branch at the current
   /// commit (its working commit starts empty).
   Status CheckoutBranch(const std::string& branch, bool create = false);
@@ -201,7 +230,14 @@ class VersionControl
   /// Commit chain (ids) from `commit_id` to the root.
   std::vector<std::string> Chain(const std::string& commit_id) const
       DL_REQUIRES(mu_);
-  Status WriteDiffFile(const std::string& commit_id) DL_EXCLUDES(mu_);
+  /// Writes versions/<id>/diff.json from `known` when it is against the
+  /// commit's parent, else from Diff(parent, id).
+  Status WriteDiffFile(const std::string& commit_id, const KnownDiffs* known)
+      DL_EXCLUDES(mu_);
+  /// Both Commit overloads; `known` may be null.
+  Result<std::string> CommitWith(const std::string& message,
+                                 const KnownDiffs* known)
+      DL_EXCLUDES(mu_, publish_mu_);
   /// Creates in `dst` every tensor of `src` that `dst` lacks, with the same
   /// htype, dtype, compressions and chunk bound (Merge and rebase replay).
   static Status CopyTensorSchema(tsf::Dataset& src, tsf::Dataset& dst);
@@ -217,10 +253,12 @@ class VersionControl
   Status WriteCommitRecord(const std::string& commit_id) DL_EXCLUDES(mu_);
   /// The journaled seal of commit `id`, working head or staged: marks it
   /// committed with `message`, then writes keyset → diff → (staged only:
-  /// delete txn.json) → commit record. On failure the in-memory CommitInfo
-  /// is restored, so a failed seal never looks committed.
-  Status Seal(const std::string& id, const std::string& message)
-      DL_REQUIRES(publish_mu_) DL_EXCLUDES(mu_);
+  /// delete txn.json) → commit record. The diff comes from `known` when it
+  /// applies (see WriteDiffFile). On failure the in-memory CommitInfo is
+  /// restored, so a failed seal never looks committed.
+  Status Seal(const std::string& id, const std::string& message,
+              const KnownDiffs* known) DL_REQUIRES(publish_mu_)
+      DL_EXCLUDES(mu_);
   /// Reconstructs a commit's key set from its directory listing (minus
   /// manifests); used when keyset.json is missing or corrupt.
   Status RebuildKeySet(const std::string& commit_id) DL_EXCLUDES(mu_);
@@ -258,10 +296,11 @@ class VersionControl
   Status AbortStagedCommit(const std::string& txn_id) DL_EXCLUDES(mu_);
   /// Fast-path publish under publish_mu_: seals the staged commit (whose
   /// parent must be the branch's sealed head), then reparents the
-  /// branch's unsealed working head onto it.
+  /// branch's unsealed working head onto it. `known` is passed to Seal.
   Result<std::string> SealStagedLocked(const std::string& txn_id,
                                        const std::string& branch,
-                                       const std::string& message)
+                                       const std::string& message,
+                                       const KnownDiffs* known)
       DL_REQUIRES(publish_mu_) DL_EXCLUDES(mu_);
   /// Deletes versions/<id>/txn.json (seal does this just before the commit
   /// record lands).

@@ -10,14 +10,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "storage/storage.h"
 #include "tsf/dataset.h"
+#include "util/parallel.h"
+#include "util/thread_annotations.h"
 #include "version/fsck.h"
 #include "version/layout.h"
 #include "version/mvcc.h"
@@ -248,6 +253,64 @@ TEST(CrashMatrixTest, DuplicateModeLandsWriteButReportsFailure) {
   EXPECT_EQ(ByteView(*v).ToStringView(), "v");
 }
 
+TEST(CrashMatrixTest, WriterCrashOnAFanOutHelperKillsTheCaller) {
+  if (std::thread::hardware_concurrency() < 2) {
+    GTEST_SKIP() << "one hardware thread: ParallelFor starts no helper";
+  }
+  auto base = std::make_shared<MemoryStore>();
+  auto crash = std::make_shared<CrashPointStore>(
+      base, 1, CrashMode::kMissing, storage::CrashScope::kWriter);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> helper_wrote{false};
+  Status s = ParallelFor(2, [&](size_t) -> Status {
+    if (std::this_thread::get_id() == caller) {
+      // Leave the write to a helper.
+      for (int i = 0; i < 10000 && !helper_wrote; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      return Status::OK();
+    }
+    Status put = crash->Put("helper", ByteView(std::string_view("v")));
+    helper_wrote = true;
+    return put;
+  });
+  ASSERT_TRUE(helper_wrote);
+  EXPECT_TRUE(s.IsIOError()) << s;
+  EXPECT_TRUE(crash->crashed());
+  // The helper died as part of the caller's fan-out, so the caller is dead.
+  EXPECT_TRUE(crash->Put("caller", ByteView(std::string_view("v"))).IsIOError());
+  EXPECT_TRUE(crash->Get("helper").status().IsIOError());
+  // A thread outside that fan-out is another writer and carries on.
+  Status other;
+  std::thread([&] {
+    other = crash->Put("other", ByteView(std::string_view("v")));
+  }).join();
+  EXPECT_TRUE(other.ok()) << other;
+}
+
+TEST(CrashMatrixTest, WriterCrashAnywhereInAFlushWaveKillsTheFlusher) {
+  auto flush = [](StoragePtr store) -> Status {
+    DL_ASSIGN_OR_RETURN(auto vc, VersionControl::OpenOrInit(store));
+    DL_ASSIGN_OR_RETURN(auto ds, Dataset::Open(vc->working_store()));
+    DL_RETURN_IF_ERROR(AppendRows(*ds, kSeedRows, kNewRows));
+    return ds->Flush();
+  };
+  auto counter =
+      std::make_shared<CrashPointStore>(BuildSeed(), 0, CrashMode::kMissing);
+  ASSERT_TRUE(flush(counter).ok());
+  const uint64_t writes = counter->writes_seen();
+  ASSERT_GT(writes, 3u);  // a chunk and an index for each of 3 tensors
+  for (uint64_t at = 1; at <= writes; ++at) {
+    auto crash = std::make_shared<CrashPointStore>(
+        BuildSeed(), at, CrashMode::kMissing, storage::CrashScope::kWriter);
+    EXPECT_FALSE(flush(crash).ok()) << "crash at write " << at;
+    EXPECT_TRUE(crash->crashed()) << "crash at write " << at;
+    EXPECT_TRUE(crash->Put("after", ByteView(std::string_view("v")))
+                    .IsIOError())
+        << "crash at write " << at;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // What recovery reports, one case per debris shape (DESIGN.md §9.3, §12.4).
 // Each case plants one shape in a seed image and checks three views of it:
@@ -471,12 +534,16 @@ class RecordingStore : public storage::ForwardingStore {
     return writes;
   }
 
+  // Read and cleared only between operations; Note appends under ops_mu_,
+  // since a dataset flush calls the store from several threads.
   std::vector<std::string> ops;
 
  private:
   void Note(const char* op, std::string_view key) {
+    MutexLock lock(ops_mu_);
     ops.push_back(std::string(op) + " " + std::string(key));
   }
+  Mutex ops_mu_{"test.recording_store.mu"};
 };
 
 TEST(CommitWriteOrderTest, CommitIsFiveDurableManifestWrites) {

@@ -11,6 +11,7 @@
 #include "tsf/tensor.h"
 #include "util/envelope.h"
 #include "util/rng.h"
+#include "util/thread_annotations.h"
 #include "version/fsck.h"
 #include "version/version_control.h"
 
@@ -91,15 +92,15 @@ class CountingStore : public storage::ForwardingStore {
  public:
   using ForwardingStore::ForwardingStore;
   Result<Slice> Get(std::string_view key) override {
-    ++gets[std::string(key)];
+    Count(gets, key);
     return ForwardingStore::Get(key);
   }
   Status Put(std::string_view key, ByteView value) override {
-    ++puts[std::string(key)];
+    Count(puts, key);
     return ForwardingStore::Put(key, value);
   }
   Status PutDurable(std::string_view key, ByteView value) override {
-    ++durable_puts[std::string(key)];
+    Count(durable_puts, key);
     return ForwardingStore::PutDurable(key, value);
   }
   std::string name() const override { return "counting"; }
@@ -109,7 +110,16 @@ class CountingStore : public storage::ForwardingStore {
     for (const auto& [k, v] : m) n += v;
     return n;
   }
+  // Read and cleared only between operations; counted under mu_, since a
+  // dataset flush calls the store from several threads.
   std::map<std::string, uint64_t> gets, puts, durable_puts;
+
+ private:
+  void Count(std::map<std::string, uint64_t>& m, std::string_view key) {
+    MutexLock lock(mu_);
+    ++m[std::string(key)];
+  }
+  Mutex mu_{"test.counting_store.mu"};
 };
 
 TEST(TensorTest, IndexIsOneDurableObjectAndMetaIsWrittenOnce) {
@@ -202,6 +212,32 @@ TEST(TensorTest, ForgedIndexWithValidEnvelopeIsCorruption) {
   auto opened = Dataset::Open(store);
   EXPECT_TRUE(opened.status().IsCorruption()) << opened.status();
   EXPECT_TRUE(FsckFlags(store, key));
+}
+
+TEST(TensorTest, IndexWhoseMapsDisagreeIsCorruption) {
+  auto store = IndexedDataset();  // labels: 5 rows in one chunk
+  const std::string key = "tensors/labels/encoders.bin";
+  TensorIndex good =
+      storage::GetDecoded(*store, key, TensorIndex::Deserialize).MoveValue();
+  // A shape for a row no chunk holds.
+  TensorIndex extra_shape = good;
+  extra_shape.shapes.Append(TensorShape{});
+  // A tiled row past the last chunked row.
+  TensorIndex stray_tile = good;
+  TileLayout layout;
+  layout.sample_shape = TensorShape{2};
+  layout.tile_dims = {1};
+  layout.grid = {2};
+  layout.chunk_ids = {7, 8};
+  stray_tile.tiles.Set(5, layout);
+  for (const TensorIndex* forged : {&extra_shape, &stray_tile}) {
+    ASSERT_TRUE(store->Put(key, ByteView(forged->Serialize())).ok());
+    auto opened = Dataset::Open(store);
+    EXPECT_TRUE(opened.status().IsCorruption()) << opened.status();
+    EXPECT_TRUE(FsckFlags(store, key));
+  }
+  ASSERT_TRUE(store->Put(key, ByteView(good.Serialize())).ok());
+  EXPECT_TRUE(Dataset::Open(store).ok());
 }
 
 TEST(TensorTest, CorruptCachedIndexHealsOnOpen) {
@@ -590,6 +626,33 @@ TEST(TensorTest, UpdateContiguousRewritesEachChunkOnce) {
   EXPECT_EQ((*reopened)->Read(60)->AsInt(), 1000);
   EXPECT_EQ((*reopened)->Read(259)->AsInt(), 1199);
   EXPECT_EQ((*reopened)->Read(260)->AsInt(), 260);
+}
+
+TEST(TensorTest, UpdateInsideFlushedRowsPersistsTheBufferedRows) {
+  // 4 rows flushed and 2 buffered in the open chunk: an update of a
+  // flushed row seals the open chunk, so the index it writes names all 6.
+  auto store = Mem();
+  TensorOptions opts;
+  opts.dtype = "int64";
+  opts.sample_compression = "none";
+  auto tensor = Tensor::Create(store, "t", opts).MoveValue();
+  for (int64_t i = 0; i < 6; ++i) {
+    ASSERT_TRUE(tensor->Append(Sample::Scalar(i, DType::kInt64)).ok());
+    if (i == 3) {
+      ASSERT_TRUE(tensor->Flush().ok());
+    }
+  }
+  ASSERT_TRUE(
+      tensor->UpdateContiguous(0, {Sample::Scalar(int64_t{100}, DType::kInt64)})
+          .ok());
+  auto reopened = Tensor::Open(store, "t");
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ((*reopened)->NumSamples(), 6u);
+  EXPECT_EQ((*reopened)->shape_encoder().num_samples(), 6u);
+  for (int64_t i = 0; i < 6; ++i) {
+    EXPECT_EQ((*reopened)->Read(static_cast<uint64_t>(i))->AsInt(),
+              i == 0 ? 100 : i);
+  }
 }
 
 TEST(TensorTest, UpdateContiguousRejectsRangePastEnd) {

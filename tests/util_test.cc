@@ -3,6 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdlib>
+#include <fstream>
+#include <thread>
+
 #include <map>
 #include <set>
 #include <string>
@@ -17,6 +24,7 @@
 #include "util/envelope.h"
 #include "util/json.h"
 #include "util/macros.h"
+#include "util/parallel.h"
 #include "util/result.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -451,6 +459,94 @@ TEST(SemaphoreTest, AcquireBlocksUntilRelease) {
   sem.Release();
   t.join();
   EXPECT_TRUE(acquired.load());
+}
+
+// Threads of this process, from /proc/self/status.
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::atoi(line.c_str() + 8);
+  }
+  return -1;
+}
+
+TEST(ParallelForTest, ResultsLandByIndex) {
+  std::vector<uint64_t> out(1000, 0);
+  ASSERT_TRUE(ParallelFor(out.size(), [&](size_t i) {
+                out[i] = i * i;
+                return Status::OK();
+              }).ok());
+  for (size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
+  bool called = false;
+  EXPECT_TRUE(ParallelFor(0, [&](size_t) {
+                called = true;
+                return Status::OK();
+              }).ok());
+  EXPECT_FALSE(called);
+}
+
+TEST(ParallelForTest, NoThreadOutlivesTheCall) {
+  const int before = ProcessThreads();
+  ASSERT_GT(before, 0);
+  const size_t cores = std::max(1u, std::thread::hardware_concurrency());
+  for (int rep = 0; rep < 5; ++rep) {
+    Mutex mu("test.parallel_for.ids_mu");
+    std::set<std::thread::id> ids;
+    ASSERT_TRUE(ParallelFor(8, [&](size_t) {
+                  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                  MutexLock lock(mu);
+                  ids.insert(std::this_thread::get_id());
+                  return Status::OK();
+                }).ok());
+    EXPECT_EQ(ProcessThreads(), before) << "rep " << rep;
+    EXPECT_LE(ids.size(), std::min<size_t>(8, cores));
+    if (cores > 1) {
+      EXPECT_GT(ids.size(), 1u);
+    }
+  }
+}
+
+TEST(ParallelForTest, AnyTaskErrorIsTheCallsStatus) {
+  for (size_t bad = 0; bad < 8; ++bad) {
+    std::atomic<size_t> ran{0};
+    Status s = ParallelFor(8, [&](size_t i) {
+      ++ran;
+      return i == bad ? Status::IOError("task " + std::to_string(i))
+                      : Status::OK();
+    });
+    EXPECT_TRUE(s.IsIOError()) << s;
+    EXPECT_NE(s.ToString().find("task " + std::to_string(bad)),
+              std::string::npos)
+        << s;
+    EXPECT_GE(ran.load(), 1u);
+  }
+}
+
+TEST(ParallelForTest, NestedCallRunsInlineOnTheTasksThread) {
+  std::atomic<int> elsewhere{0};
+  ASSERT_TRUE(ParallelFor(4, [&](size_t) {
+                const std::thread::id me = std::this_thread::get_id();
+                return ParallelFor(4, [&](size_t) {
+                  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                  if (std::this_thread::get_id() != me) ++elsewhere;
+                  return Status::OK();
+                });
+              }).ok());
+  EXPECT_EQ(elsewhere.load(), 0);
+}
+
+TEST(ParallelForTest, EveryTaskReportsTheCallerAsFanOutOwner) {
+  const std::thread::id caller = std::this_thread::get_id();
+  EXPECT_EQ(FanOutOwner(), caller);
+  std::atomic<int> wrong{0};
+  ASSERT_TRUE(ParallelFor(8, [&](size_t) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                if (FanOutOwner() != caller) ++wrong;
+                return Status::OK();
+              }).ok());
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(FanOutOwner(), caller);
 }
 
 }  // namespace
